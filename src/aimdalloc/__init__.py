@@ -12,7 +12,6 @@ from .aimd import (
     LAMBDA_MARGIN,
     ClampStats,
     DegenerateAverageError,
-    DeviceState,
     ResourceParams,
     additive_increase,
     md_deterministic,
@@ -21,12 +20,6 @@ from .aimd import (
     update_average,
 )
 from .config import Config, ConfigError, CostSpec, config_hash, parse_config, serialize_config, write_config
-from .control import (
-    CapacityEventVector,
-    EventLog,
-    communication_overhead,
-    evaluate_capacity_events,
-)
 from .costs import (
     AssumptionReport,
     CostCoefficients,
@@ -77,7 +70,6 @@ __all__ = [
     "LAMBDA_MARGIN",
     "AssumptionReport",
     "BracketError",
-    "CapacityEventVector",
     "ClampStats",
     "ComparisonReport",
     "Config",
@@ -87,8 +79,6 @@ __all__ = [
     "CostFunction",
     "CostSpec",
     "DegenerateAverageError",
-    "DeviceState",
-    "EventLog",
     "ExportManifest",
     "MetricsReport",
     "MetricsSummary",
@@ -102,12 +92,10 @@ __all__ = [
     "additive_increase",
     "build_world",
     "collect_metrics",
-    "communication_overhead",
     "compare_modes",
     "config_hash",
     "convergence_step",
     "estimate_gamma",
-    "evaluate_capacity_events",
     "evaluate_cost",
     "export_comparison",
     "export_trace",

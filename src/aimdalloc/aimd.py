@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostFunction
-
 #: below this, an average allocation is treated as degenerate in the
 #: back-off scaling rule (division would blow up)
 AVERAGE_FLOOR = 1e-9
@@ -51,17 +49,6 @@ class ResourceParams:
             raise ValueError(f"gamma_cap must be in (0, 1], got {self.gamma_cap}")
         if not self.gamma_norm > 0:
             raise ValueError(f"gamma_norm must be positive, got {self.gamma_norm}")
-
-
-@dataclass(frozen=True)
-class DeviceState:
-    """Snapshot of one device: allocations, running averages, step count."""
-
-    id: int
-    x: np.ndarray
-    x_bar: np.ndarray
-    k: int
-    f: CostFunction
 
 
 @dataclass

@@ -6,8 +6,9 @@ Subcommands:
   solve    centralized optimum only
   sweep    repeat a run across a seed range and aggregate
 
-Exit codes: 0 success, 2 configuration problem, 3 run/solver failure,
-1 unexpected error.
+Exit codes: 0 success, 2 configuration problem, 3 run/solver failure
+(including an oracle KKT residual above the config's kkt_tol, checked before
+anything is exported), 1 unexpected error.
 """
 
 from __future__ import annotations
@@ -87,6 +88,13 @@ def _out_dir(cfg: Config, command: str) -> Path:
     return Path(f"aimdalloc-{command}-{config_hash(cfg)[:12]}")
 
 
+def _certify(optimum, cfg: Config) -> None:
+    if optimum.kkt_residual > cfg.kkt_tol:
+        raise SimulationError(
+            f"kkt residual {optimum.kkt_residual:.3e} above kkt_tol {cfg.kkt_tol:g}"
+        )
+
+
 def _single_mode(cfg: Config, flag_mode: str | None) -> str:
     mode = flag_mode or cfg.mode
     if mode == "both":
@@ -101,6 +109,7 @@ def _cmd_run(args) -> int:
     optimum = solve_separable(
         trace.functions, [p.capacity for p in cfg.resources], tol=cfg.solver_tol
     )
+    _certify(optimum, cfg)
     report = collect_metrics(trace, optimum.x_star)
     manifest = export_trace(trace, report, _out_dir(cfg, "run"))
     print(f"run ({mode}) finished: {trace.steps[-1]} steps, "
@@ -116,6 +125,7 @@ def _cmd_compare(args) -> int:
     if cfg.mode != "both":
         raise ConfigError(["mode: compare needs mode 'both'"])
     cr = compare_modes(cfg)
+    _certify(cr.optimum, cfg)
     manifest = export_comparison(cr, _out_dir(cfg, "compare"))
     diff = cr.diff[-1]
     print(f"compare {cr.modes[0]} vs {cr.modes[1]}: "
@@ -131,6 +141,7 @@ def _cmd_solve(args) -> int:
     optimum = solve_separable(
         functions, [p.capacity for p in cfg.resources], tol=cfg.solver_tol
     )
+    _certify(optimum, cfg)
     out = _out_dir(cfg, "solve")
     out.mkdir(parents=True, exist_ok=True)
     doc = {
@@ -165,7 +176,6 @@ def _cmd_sweep(args) -> int:
     mode = _single_mode(cfg, args.mode)
     seeds = _parse_seed_range(args.seeds)
     out = _out_dir(cfg, "sweep")
-    out.mkdir(parents=True, exist_ok=True)
     per_seed = []
     for seed in seeds:
         run_cfg = cfg.with_overrides(seed=seed)
@@ -173,6 +183,7 @@ def _cmd_sweep(args) -> int:
         optimum = solve_separable(
             trace.functions, [p.capacity for p in run_cfg.resources], tol=run_cfg.solver_tol
         )
+        _certify(optimum, run_cfg)
         report = collect_metrics(trace, optimum.x_star)
         export_trace(trace, report, out / f"seed_{seed}")
         per_seed.append(

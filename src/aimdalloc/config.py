@@ -52,7 +52,7 @@ class Config:
     solver_tol: float = DEFAULT_SOLVER_TOL
     kkt_tol: float = DEFAULT_KKT_TOL
 
-    def with_overrides(self, seed=None, trace_stride=None, out_dir=None, mode=None) -> "Config":
+    def with_overrides(self, seed=None, trace_stride=None, out_dir=None) -> "Config":
         cfg = self
         if seed is not None:
             cfg = replace(cfg, seed=int(seed))
@@ -60,8 +60,6 @@ class Config:
             cfg = replace(cfg, trace_stride=int(trace_stride))
         if out_dir is not None:
             cfg = replace(cfg, out_dir=str(out_dir))
-        if mode is not None:
-            cfg = replace(cfg, mode=str(mode))
         problems = _validate(serialize_config(cfg))
         if problems:
             raise ConfigError(problems)

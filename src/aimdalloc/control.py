@@ -1,110 +1,20 @@
-"""Control unit: capacity events from total demand, and overhead accounting.
+"""Control unit: capacity events from total demand.
 
 The control unit broadcasts one bit per resource whenever aggregate demand
 crosses the (optionally derated) capacity. Devices treat a missing broadcast
 as a zero bit, so the communication overhead of a run is simply the number
-of one-bits in the event log.
+of one-bits in its event matrix (``Trace.cumulative_event_bits``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
-
 import numpy as np
-
-from .aimd import ResourceParams
-
-
-@dataclass(frozen=True)
-class CapacityEventVector:
-    """One-bit-per-resource broadcast at a given step."""
-
-    step: int
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"event bits must be 0/1, got {self.bits}")
-        if self.step < 0:
-            raise ValueError(f"step must be nonnegative, got {self.step}")
 
 
 def capacity_event_bits(totals: np.ndarray, capacities: np.ndarray, gamma_caps: np.ndarray) -> np.ndarray:
-    """Event bits for one step: 1 where total demand strictly exceeds gamma*C."""
-    return (np.asarray(totals, dtype=float) > gamma_caps * capacities).astype(np.uint8)
-
-
-def evaluate_capacity_events(
-    totals: Sequence[float], params: Sequence[ResourceParams], step: int = 0
-) -> CapacityEventVector:
-    """Evaluate the per-resource capacity-event rule on aggregate demand.
+    """Event bits for one step: 1 where total demand strictly exceeds gamma*C.
 
     Strict inequality: a total exactly at gamma_cap * capacity does not fire.
     Resources are independent.
     """
-    totals = np.asarray(totals, dtype=float)
-    if totals.shape != (len(params),):
-        raise ValueError(
-            f"totals has shape {totals.shape}, expected ({len(params)},) to match params"
-        )
-    caps = np.array([p.capacity for p in params])
-    gammas = np.array([p.gamma_cap for p in params])
-    bits = capacity_event_bits(totals, caps, gammas)
-    return CapacityEventVector(step=step, bits=tuple(int(b) for b in bits))
-
-
-@dataclass
-class EventLog:
-    """Time-ordered capacity-event history, starting with an all-zero step 0."""
-
-    m: int
-    _bits: list[tuple[int, ...]] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("resource count must be >= 1")
-        if not self._bits:
-            self._bits = [tuple([0] * self.m)]
-        elif any(b != 0 for b in self._bits[0]):
-            raise ValueError("event log must start with an all-zero step 0")
-
-    def append(self, vec: CapacityEventVector) -> None:
-        if len(vec.bits) != self.m:
-            raise ValueError(f"event vector has {len(vec.bits)} bits, expected {self.m}")
-        if vec.step != len(self._bits):
-            raise ValueError(
-                f"non-contiguous step: got {vec.step}, expected {len(self._bits)}"
-            )
-        self._bits.append(vec.bits)
-
-    def __len__(self) -> int:
-        return len(self._bits)
-
-    def __getitem__(self, k: int) -> CapacityEventVector:
-        return CapacityEventVector(step=k, bits=self._bits[k])
-
-    def to_array(self) -> np.ndarray:
-        """(steps, m) 0/1 matrix."""
-        return np.array(self._bits, dtype=np.uint8)
-
-    @classmethod
-    def from_array(cls, bits: np.ndarray) -> "EventLog":
-        bits = np.asarray(bits)
-        if bits.ndim != 2:
-            raise ValueError("expected a (steps, m) matrix of bits")
-        log = cls(m=bits.shape[1])
-        log._bits = [tuple(int(b) for b in row) for row in bits]
-        if any(b != 0 for b in log._bits[0]):
-            raise ValueError("event log must start with an all-zero step 0")
-        return log
-
-
-def communication_overhead(log: EventLog, upto_k: int) -> int:
-    """Total broadcast bits through step ``upto_k`` (sum of one-bits).
-
-    Bounded above by m * (upto_k + 1), the all-events-every-step worst case.
-    """
-    if not 0 <= upto_k < len(log):
-        raise IndexError(f"step {upto_k} outside log range [0, {len(log) - 1}]")
-    return int(log.to_array()[: upto_k + 1].sum())
+    return (np.asarray(totals, dtype=float) > gamma_caps * capacities).astype(np.uint8)

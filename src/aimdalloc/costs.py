@@ -352,11 +352,6 @@ class CostEnsemble:
     def __len__(self) -> int:
         return len(self.functions)
 
-    @property
-    def gradient_coefficients(self) -> tuple[np.ndarray, ...]:
-        """(n, m) coefficient matrices of the odd gradient terms (t, t^3, t^5, t^7)."""
-        return self._g
-
     def values(self, x: np.ndarray) -> np.ndarray:
         """Per-device cost at the (n, m) allocation matrix ``x``."""
         v2, v4, v6, v8 = self._v
@@ -374,3 +369,57 @@ class CostEnsemble:
         p5 = p3 * p2
         p7 = p5 * p2
         return g1 * x + g3 * p3 + g5 * p5 + g7 * p7
+
+    def partial_column(self, t: np.ndarray, j: int) -> np.ndarray:
+        """(n,) partials on resource ``j``, device i evaluated at t[i] e_j.
+
+        Horner form of the odd polynomial; all coefficients are nonnegative,
+        so the result is nondecreasing in t.
+        """
+        c1, c3, c5, c7 = (g[:, j] for g in self._g)
+        t2 = t * t
+        return ((c7 * t2 + c5) * t2 + c3) * t2 * t + c1 * t
+
+
+class LoopEnsemble:
+    """Row-by-row evaluation for cost objects outside the built-in family.
+
+    Anything exposing ``value(x)``, ``gradient(x)`` and ``partial(x, j)`` on
+    length-m vectors works; this keeps small hand-built worlds (single-resource
+    quadratics and the like) runnable through the same engine and oracle.
+    Each entry is exactly what the function's own method returns.
+    """
+
+    def __init__(self, functions, m: int):
+        self.functions = tuple(functions)
+        self.m = m
+
+    def __len__(self) -> int:
+        return len(self.functions)
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return np.array([float(f.value(xi)) for f, xi in zip(self.functions, x)])
+
+    def gradients(self, x: np.ndarray) -> np.ndarray:
+        return np.stack(
+            [np.asarray(f.gradient(xi), dtype=float) for f, xi in zip(self.functions, x)]
+        )
+
+    def partial_column(self, t: np.ndarray, j: int) -> np.ndarray:
+        point = np.zeros(self.m)
+        out = np.empty(len(self.functions))
+        for i, f in enumerate(self.functions):
+            point[j] = t[i]
+            out[i] = float(f.partial(point, j))
+        return out
+
+
+def make_ensemble(functions, m: int):
+    """Population evaluator for ``functions`` on m resources.
+
+    Built-in family members on the family's resource count get the vectorized
+    ``CostEnsemble``; anything else gets the per-function ``LoopEnsemble``.
+    """
+    if m == RESOURCE_COUNT and all(isinstance(f, CostFunction) for f in functions):
+        return CostEnsemble(functions)
+    return LoopEnsemble(functions, m)

@@ -6,58 +6,26 @@ and the control unit evaluates the new totals to produce S(k+1) for the next
 round. Demand measured at a step is therefore acted on exactly one step
 later, which bounds the instantaneous overshoot by n * alpha per resource.
 
-The whole population updates as (n, m) matrices; per-device state is exposed
-through ``WorldState.devices`` when needed.
+The whole population updates as (n, m) matrices.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import aimd
-from .aimd import ClampStats, DegenerateAverageError, DeviceState, ResourceParams
+from .aimd import ClampStats, DegenerateAverageError
 from .config import Config, config_hash
 from .control import capacity_event_bits
-from .costs import CostEnsemble, CostFunction, sample_cost_functions
+from .costs import CostFunction, make_ensemble, sample_cost_functions
 
 
 class SimulationError(RuntimeError):
-    """A run aborted; the message carries the step and cause."""
-
-
-@dataclass
-class RunDiagnostics:
-    clamp: ClampStats = field(default_factory=ClampStats)
-
-
-class _LoopEnsemble:
-    """Row-by-row evaluation for cost objects outside the built-in family.
-
-    Anything exposing ``value(x)`` and ``gradient(x)`` on length-m vectors
-    works; this keeps small hand-built worlds (single-resource quadratics and
-    the like) runnable through the same engine.
-    """
-
-    def __init__(self, functions):
-        self.functions = tuple(functions)
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        return np.array([float(f.value(xi)) for f, xi in zip(self.functions, x)])
-
-    def gradients(self, x: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [np.asarray(f.gradient(xi), dtype=float) for f, xi in zip(self.functions, x)]
-        )
-
-
-def _make_ensemble(functions):
-    if all(isinstance(f, CostFunction) for f in functions):
-        return CostEnsemble(functions)
-    return _LoopEnsemble(functions)
+    """A run aborted; the message carries the cause (and the step, if a round failed)."""
 
 
 @dataclass(frozen=True)
@@ -67,7 +35,6 @@ class SimContext:
     n: int
     m: int
     mode: str
-    params: tuple[ResourceParams, ...]
     functions: tuple
     ensemble: object
     capacity: np.ndarray
@@ -75,7 +42,7 @@ class SimContext:
     beta: np.ndarray
     gamma_cap: np.ndarray
     gamma_norm: np.ndarray
-    diagnostics: RunDiagnostics
+    clamp: ClampStats
 
 
 @dataclass(frozen=True)
@@ -94,19 +61,6 @@ class WorldState:
     events: np.ndarray
     k: int
     rng: np.random.Generator
-
-    @property
-    def devices(self) -> list[DeviceState]:
-        return [
-            DeviceState(
-                id=i,
-                x=self.x[i].copy(),
-                x_bar=self.x_bar[i].copy(),
-                k=self.k,
-                f=self.ctx.functions[i],
-            )
-            for i in range(self.ctx.n)
-        ]
 
 
 def resolve_functions(config: Config) -> tuple[CostFunction, ...]:
@@ -133,12 +87,11 @@ def build_world(functions, params, mode: str, seed: int) -> WorldState:
     if not params:
         raise ValueError("need at least one resource")
     n, m = len(functions), len(params)
-    ensemble = _make_ensemble(functions)
+    ensemble = make_ensemble(functions, m)
     ctx = SimContext(
         n=n,
         m=m,
         mode=mode,
-        params=params,
         functions=functions,
         ensemble=ensemble,
         capacity=np.array([p.capacity for p in params]),
@@ -146,7 +99,7 @@ def build_world(functions, params, mode: str, seed: int) -> WorldState:
         beta=np.array([p.beta for p in params]),
         gamma_cap=np.array([p.gamma_cap for p in params]),
         gamma_norm=np.array([p.gamma_norm for p in params]),
-        diagnostics=RunDiagnostics(),
+        clamp=ClampStats(),
     )
     zeros = np.zeros((n, m))
     return WorldState(
@@ -185,7 +138,7 @@ def step_world(w: WorldState) -> WorldState:
     for j in np.flatnonzero(w.events):
         try:
             lam = aimd.scaling_factor(
-                ctx.gamma_norm[j], w.grads[:, j], w.x_bar[:, j], ctx.diagnostics.clamp
+                ctx.gamma_norm[j], w.grads[:, j], w.x_bar[:, j], ctx.clamp
             )
         except DegenerateAverageError as e:
             raise SimulationError(f"step {w.k}, resource {j}: {e}") from e
@@ -228,10 +181,10 @@ def snapshot_steps(total_steps: int, stride: int | None) -> np.ndarray:
 class Trace:
     """Time-indexed record of one run.
 
-    Scalar-per-resource series (events, totals, derivative spread, cost sums)
-    are kept at every step; full (n, m) matrices are kept at
-    ``snapshot_steps``. Config, seed and mode are enough to replay the run
-    bit for bit.
+    Scalar-per-resource series (events, totals, derivative spread) and the
+    population cost at the averages are kept at every step; full (n, m)
+    matrices are kept at ``snapshot_steps``. Config, seed and mode are
+    enough to replay the run bit for bit.
     """
 
     config: Config
@@ -244,7 +197,6 @@ class Trace:
     totals_avg: np.ndarray        # (K+1, m)
     spread: np.ndarray            # (K+1, m) max-min of gradient profile
     cost_sum_avg: np.ndarray      # (K+1,)
-    cost_sum_inst: np.ndarray     # (K+1,)
     snap_steps: np.ndarray        # (S,)
     x_snap: np.ndarray            # (S, n, m)
     xbar_snap: np.ndarray         # (S, n, m)
@@ -314,7 +266,6 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
     totals_avg = np.zeros((total + 1, m))
     spread = np.zeros((total + 1, m))
     cost_sum_avg = np.zeros(total + 1)
-    cost_sum_inst = np.zeros(total + 1)
     x_snap = np.zeros((len(snaps), n, m))
     xbar_snap = np.zeros((len(snaps), n, m))
     grad_snap = np.zeros((len(snaps), n, m))
@@ -328,7 +279,6 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
         totals_avg[k] = w.x_bar.sum(axis=0)
         spread[k] = w.grads.max(axis=0) - w.grads.min(axis=0)
         cost_sum_avg[k] = ctx.ensemble.values(w.x_bar).sum()
-        cost_sum_inst[k] = ctx.ensemble.values(w.x).sum()
         if snap_mask[k]:
             x_snap[snap_row] = w.x
             xbar_snap[snap_row] = w.x_bar
@@ -346,13 +296,12 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
         totals_avg=totals_avg,
         spread=spread,
         cost_sum_avg=cost_sum_avg,
-        cost_sum_inst=cost_sum_inst,
         snap_steps=snaps,
         x_snap=x_snap,
         xbar_snap=xbar_snap,
         grad_snap=grad_snap,
         functions=ctx.functions,
-        clamp_low=ctx.diagnostics.clamp.low,
-        clamp_high=ctx.diagnostics.clamp.high,
+        clamp_low=ctx.clamp.low,
+        clamp_high=ctx.clamp.high,
         wall_time_s=time.perf_counter() - t0,
     )

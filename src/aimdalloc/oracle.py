@@ -7,7 +7,10 @@ result carries a KKT-style residual so callers can certify it.
 
 Cost objects follow the same small protocol as elsewhere: ``value(x)`` and
 ``gradient(x)``/``partial(x, j)`` on length-m vectors, plus a truthy
-``separable`` attribute when cross-partials vanish.
+``separable`` attribute when cross-partials vanish. Populations are evaluated
+through ``costs.make_ensemble``; certificates, the dual bracket and the
+projected-gradient objective use the per-function ``LoopEnsemble`` so they
+carry each function's own arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostEnsemble, CostFunction
+from .costs import LoopEnsemble, make_ensemble
 
 
 class UnsupportedFunctionError(ValueError):
@@ -78,52 +81,25 @@ def kkt_residual(functions, x, capacities, active_threshold: float = 1e-9) -> fl
             f"allocation shape {x.shape} does not match "
             f"({len(functions)}, {len(capacities)})"
         )
-    grads = np.stack([np.asarray(f.gradient(x[i]), dtype=float) for i, f in enumerate(functions)])
+    grads = LoopEnsemble(functions, len(capacities)).gradients(x)
     return _residual_from_grads(x, grads, capacities, active_threshold)
 
 
-def _invert_partial(f, j, m, mu, upper, iters):
-    """Solve d f / d x_j = mu for x_j in [0, upper] by bisection.
+def _demand(ensemble, j, mu, cap, iters):
+    """Every device's inverse derivative on resource ``j``, by one shared bisection.
 
-    Relies on separability: other coordinates are held at zero. The partial
-    is nondecreasing, zero at zero, so the bracket is valid whenever
-    the partial at ``upper`` exceeds ``mu``; otherwise the inverse saturates.
+    Solves d f_i / d x_j = mu for x_j in [0, cap] with the other coordinates
+    at zero (separability). Partials are nondecreasing and zero at zero, so
+    the bracket holds wherever the partial at ``cap`` exceeds ``mu``;
+    elsewhere the inverse saturates at ``cap``.
     """
-    point = np.zeros(m)
-    point[j] = upper
-    if float(f.partial(point, j)) <= mu:
-        return upper
-    lo, hi = 0.0, upper
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        point[j] = mid
-        if float(f.partial(point, j)) <= mu:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _family_demand(coeffs_j, mu, cap, iters):
-    """Vectorized inverse derivative for a column of family coefficients.
-
-    ``coeffs_j`` holds the (n,) odd-term coefficients (t, t^3, t^5, t^7) of
-    every device's derivative on one resource; all are nonnegative, so the
-    derivative is increasing and one shared bisection inverts all devices.
-    """
-    c1, c3, c5, c7 = coeffs_j
-
-    def deriv(t):
-        t2 = t * t
-        return ((c7 * t2 + c5) * t2 + c3) * t2 * t + c1 * t
-
-    n = c1.shape[0]
-    sat = deriv(np.full(n, cap)) <= mu
+    n = len(ensemble)
+    sat = ensemble.partial_column(np.full(n, cap), j) <= mu
     lo = np.zeros(n)
     hi = np.full(n, cap)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        below = deriv(mid) <= mu
+        below = ensemble.partial_column(mid, j) <= mu
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return np.where(sat, cap, 0.5 * (lo + hi))
@@ -153,30 +129,16 @@ def solve_separable(functions, capacities, tol: float = 1e-8) -> OptimalAllocati
     x_star = np.zeros((n, m))
     mu = np.zeros(m)
     outer_total = 0
-
-    family_coeffs = None
-    if m == 3 and all(isinstance(f, CostFunction) for f in functions):
-        family_coeffs = CostEnsemble(functions).gradient_coefficients
+    ensemble = make_ensemble(functions, m)
+    per_function = LoopEnsemble(functions, m)
 
     for j, cap in enumerate(capacities):
-        point = np.zeros(m)
-        point[j] = cap
-        mu_hi = max(float(f.partial(point, j)) for f in functions)
+        mu_hi = float(per_function.partial_column(np.full(n, cap), j).max())
         if mu_hi <= 0.0:
             raise BracketError(f"resource {j}: all derivatives vanish up to capacity")
 
-        if family_coeffs is not None:
-            coeffs_j = tuple(g[:, j] for g in family_coeffs)
-
-            def demand(level):
-                return _family_demand(coeffs_j, level, cap, inner_iters)
-
-        else:
-
-            def demand(level):
-                return np.array(
-                    [_invert_partial(f, j, m, level, cap, inner_iters) for f in functions]
-                )
+        def demand(level):
+            return _demand(ensemble, j, level, cap, inner_iters)
 
         # make sure the upper end over-supplies; expand if numerically short
         for _ in range(64):
@@ -254,16 +216,14 @@ def solve_projected_gradient(
         for j in range(m):
             x[:, j] = project_capacity_simplex(x[:, j], capacities[j])
 
-    def total_cost(mat):
-        return float(sum(f.value(mat[i]) for i, f in enumerate(functions)))
+    per_function = LoopEnsemble(functions, m)
 
-    def grad_matrix(mat):
-        return np.stack(
-            [np.asarray(f.gradient(mat[i]), dtype=float) for i, f in enumerate(functions)]
-        )
+    def total_cost(mat):
+        # sequential sum, as the scalar API would accumulate it
+        return float(sum(per_function.values(mat)))
 
     fx = total_cost(x)
-    grads = grad_matrix(x)
+    grads = per_function.gradients(x)
     step = 1.0
     for it in range(max_iters + 1):
         residual = _residual_from_grads(x, grads, capacities, 1e-9)
@@ -287,7 +247,7 @@ def solve_projected_gradient(
             if step < 1e-18:
                 break
         x, fx = cand, f_cand
-        grads = grad_matrix(x)
+        grads = per_function.gradients(x)
         step *= 1.25
 
     residual = _residual_from_grads(x, grads, capacities, 1e-9)

@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 from aimdalloc.cli import main
 
+from conftest import REPO_ROOT
 from test_config import minimal_doc, write_doc
 
 
@@ -100,3 +103,25 @@ class TestSweepCommand:
         cfg = write_doc(tmp_path, small_doc())
         assert main(["sweep", str(cfg), "--seeds", "5..1"]) == 2
         assert "seeds" in capsys.readouterr().err
+
+
+class TestKktTolerance:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "--mode", "deterministic"],
+            ["compare"],
+            ["solve"],
+            ["sweep", "--seeds", "42..42", "--mode", "deterministic"],
+        ],
+    )
+    def test_residual_above_tolerance_exits_before_export(self, tmp_path, capsys, command):
+        # the quickstart optimum certifies at about 4e-9, far above 1e-12
+        doc = json.loads((REPO_ROOT / "configs" / "quickstart.json").read_text())
+        doc["kkt_tol"] = 1e-12
+        cfg = write_doc(tmp_path, doc)
+        out = tmp_path / "out"
+        code = main([command[0], str(cfg), *command[1:], "--out", str(out)])
+        assert code == 3
+        assert "above kkt_tol" in capsys.readouterr().err
+        assert not out.exists()

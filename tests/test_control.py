@@ -1,50 +1,40 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aimdalloc import (
-    CapacityEventVector,
-    EventLog,
-    ResourceParams,
-    communication_overhead,
-    evaluate_capacity_events,
-)
+from aimdalloc import Config, CostSpec, ResourceParams, build_world, run
+from aimdalloc.control import capacity_event_bits
+
+from _stand_ins import WeightedSquare
 
 
-def params(*caps, gamma=1.0):
-    return [
-        ResourceParams(capacity=c, alpha=0.01, beta=0.5, gamma_cap=gamma, gamma_norm=0.1)
-        for c in caps
-    ]
+def bits(totals, caps, gamma=1.0):
+    caps = np.asarray(caps, dtype=float)
+    return capacity_event_bits(np.asarray(totals, dtype=float), caps, np.full(caps.shape, gamma))
 
 
 class TestCapacityEvents:
     def test_reference_capacities(self):
-        vec = evaluate_capacity_events((32.01, 19.0, 24.0), params(32.0, 20.0, 25.0))
-        assert vec.bits == (1, 0, 0)
+        assert bits((32.01, 19.0, 24.0), (32.0, 20.0, 25.0)).tolist() == [1, 0, 0]
 
     def test_strict_inequality_at_boundary(self):
-        vec = evaluate_capacity_events((32.0, 20.0, 25.0), params(32.0, 20.0, 25.0))
-        assert vec.bits == (0, 0, 0)
+        assert bits((32.0, 20.0, 25.0), (32.0, 20.0, 25.0)).tolist() == [0, 0, 0]
 
     def test_derated_threshold(self):
-        vec = evaluate_capacity_events((18.5,), params(20.0, gamma=0.9))
-        assert vec.bits == (1,)  # 18.5 > 0.9 * 20
+        assert bits((18.5,), (20.0,), gamma=0.9).tolist() == [1]  # 18.5 > 0.9 * 20
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            evaluate_capacity_events((1.0, 2.0), params(32.0, 20.0, 25.0))
+            bits((1.0, 2.0), (32.0, 20.0, 25.0))
 
     @given(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=6), st.data())
     def test_permutation_equivariance(self, totals, data):
-        ps = params(*[50.0 + 10 * i for i in range(len(totals))])
+        caps = [50.0 + 10 * i for i in range(len(totals))]
         perm = data.draw(st.permutations(range(len(totals))))
-        base = evaluate_capacity_events(totals, ps).bits
-        shuffled = evaluate_capacity_events(
-            [totals[p] for p in perm], [ps[p] for p in perm]
-        ).bits
-        assert shuffled == tuple(base[p] for p in perm)
+        base = bits(totals, caps)
+        shuffled = bits([totals[p] for p in perm], [caps[p] for p in perm])
+        assert shuffled.tolist() == [base[p] for p in perm]
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=6),
@@ -52,63 +42,65 @@ class TestCapacityEvents:
         st.floats(min_value=0.0, max_value=50.0),
     )
     def test_monotone_in_totals(self, totals, idx, bump):
-        ps = params(*[30.0] * len(totals))
-        before = evaluate_capacity_events(totals, ps).bits
+        caps = [30.0] * len(totals)
+        before = bits(totals, caps)
         raised = list(totals)
         raised[idx % len(totals)] += bump
-        after = evaluate_capacity_events(raised, ps).bits
-        assert all(a >= b for a, b in zip(after, before))
-
-    def test_bits_validated(self):
-        with pytest.raises(ValueError):
-            CapacityEventVector(step=0, bits=(0, 2))
-
-
-class TestEventLog:
-    def test_starts_all_zero(self):
-        log = EventLog(m=3)
-        assert log[0].bits == (0, 0, 0)
-
-    def test_append_requires_contiguous_steps(self):
-        log = EventLog(m=2)
-        log.append(CapacityEventVector(step=1, bits=(1, 0)))
-        with pytest.raises(ValueError):
-            log.append(CapacityEventVector(step=3, bits=(0, 0)))
-
-    def test_from_array_round_trip(self):
-        bits = np.array([[0, 0], [1, 0], [1, 1]], dtype=np.uint8)
-        log = EventLog.from_array(bits)
-        np.testing.assert_array_equal(log.to_array(), bits)
-
-    def test_from_array_rejects_nonzero_start(self):
-        with pytest.raises(ValueError):
-            EventLog.from_array(np.array([[1, 0], [0, 0]]))
+        assert np.all(bits(raised, caps) >= before)
 
 
 class TestOverhead:
-    def test_single_step(self):
-        log = EventLog(m=3)
-        log.append(CapacityEventVector(step=1, bits=(1, 0, 1)))
-        assert communication_overhead(log, 1) == 2
+    """Communication overhead is read off the trace: ``Trace.cumulative_event_bits``."""
+
+    def test_hand_world_running_count(self):
+        # the hand-worked replay of test_engine raises the bit after steps 2, 3 and 5
+        resource = ResourceParams(capacity=1.0, alpha=0.3, beta=0.5, gamma_norm=0.1)
+        world = build_world([WeightedSquare(1.0), WeightedSquare(2.0)], [resource], "deterministic", seed=1)
+        cfg = Config(
+            n=2, m=1, steps=5, mode="deterministic", resources=(resource,), seed=1,
+            cost_spec=CostSpec(kind="sample"),
+        )
+        tr = run(cfg, world=world)
+        assert tr.events[:, 0].tolist() == [0, 0, 1, 1, 0, 1]
+        assert tr.cumulative_event_bits[:, 0].tolist() == [0, 0, 1, 2, 2, 3]
 
     def test_all_zero_log(self):
-        log = EventLog.from_array(np.zeros((25, 4), dtype=np.uint8))
-        assert communication_overhead(log, 24) == 0
+        resources = tuple(
+            ResourceParams(capacity=1e6, alpha=0.1, beta=0.5, gamma_norm=0.01) for _ in range(3)
+        )
+        cfg = Config(
+            n=4, m=3, steps=24, mode="deterministic", resources=resources, seed=0,
+            cost_spec=CostSpec(kind="sample"),
+        )
+        tr = run(cfg)
+        assert not tr.events.any()
+        assert not tr.cumulative_event_bits.any()
 
-    def test_out_of_range(self):
-        log = EventLog(m=1)
-        with pytest.raises(IndexError):
-            communication_overhead(log, 1)
-
-    @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=5), st.integers(min_value=0))
-    def test_nondecreasing_and_bounded(self, steps, m, seed):
-        rng = np.random.default_rng(seed)
-        bits = rng.integers(0, 2, size=(steps + 1, m)).astype(np.uint8)
-        bits[0] = 0
-        log = EventLog.from_array(bits)
-        prev = 0
-        for k in range(steps + 1):
-            cur = communication_overhead(log, k)
-            assert cur >= prev
-            assert cur <= m * (k + 1)
-            prev = cur
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=8),
+        alpha=st.floats(min_value=0.005, max_value=0.3),
+        beta=st.floats(min_value=0.0, max_value=0.95),
+        gamma_cap=st.floats(min_value=0.5, max_value=1.0),
+        mode=st.sampled_from(["deterministic", "stochastic"]),
+    )
+    def test_nondecreasing_and_bounded(self, seed, n, alpha, beta, gamma_cap, mode):
+        # overshoot stays within gamma*C + n*alpha; bits start at zero, never
+        # decrease and never exceed m per step
+        resources = tuple(
+            ResourceParams(capacity=c, alpha=alpha, beta=beta, gamma_cap=gamma_cap, gamma_norm=0.01)
+            for c in (1.0, 0.8, 1.2)
+        )
+        steps = 200
+        cfg = Config(
+            n=n, m=3, steps=steps, mode=mode, resources=resources, seed=seed,
+            cost_spec=CostSpec(kind="sample"), trace_stride=steps,
+        )
+        tr = run(cfg)
+        bound = np.array([p.gamma_cap * p.capacity + n * p.alpha for p in resources])
+        assert np.all(tr.totals_inst <= bound + 1e-9)
+        assert np.all(tr.events[0] == 0)
+        cum = tr.cumulative_event_bits
+        assert np.all(np.diff(cum, axis=0) >= 0)
+        assert np.all(cum.sum(axis=1) <= 3 * (np.arange(steps + 1) + 1))

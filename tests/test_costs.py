@@ -14,6 +14,8 @@ from aimdalloc import (
     verify_assumption1,
 )
 
+from aimdalloc.costs import LoopEnsemble, make_ensemble
+
 from _stand_ins import Constant, Negation, WeightedSquare
 
 
@@ -135,6 +137,24 @@ class TestEnsembleConsistency:
         for i, f in enumerate(fns):
             assert vals[i] == pytest.approx(f.value(x[i]), rel=1e-13)
             np.testing.assert_allclose(grads[i], f.gradient(x[i]), rtol=1e-13)
+
+    def test_partial_column_matches_loop_adapter(self):
+        rng = np.random.default_rng(22)
+        fns = sample_cost_functions(rng, 40)
+        t = rng.random(40) * 2.5
+        loop = LoopEnsemble(fns, 3)
+        for j in range(3):
+            point = np.zeros((40, 3))
+            point[:, j] = t
+            expected = [f.partial(point[i], j) for i, f in enumerate(fns)]
+            np.testing.assert_array_equal(loop.partial_column(t, j), expected)
+            np.testing.assert_allclose(CostEnsemble(fns).partial_column(t, j), expected, rtol=1e-13)
+
+    def test_make_ensemble_choice(self):
+        fns = sample_cost_functions(5, 4)
+        assert isinstance(make_ensemble(fns, 3), CostEnsemble)
+        assert isinstance(make_ensemble(fns, 2), LoopEnsemble)
+        assert isinstance(make_ensemble([*fns, WeightedSquare(1.0)], 3), LoopEnsemble)
 
     def test_rejects_foreign_functions(self):
         with pytest.raises(TypeError):

@@ -85,12 +85,6 @@ class TestInitWorld:
         with pytest.raises(ValueError):
             init_world(bundled_config)
 
-    def test_devices_view(self):
-        w = hand_world()
-        devs = w.devices
-        assert [d.id for d in devs] == [0, 1]
-        assert devs[0].x.shape == (1,)
-
 
 class TestStepWorld:
     def test_additive_phase_from_init(self, bundled_config):
