@@ -32,8 +32,8 @@ report = collect_metrics(trace, optimum.x_star)
 
 print("\nstep      spread(r0,r1,r2)              cost ratio   sum of averages")
 for k in (100, 500, 1000, 5000, 30000):
-    sp = np.array2string(report.spread[k], precision=3, floatmode="fixed")
-    sums = np.array2string(report.totals_avg[k], precision=2, floatmode="fixed")
+    sp = np.array2string(trace.spread[k], precision=3, floatmode="fixed")
+    sums = np.array2string(trace.totals_avg[k], precision=2, floatmode="fixed")
     print(f"{k:>6}    {sp:<28}  {report.cost_ratio[k]:>8.4f}   {sums}")
 
 dist = report.distance[-1]

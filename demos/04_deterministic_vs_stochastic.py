@@ -31,7 +31,7 @@ print(f"\nconvergence step (spread sustained below "
 print(f"  deterministic: {cr.convergence_steps[0]}")
 print(f"  stochastic:    {cr.convergence_steps[1]}")
 
-diff = cr.diff[-1]
+diff = cr.final_diff
 print(f"\nfinal gap between the two modes' average allocations:")
 print(f"  median {np.median(diff):.2e}, max {diff.max():.2e}")
 

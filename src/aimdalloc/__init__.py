@@ -38,7 +38,6 @@ from .engine import (
     Trace,
     WorldState,
     build_world,
-    init_world,
     resolve_functions,
     run,
     snapshot_steps,
@@ -99,7 +98,6 @@ __all__ = [
     "evaluate_cost",
     "export_comparison",
     "export_trace",
-    "init_world",
     "kkt_residual",
     "md_deterministic",
     "md_stochastic",

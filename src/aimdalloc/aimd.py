@@ -58,9 +58,6 @@ class ClampStats:
     low: int = 0
     high: int = 0
 
-    def total(self) -> int:
-        return self.low + self.high
-
 
 def additive_increase(x, alpha):
     """Linear demand growth: x + alpha."""
@@ -70,10 +67,12 @@ def additive_increase(x, alpha):
 def scaling_factor(gamma_norm, grad, x_bar_j, stats: ClampStats | None = None):
     """Back-off scaling factor: gamma_norm * grad / x_bar_j, kept inside (0, 1).
 
-    The raw ratio is clipped into [LAMBDA_MARGIN, 1 - LAMBDA_MARGIN]; clips
-    are counted in ``stats`` when given, so configurations whose
-    normalization is too loose are observable. Raises DegenerateAverageError
-    when any average is at or below AVERAGE_FLOOR.
+    Elementwise; ``grad`` and ``x_bar_j`` may be (n, k) blocks of k resource
+    columns with ``gamma_norm`` holding one constant per column. The raw
+    ratio is clipped into [LAMBDA_MARGIN, 1 - LAMBDA_MARGIN]; clips are
+    counted in ``stats`` when given, so configurations whose normalization
+    is too loose are observable. Raises DegenerateAverageError when any
+    average is at or below AVERAGE_FLOOR.
     """
     x_bar_arr = np.asarray(x_bar_j, dtype=float)
     if np.any(x_bar_arr <= AVERAGE_FLOOR):

@@ -102,16 +102,21 @@ def _single_mode(cfg: Config, flag_mode: str | None) -> str:
     return mode
 
 
-def _cmd_run(args) -> int:
-    cfg = _load_config(args)
-    mode = _single_mode(cfg, args.mode)
+def _run_and_export(cfg: Config, mode: str, out: Path):
+    """Simulate one mode, certify the oracle's optimum, then collect metrics and export."""
     trace = engine.run(cfg, mode=mode)
     optimum = solve_separable(
         trace.functions, [p.capacity for p in cfg.resources], tol=cfg.solver_tol
     )
     _certify(optimum, cfg)
     report = collect_metrics(trace, optimum.x_star)
-    manifest = export_trace(trace, report, _out_dir(cfg, "run"))
+    return trace, report, export_trace(trace, report, out)
+
+
+def _cmd_run(args) -> int:
+    cfg = _load_config(args)
+    mode = _single_mode(cfg, args.mode)
+    trace, report, manifest = _run_and_export(cfg, mode, _out_dir(cfg, "run"))
     print(f"run ({mode}) finished: {trace.steps[-1]} steps, "
           f"event bits {list(report.summary.event_bits)}")
     print(f"final cost ratio {report.summary.final_cost_ratio:.6f}, "
@@ -127,7 +132,7 @@ def _cmd_compare(args) -> int:
     cr = compare_modes(cfg)
     _certify(cr.optimum, cfg)
     manifest = export_comparison(cr, _out_dir(cfg, "compare"))
-    diff = cr.diff[-1]
+    diff = cr.final_diff
     print(f"compare {cr.modes[0]} vs {cr.modes[1]}: "
           f"convergence steps {cr.convergence_steps[0]} vs {cr.convergence_steps[1]}")
     print(f"final average-allocation gap: median {np.median(diff):.3e}, max {diff.max():.3e}")
@@ -179,13 +184,7 @@ def _cmd_sweep(args) -> int:
     per_seed = []
     for seed in seeds:
         run_cfg = cfg.with_overrides(seed=seed)
-        trace = engine.run(run_cfg, mode=mode)
-        optimum = solve_separable(
-            trace.functions, [p.capacity for p in run_cfg.resources], tol=run_cfg.solver_tol
-        )
-        _certify(optimum, run_cfg)
-        report = collect_metrics(trace, optimum.x_star)
-        export_trace(trace, report, out / f"seed_{seed}")
+        _, report, _ = _run_and_export(run_cfg, mode, out / f"seed_{seed}")
         per_seed.append(
             {
                 "seed": seed,

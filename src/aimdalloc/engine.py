@@ -6,7 +6,10 @@ and the control unit evaluates the new totals to produce S(k+1) for the next
 round. Demand measured at a step is therefore acted on exactly one step
 later, which bounds the instantaneous overshoot by n * alpha per resource.
 
-The whole population updates as (n, m) matrices.
+Every device hears the same broadcast, so one round is a single matrix step
+over the whole population, x(k+1) = A(k) x(k) + alpha: ``step_world``
+advances one mutable ``WorldState`` in place, backing off all event columns
+with one scaling-factor call and one back-off call.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import aimd
-from .aimd import ClampStats, DegenerateAverageError
+from .aimd import AVERAGE_FLOOR, ClampStats, DegenerateAverageError
 from .config import Config, config_hash
 from .control import capacity_event_bits
 from .costs import CostFunction, make_ensemble, sample_cost_functions
@@ -28,12 +31,16 @@ class SimulationError(RuntimeError):
     """A run aborted; the message carries the cause (and the step, if a round failed)."""
 
 
-@dataclass(frozen=True)
-class SimContext:
-    """Immutable per-run data shared by all world states of a run."""
+@dataclass
+class WorldState:
+    """A run's population, per-resource constants and current state, stepped in place.
 
-    n: int
-    m: int
+    ``grads`` caches each device's cost gradient at its current averages; it
+    is what the back-off scaling rule reads this round. ``totals`` is the
+    per-resource sum of ``x`` that produced ``events``. The stochastic stream
+    ``rng`` advances on event steps; ``clamp`` counts scaling-factor clips.
+    """
+
     mode: str
     functions: tuple
     ensemble: object
@@ -42,25 +49,22 @@ class SimContext:
     beta: np.ndarray
     gamma_cap: np.ndarray
     gamma_norm: np.ndarray
+    rng: np.random.Generator
     clamp: ClampStats
-
-
-@dataclass(frozen=True)
-class WorldState:
-    """State of every device at one step, plus the event bits they will react to.
-
-    ``grads`` caches each device's cost gradient at its current averages; it
-    is what the back-off scaling rule reads this round. The stochastic stream
-    ``rng`` is shared along a trajectory and advances on event steps.
-    """
-
-    ctx: SimContext
     x: np.ndarray
     x_bar: np.ndarray
     grads: np.ndarray
+    totals: np.ndarray
     events: np.ndarray
-    k: int
-    rng: np.random.Generator
+    k: int = 0
+
+    @property
+    def n(self) -> int:
+        return self.x.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.x.shape[1]
 
 
 def resolve_functions(config: Config) -> tuple[CostFunction, ...]:
@@ -76,7 +80,9 @@ def build_world(functions, params, mode: str, seed: int) -> WorldState:
 
     ``functions`` may be family members or any objects with ``value``/
     ``gradient`` on length-m vectors; ``params`` is one ResourceParams per
-    resource. The stochastic back-off stream is derived from ``seed``.
+    resource. The stochastic back-off stream is derived from ``seed`` and is
+    independent of the stream ``resolve_functions`` samples from, so the same
+    seed yields the same functions in both modes.
     """
     if mode not in ("deterministic", "stochastic"):
         raise ValueError(f"world mode must be deterministic or stochastic, got {mode!r}")
@@ -88,9 +94,8 @@ def build_world(functions, params, mode: str, seed: int) -> WorldState:
         raise ValueError("need at least one resource")
     n, m = len(functions), len(params)
     ensemble = make_ensemble(functions, m)
-    ctx = SimContext(
-        n=n,
-        m=m,
+    zeros = np.zeros((n, m))
+    return WorldState(
         mode=mode,
         functions=functions,
         ensemble=ensemble,
@@ -99,64 +104,48 @@ def build_world(functions, params, mode: str, seed: int) -> WorldState:
         beta=np.array([p.beta for p in params]),
         gamma_cap=np.array([p.gamma_cap for p in params]),
         gamma_norm=np.array([p.gamma_norm for p in params]),
+        rng=np.random.default_rng(np.random.SeedSequence([seed, 1])),
         clamp=ClampStats(),
-    )
-    zeros = np.zeros((n, m))
-    return WorldState(
-        ctx=ctx,
         x=zeros.copy(),
         x_bar=zeros.copy(),
         grads=np.asarray(ensemble.gradients(zeros), dtype=float),
+        totals=np.zeros(m),
         events=np.zeros(m, dtype=np.uint8),
-        k=0,
-        rng=np.random.default_rng(np.random.SeedSequence([seed, 1])),
     )
 
 
-def init_world(config: Config, mode: str | None = None) -> WorldState:
-    """All-zero starting state with cost functions sampled or taken from config.
+def step_world(w: WorldState) -> None:
+    """Advance ``w`` by one synchronous round, in place.
 
-    The sampling stream and the stochastic back-off stream are derived from
-    the run seed independently, so the same seed yields the same functions
-    in both modes.
+    All event columns back off together (deterministically or stochastically
+    per the world's mode, with the scaling factor computed from the averages
+    before this update); all other columns grow additively. Stochastic draws
+    fill one event column after another, in ascending column order. A
+    degenerate average under an event aborts the run, naming the step and
+    the first event column at fault.
     """
-    return build_world(
-        resolve_functions(config), config.resources, mode or config.mode, config.seed
-    )
-
-
-def step_world(w: WorldState) -> WorldState:
-    """Advance one synchronous round; returns the new state.
-
-    Event columns back off (deterministically or stochastically per the run
-    mode, with the scaling factor computed from the averages before this
-    update); all other columns grow additively. A degenerate average under an
-    event aborts the run with step context.
-    """
-    ctx = w.ctx
-    x_next = aimd.additive_increase(w.x, ctx.alpha)
-    for j in np.flatnonzero(w.events):
+    x_next = aimd.additive_increase(w.x, w.alpha)
+    cols = np.flatnonzero(w.events)
+    if cols.size:
         try:
             lam = aimd.scaling_factor(
-                ctx.gamma_norm[j], w.grads[:, j], w.x_bar[:, j], ctx.clamp
+                w.gamma_norm[cols], w.grads[:, cols], w.x_bar[:, cols], w.clamp
             )
         except DegenerateAverageError as e:
+            j = cols[np.any(w.x_bar[:, cols] <= AVERAGE_FLOOR, axis=0)][0]
             raise SimulationError(f"step {w.k}, resource {j}: {e}") from e
-        if ctx.mode == "deterministic":
-            x_next[:, j] = aimd.md_deterministic(w.x[:, j], lam, ctx.beta[j])
+        if w.mode == "deterministic":
+            x_next[:, cols] = aimd.md_deterministic(w.x[:, cols], lam, w.beta[cols])
         else:
-            x_next[:, j] = aimd.md_stochastic(w.x[:, j], lam, ctx.beta[j], w.rng)
-    x_bar_next = aimd.update_average(w.x_bar, x_next, w.k)
-    totals = x_next.sum(axis=0)
-    return WorldState(
-        ctx=ctx,
-        x=x_next,
-        x_bar=x_bar_next,
-        grads=ctx.ensemble.gradients(x_bar_next),
-        events=capacity_event_bits(totals, ctx.capacity, ctx.gamma_cap),
-        k=w.k + 1,
-        rng=w.rng,
-    )
+            x_next[:, cols] = aimd.md_stochastic(
+                w.x[:, cols].T, lam.T, w.beta[cols, None], w.rng
+            ).T
+    w.x_bar = aimd.update_average(w.x_bar, x_next, w.k)
+    w.x = x_next
+    w.grads = w.ensemble.gradients(w.x_bar)
+    w.totals = x_next.sum(axis=0)
+    w.events = capacity_event_bits(w.totals, w.capacity, w.gamma_cap)
+    w.k += 1
 
 
 def snapshot_steps(total_steps: int, stride: int | None) -> np.ndarray:
@@ -214,14 +203,6 @@ class Trace:
     def m(self) -> int:
         return self.x_snap.shape[2]
 
-    @property
-    def final_x(self) -> np.ndarray:
-        return self.x_snap[-1]
-
-    @property
-    def final_xbar(self) -> np.ndarray:
-        return self.xbar_snap[-1]
-
     @cached_property
     def cumulative_event_bits(self) -> np.ndarray:
         """(K+1, m) running count of broadcast one-bits per resource."""
@@ -235,27 +216,28 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
     the caller runs each variant separately). A prebuilt ``world`` (from
     ``build_world``) substitutes for the config's population, which is how
     hand-built cost functions get full traces; its shape must match the
-    config.
+    config, and the run advances it in place.
     """
     if config.steps < 1:
         raise ValueError("need at least one step")
     t0 = time.perf_counter()
     if world is None:
-        w = init_world(config, mode=mode)
+        w = build_world(
+            resolve_functions(config), config.resources, mode or config.mode, config.seed
+        )
     else:
         w = world
-        if (w.ctx.n, w.ctx.m) != (config.n, config.m):
+        if (w.n, w.m) != (config.n, config.m):
             raise ValueError(
-                f"world shape ({w.ctx.n}, {w.ctx.m}) does not match config "
+                f"world shape ({w.n}, {w.m}) does not match config "
                 f"({config.n}, {config.m})"
             )
-        if mode is not None and mode != w.ctx.mode:
-            raise ValueError(f"world was built for mode {w.ctx.mode!r}, not {mode!r}")
+        if mode is not None and mode != w.mode:
+            raise ValueError(f"world was built for mode {w.mode!r}, not {mode!r}")
         if w.k != 0:
             raise ValueError("pass a freshly built world (k = 0); traces start at step 0")
-    ctx = w.ctx
     total = config.steps
-    n, m = ctx.n, ctx.m
+    n, m = w.n, w.m
 
     snaps = snapshot_steps(total, config.trace_stride)
     snap_mask = np.zeros(total + 1, dtype=bool)
@@ -273,12 +255,12 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
     snap_row = 0
     for k in range(total + 1):
         if k > 0:
-            w = step_world(w)
+            step_world(w)
         events[k] = w.events
-        totals_inst[k] = w.x.sum(axis=0)
+        totals_inst[k] = w.totals
         totals_avg[k] = w.x_bar.sum(axis=0)
         spread[k] = w.grads.max(axis=0) - w.grads.min(axis=0)
-        cost_sum_avg[k] = ctx.ensemble.values(w.x_bar).sum()
+        cost_sum_avg[k] = w.ensemble.values(w.x_bar).sum()
         if snap_mask[k]:
             x_snap[snap_row] = w.x
             xbar_snap[snap_row] = w.x_bar
@@ -288,7 +270,7 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
     return Trace(
         config=config,
         config_hash=config_hash(config),
-        mode=ctx.mode,
+        mode=w.mode,
         seed=config.seed,
         steps=np.arange(total + 1),
         events=events,
@@ -300,8 +282,8 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
         x_snap=x_snap,
         xbar_snap=xbar_snap,
         grad_snap=grad_snap,
-        functions=ctx.functions,
-        clamp_low=ctx.clamp.low,
-        clamp_high=ctx.clamp.high,
+        functions=w.functions,
+        clamp_low=w.clamp.low,
+        clamp_high=w.clamp.high,
         wall_time_s=time.perf_counter() - t0,
     )

@@ -22,22 +22,15 @@ class MetricsSummary:
 
 @dataclass
 class MetricsReport:
-    """Per-step metric series plus a summary block.
+    """Metric series derived from a trace and the optimum, plus a summary block.
 
-    Full-rate series share the trace's step axis; the per-device distance to
-    the optimum is available at the trace's snapshot steps.
+    The cost ratio shares the trace's step axis; the per-device distance to
+    the optimum is available at the trace's snapshot steps. The trace's own
+    series (spread, totals, event bits) are read off the ``Trace``.
     """
 
-    steps: np.ndarray                 # (K+1,)
-    spread: np.ndarray                # (K+1, m)
     cost_ratio: np.ndarray            # (K+1,)
-    totals_avg: np.ndarray            # (K+1, m)
-    totals_inst: np.ndarray           # (K+1, m)
-    cumulative_event_bits: np.ndarray  # (K+1, m)
-    snap_steps: np.ndarray            # (S,)
     distance: np.ndarray              # (S, n, m)  |x_bar - x*|
-    optimum: np.ndarray               # (n, m)
-    optimum_cost: float
     summary: MetricsSummary
 
 
@@ -60,25 +53,12 @@ def collect_metrics(trace: Trace, optimum: np.ndarray) -> MetricsReport:
         trace.cost_sum_avg / optimum_cost if optimum_cost > 0 else np.full_like(trace.cost_sum_avg, np.nan)
     )
     distance = np.abs(trace.xbar_snap - optimum[None, :, :])
-    cum_bits = trace.cumulative_event_bits
     summary = MetricsSummary(
         final_cost_ratio=float(cost_ratio[-1]),
         final_spread=tuple(float(v) for v in trace.spread[-1]),
         distance_median=float(np.median(distance[-1])),
         distance_max=float(distance[-1].max()),
-        event_bits=tuple(int(v) for v in cum_bits[-1]),
+        event_bits=tuple(int(v) for v in trace.cumulative_event_bits[-1]),
         wall_time_s=trace.wall_time_s,
     )
-    return MetricsReport(
-        steps=trace.steps,
-        spread=trace.spread,
-        cost_ratio=cost_ratio,
-        totals_avg=trace.totals_avg,
-        totals_inst=trace.totals_inst,
-        cumulative_event_bits=cum_bits,
-        snap_steps=trace.snap_steps,
-        distance=distance,
-        optimum=optimum,
-        optimum_cost=optimum_cost,
-        summary=summary,
-    )
+    return MetricsReport(cost_ratio=cost_ratio, distance=distance, summary=summary)

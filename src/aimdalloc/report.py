@@ -73,13 +73,13 @@ def export_trace(trace: Trace, report: MetricsReport, out_dir: str | Path) -> Ex
         + [f"cum_bits_r{j}" for j in range(m)]
     )
     lines = [",".join(cols)]
-    cum = report.cumulative_event_bits
-    for k in range(len(report.steps)):
-        parts = [str(int(report.steps[k]))]
-        parts += [_fmt(v) for v in report.spread[k]]
+    cum = trace.cumulative_event_bits
+    for k in range(len(trace.steps)):
+        parts = [str(int(trace.steps[k]))]
+        parts += [_fmt(v) for v in trace.spread[k]]
         parts.append(_fmt(report.cost_ratio[k]))
-        parts += [_fmt(v) for v in report.totals_avg[k]]
-        parts += [_fmt(v) for v in report.totals_inst[k]]
+        parts += [_fmt(v) for v in trace.totals_avg[k]]
+        parts += [_fmt(v) for v in trace.totals_inst[k]]
         parts += [str(int(v)) for v in cum[k]]
         lines.append(",".join(parts))
     rows["metrics.csv"] = len(lines) - 1
@@ -136,8 +136,7 @@ class ComparisonReport:
     traces: tuple[Trace, Trace]
     reports: tuple[MetricsReport, MetricsReport]
     optimum: OptimalAllocation
-    diff_steps: np.ndarray        # (S,)
-    diff: np.ndarray              # (S, n, m)  |x_bar_A - x_bar_B|
+    final_diff: np.ndarray        # (n, m)  |x_bar_A - x_bar_B| at the final step
     spread_threshold: np.ndarray  # (m,)
     convergence_steps: tuple[int, int]
 
@@ -177,7 +176,6 @@ def compare_modes(
     )
     report_a = collect_metrics(trace_a, optimum.x_star)
     report_b = collect_metrics(trace_b, optimum.x_star)
-    diff = np.abs(trace_a.xbar_snap - trace_b.xbar_snap)
     peak = np.maximum(trace_a.spread.max(axis=0), trace_b.spread.max(axis=0))
     thresholds = spread_fraction * peak
     steps = (
@@ -189,8 +187,7 @@ def compare_modes(
         traces=(trace_a, trace_b),
         reports=(report_a, report_b),
         optimum=optimum,
-        diff_steps=trace_a.snap_steps,
-        diff=diff,
+        final_diff=np.abs(trace_a.xbar_snap[-1] - trace_b.xbar_snap[-1]),
         spread_threshold=thresholds,
         convergence_steps=steps,
     )
@@ -206,7 +203,6 @@ def export_comparison(cr: ComparisonReport, out_dir: str | Path) -> ExportManife
         manifest = export_trace(trace, report, sub)
         for name, count in manifest.rows.items():
             rows[f"{mode}/{name}"] = count
-    final_diff = cr.diff[-1]
     doc = {
         "modes": list(cr.modes),
         "spread_threshold": [float(v) for v in cr.spread_threshold],
@@ -218,8 +214,8 @@ def export_comparison(cr: ComparisonReport, out_dir: str | Path) -> ExportManife
             mode: list(bits)
             for mode, bits in zip(cr.modes, cr.event_bits_at_convergence)
         },
-        "final_avg_diff_median": float(np.median(final_diff)),
-        "final_avg_diff_max": float(final_diff.max()),
+        "final_avg_diff_median": float(np.median(cr.final_diff)),
+        "final_avg_diff_max": float(cr.final_diff.max()),
         "optimum_mu": [float(v) for v in cr.optimum.mu],
         "optimum_kkt_residual": cr.optimum.kkt_residual,
     }

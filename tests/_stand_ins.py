@@ -1,6 +1,8 @@
-"""Hand-built cost objects used to probe the generic protocol paths."""
+"""Hand-built cost objects, small configs and worlds shared by several test modules."""
 
 import numpy as np
+
+from aimdalloc import Config, CostSpec, ResourceParams, build_world
 
 
 class WeightedSquare:
@@ -67,3 +69,35 @@ class Coupled:
 
     def partial(self, x, j: int) -> float:
         return float(2.0 * np.asarray(x, dtype=float).sum())
+
+
+def tiny_config(**overrides):
+    """Two sampled devices on three resources, ten deterministic rounds."""
+    fields = dict(
+        n=2,
+        m=3,
+        steps=10,
+        mode="deterministic",
+        resources=(
+            ResourceParams(capacity=1.0, alpha=0.3, beta=0.5, gamma_norm=0.01),
+            ResourceParams(capacity=0.8, alpha=0.25, beta=0.6, gamma_norm=0.01),
+            ResourceParams(capacity=1.2, alpha=0.2, beta=0.5, gamma_norm=0.01),
+        ),
+        seed=5,
+        cost_spec=CostSpec(kind="sample"),
+    )
+    fields.update(overrides)
+    return Config(**fields)
+
+
+def hand_world(mode="deterministic"):
+    """Two single-resource quadratics with slopes 2w.
+
+    Their scaling factors are the constants 0.1 * 2w, i.e. 0.2 and 0.4.
+    """
+    return build_world(
+        [WeightedSquare(1.0), WeightedSquare(2.0)],
+        [ResourceParams(capacity=1.0, alpha=0.3, beta=0.5, gamma_norm=0.1)],
+        mode,
+        seed=1,
+    )

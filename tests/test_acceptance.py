@@ -167,7 +167,7 @@ def test_criterion_7_consensus(det_trace, sto_trace):
 
 
 def test_criterion_8_mode_agreement(comparison):
-    med = float(np.median(comparison.diff[-1]))
+    med = float(np.median(comparison.final_diff))
     ok = med <= 1e-2
     _report("8", ok, f"median |avg_det - avg_sto| at end {med:.3e} (<=1e-2)")
 

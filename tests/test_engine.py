@@ -4,58 +4,34 @@ import numpy as np
 import pytest
 
 from aimdalloc import (
-    Config,
-    CostSpec,
     ResourceParams,
     SimulationError,
     build_world,
-    init_world,
+    md_stochastic,
+    resolve_functions,
     run,
+    scaling_factor,
     snapshot_steps,
     step_world,
 )
 
-from _stand_ins import WeightedSquare
+from _stand_ins import WeightedSquare, hand_world, tiny_config
 
 
-def tiny_config(**overrides):
-    fields = dict(
-        n=2,
-        m=3,
-        steps=10,
-        mode="deterministic",
-        resources=(
-            ResourceParams(capacity=1.0, alpha=0.3, beta=0.5, gamma_norm=0.01),
-            ResourceParams(capacity=0.8, alpha=0.25, beta=0.6, gamma_norm=0.01),
-            ResourceParams(capacity=1.2, alpha=0.2, beta=0.5, gamma_norm=0.01),
-        ),
-        seed=5,
-        cost_spec=CostSpec(kind="sample"),
-    )
-    fields.update(overrides)
-    return Config(**fields)
-
-
-def hand_world(mode="deterministic"):
-    # two single-resource quadratics with slopes 2w: scaling factors are the
-    # constants 0.1 * 2w, i.e. 0.2 and 0.4
-    return build_world(
-        [WeightedSquare(1.0), WeightedSquare(2.0)],
-        [ResourceParams(capacity=1.0, alpha=0.3, beta=0.5, gamma_norm=0.1)],
-        mode,
-        seed=1,
-    )
+def config_world(cfg, mode=None):
+    return build_world(resolve_functions(cfg), cfg.resources, mode or cfg.mode, cfg.seed)
 
 
 class TestInitWorld:
     def test_reference_population(self, bundled_config):
-        w = init_world(bundled_config, mode="deterministic")
-        assert w.ctx.n == 60
+        w = config_world(bundled_config, mode="deterministic")
+        assert w.n == 60
         assert w.x.shape == (60, 3)
         assert np.all(w.x == 0.0)
         assert np.all(w.x_bar == 0.0)
+        assert np.all(w.totals == 0.0)
         assert np.all(w.events == 0)
-        assert len(w.ctx.functions) == 60
+        assert len(w.functions) == 60
 
     def test_minimal_single_device_single_resource(self):
         w = build_world(
@@ -67,30 +43,32 @@ class TestInitWorld:
         assert w.x.shape == (1, 1)
 
     def test_minimal_config_world(self):
-        w = init_world(tiny_config(n=1))
+        w = config_world(tiny_config(n=1))
         assert w.x.shape == (1, 3)
 
     def test_same_seed_same_world(self, bundled_config):
-        a = init_world(bundled_config, mode="deterministic")
-        b = init_world(bundled_config, mode="deterministic")
-        assert a.ctx.functions == b.ctx.functions
+        a = config_world(bundled_config, mode="deterministic")
+        b = config_world(bundled_config, mode="deterministic")
+        assert a.functions == b.functions
         np.testing.assert_array_equal(a.x, b.x)
 
     def test_modes_share_cost_functions(self, bundled_config):
-        det = init_world(bundled_config, mode="deterministic")
-        sto = init_world(bundled_config, mode="stochastic")
-        assert det.ctx.functions == sto.ctx.functions
+        det = config_world(bundled_config, mode="deterministic")
+        sto = config_world(bundled_config, mode="stochastic")
+        assert det.functions == sto.functions
 
     def test_both_mode_rejected_without_override(self, bundled_config):
         with pytest.raises(ValueError):
-            init_world(bundled_config)
+            config_world(bundled_config)
 
 
 class TestStepWorld:
     def test_additive_phase_from_init(self, bundled_config):
-        w = step_world(init_world(bundled_config, mode="deterministic"))
+        w = config_world(bundled_config, mode="deterministic")
+        assert step_world(w) is None
         alphas = [p.alpha for p in bundled_config.resources]
         np.testing.assert_allclose(w.x, np.tile(alphas, (60, 1)))
+        np.testing.assert_array_equal(w.totals, w.x.sum(axis=0))
         assert w.k == 1
 
     def test_forced_event_scales_uniformly(self):
@@ -102,17 +80,14 @@ class TestStepWorld:
             "deterministic",
             seed=1,
         )
-        w = dataclasses.replace(
-            w,
-            x=np.array([[0.6], [0.6]]),
-            x_bar=np.array([[0.3], [0.3]]),
-            grads=w.ctx.ensemble.gradients(np.array([[0.3], [0.3]])),
-            events=np.array([1], dtype=np.uint8),
-        )
-        nxt = step_world(w)
+        w.x = np.array([[0.6], [0.6]])
+        w.x_bar = np.array([[0.3], [0.3]])
+        w.grads = w.ensemble.gradients(w.x_bar)
+        w.events = np.array([1], dtype=np.uint8)
+        step_world(w)
         lam = 1.0 - 1e-6
         expected = (lam * 0.5 + (1.0 - lam)) * 0.6
-        np.testing.assert_allclose(nxt.x, [[expected], [expected]])
+        np.testing.assert_allclose(w.x, [[expected], [expected]])
 
     def test_five_step_hand_replay(self):
         # worked by hand from the device and control-unit rules:
@@ -128,7 +103,7 @@ class TestStepWorld:
         ]
         w = hand_world()
         for step, (xs, xbars, bit) in enumerate(expected, start=1):
-            w = step_world(w)
+            step_world(w)
             np.testing.assert_allclose(w.x[:, 0], xs, atol=1e-12)
             np.testing.assert_allclose(w.x_bar[:, 0], xbars, atol=1e-12)
             assert w.events[0] == bit
@@ -139,14 +114,53 @@ class TestStepWorld:
         sto = hand_world("stochastic")
         # steps 1 and 2 are event-free (the bit first rises after step 2)
         for _ in range(2):
-            det = step_world(det)
-            sto = step_world(sto)
+            step_world(det)
+            step_world(sto)
             np.testing.assert_array_equal(det.x, sto.x)
+
+    def test_stochastic_columns_draw_in_column_order(self):
+        # three resources, events on columns 0 and 2 in the same round: the
+        # fused back-off must equal per-column md_stochastic calls made in
+        # ascending column order on a fresh SeedSequence([seed, 1]) stream
+        seed = 7
+        resources = [
+            ResourceParams(capacity=1.0, alpha=0.3, beta=0.5, gamma_norm=0.1),
+            ResourceParams(capacity=1.0, alpha=0.2, beta=0.6, gamma_norm=0.1),
+            ResourceParams(capacity=1.0, alpha=0.1, beta=0.4, gamma_norm=0.2),
+        ]
+        w = build_world(
+            [WeightedSquare(v) for v in (1.0, 2.0, 1.5, 0.5)], resources, "stochastic", seed
+        )
+        w.x = np.linspace(0.2, 1.3, 12).reshape(4, 3)
+        w.x_bar = np.linspace(0.1, 0.9, 12).reshape(4, 3)
+        w.grads = w.ensemble.gradients(w.x_bar)
+        w.events = np.array([1, 0, 1], dtype=np.uint8)
+        x0, x_bar0, grads0 = w.x.copy(), w.x_bar.copy(), w.grads.copy()
+        step_world(w)
+
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+        expected = x0 + np.array([p.alpha for p in resources])
+        for j in (0, 2):
+            lam = scaling_factor(resources[j].gamma_norm, grads0[:, j], x_bar0[:, j])
+            expected[:, j] = md_stochastic(x0[:, j], lam, resources[j].beta, rng)
+        np.testing.assert_array_equal(w.x, expected)
 
     def test_degenerate_average_aborts(self):
         w = hand_world()
-        w = dataclasses.replace(w, events=np.array([1], dtype=np.uint8))
+        w.events = np.array([1], dtype=np.uint8)
         with pytest.raises(SimulationError):
+            step_world(w)
+        # two resources under events, only resource 1 with a zero average
+        resource = ResourceParams(capacity=1.0, alpha=0.3, beta=0.5, gamma_norm=0.1)
+        w = build_world(
+            [WeightedSquare(1.0), WeightedSquare(2.0)], [resource, resource], "deterministic", 1
+        )
+        w.x = np.full((2, 2), 0.6)
+        w.x_bar = np.array([[0.3, 0.0], [0.3, 0.0]])
+        w.grads = w.ensemble.gradients(w.x_bar)
+        w.events = np.array([1, 1], dtype=np.uint8)
+        w.k = 4
+        with pytest.raises(SimulationError, match=r"step 4, resource 1:"):
             step_world(w)
 
 
@@ -240,8 +254,9 @@ class TestRun:
         w = hand_world()  # 2 devices, 1 resource: shape mismatch vs m=3
         with pytest.raises(ValueError):
             run(cfg, world=w)
-        w3 = init_world(cfg)
+        w3 = config_world(cfg)
         with pytest.raises(ValueError):
             run(cfg, mode="stochastic", world=w3)
+        step_world(w3)
         with pytest.raises(ValueError):
-            run(cfg, world=step_world(w3))
+            run(cfg, world=w3)

@@ -117,14 +117,15 @@ class TestCompareModes:
     def test_identical_modes_are_identical(self, bundled_config):
         cfg = dataclasses.replace(bundled_config, steps=300)
         cr = compare_modes(cfg, modes=("deterministic", "deterministic"))
-        assert np.all(cr.diff == 0.0)
+        np.testing.assert_array_equal(cr.traces[0].xbar_snap, cr.traces[1].xbar_snap)
+        assert np.all(cr.final_diff == 0.0)
         assert cr.convergence_steps[0] == cr.convergence_steps[1]
 
     def test_shared_functions_and_shapes(self, bundled_config):
         cfg = dataclasses.replace(bundled_config, steps=300)
         cr = compare_modes(cfg)
         assert cr.traces[0].functions == cr.traces[1].functions
-        assert cr.diff.shape == (len(cr.diff_steps), cfg.n, cfg.m)
+        assert cr.final_diff.shape == (cfg.n, cfg.m)
 
     def test_export_comparison_layout(self, bundled_config, tmp_path):
         cfg = dataclasses.replace(bundled_config, steps=200)
