@@ -36,7 +36,7 @@ for k in (100, 500, 1000, 5000, 30000):
     sums = np.array2string(trace.totals_avg[k], precision=2, floatmode="fixed")
     print(f"{k:>6}    {sp:<28}  {report.cost_ratio[k]:>8.4f}   {sums}")
 
-dist = report.distance[-1]
+dist = report.final_distance
 print(f"\nfinal |average - optimum| over all device-resource pairs:")
 print(f"  median {np.median(dist):.2e}, max {dist.max():.2e}")
 print(f"event bits broadcast per resource: {list(report.summary.event_bits)}")

@@ -19,7 +19,7 @@ from .aimd import (
     scaling_factor,
     update_average,
 )
-from .config import Config, ConfigError, CostSpec, config_hash, parse_config, serialize_config, write_config
+from .config import Config, ConfigError, config_hash, parse_config, serialize_config
 from .costs import (
     AssumptionReport,
     CostCoefficients,
@@ -29,7 +29,6 @@ from .costs import (
     estimate_gamma,
     evaluate_cost,
     partial_derivative,
-    sample_cost_function,
     sample_cost_functions,
     verify_assumption1,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "CostCoefficients",
     "CostEnsemble",
     "CostFunction",
-    "CostSpec",
     "DegenerateAverageError",
     "ExportManifest",
     "MetricsReport",
@@ -106,7 +104,6 @@ __all__ = [
     "project_capacity_simplex",
     "resolve_functions",
     "run",
-    "sample_cost_function",
     "sample_cost_functions",
     "scaling_factor",
     "serialize_config",
@@ -116,5 +113,4 @@ __all__ = [
     "step_world",
     "update_average",
     "verify_assumption1",
-    "write_config",
 ]

@@ -60,8 +60,9 @@ class CostFunction:
     separable = True
 
     def __post_init__(self):
-        if self.case_id not in CASE_IDS:
-            raise ValueError(f"case_id must be one of {CASE_IDS}, got {self.case_id}")
+        v = self.case_id
+        if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v not in CASE_IDS:
+            raise ValueError(f"case_id must be one of {CASE_IDS}, got {v!r}")
 
     def value(self, x) -> float | np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -119,11 +120,10 @@ class CostFunction:
         if extra:
             raise ValueError(f"unknown cost-function keys: {sorted(extra)}")
         try:
-            case_id = int(d["case_id"])
-            coeffs = CostCoefficients(int(d["a"]), int(d["b"]), int(d["c"]), int(d["d"]))
+            coeffs = CostCoefficients(d["a"], d["b"], d["c"], d["d"])
+            return cls(case_id=d["case_id"], coeffs=coeffs)
         except KeyError as e:
             raise ValueError(f"cost function missing key {e.args[0]!r}") from None
-        return cls(case_id=case_id, coeffs=coeffs)
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -132,37 +132,21 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def sample_cost_function(rng, m: int = RESOURCE_COUNT) -> CostFunction:
-    """Draw one cost function uniformly from the family.
+def sample_cost_functions(rng, n: int, m: int = RESOURCE_COUNT) -> tuple[CostFunction, ...]:
+    """Draw ``n`` cost functions uniformly from the family in one batch.
 
-    The case tag and all four coefficients come from the same stream, in a
-    fixed order (case, a, b, c, d), so a given seed always yields the same
-    function. ``rng`` may be a seed or a ``numpy.random.Generator``.
+    Each device's case tag and four coefficients come from the same stream in
+    a fixed order (case, a, b, c, d), device after device, so a given seed
+    always yields the same functions. ``rng`` may be a seed or a
+    ``numpy.random.Generator``.
     """
     if m != RESOURCE_COUNT:
         raise UnsupportedFamilyError(
             f"the built-in family is defined for exactly {RESOURCE_COUNT} resources, got m={m}"
         )
-    rng = _as_rng(rng)
-    case_id = int(rng.integers(1, len(CASE_IDS) + 1))
-    coeffs = CostCoefficients(
-        a=int(rng.integers(*_inclusive(COEFF_RANGES["a"]))),
-        b=int(rng.integers(*_inclusive(COEFF_RANGES["b"]))),
-        c=int(rng.integers(*_inclusive(COEFF_RANGES["c"]))),
-        d=int(rng.integers(*_inclusive(COEFF_RANGES["d"]))),
-    )
-    return CostFunction(case_id=case_id, coeffs=coeffs)
-
-
-def _inclusive(bounds: tuple[int, int]) -> tuple[int, int]:
-    lo, hi = bounds
-    return lo, hi + 1
-
-
-def sample_cost_functions(rng, n: int, m: int = RESOURCE_COUNT) -> tuple[CostFunction, ...]:
-    """Sample ``n`` functions from one stream (device order = draw order)."""
-    rng = _as_rng(rng)
-    return tuple(sample_cost_function(rng, m) for _ in range(n))
+    low, high = np.array([(1, len(CASE_IDS)), *COEFF_RANGES.values()]).T
+    rows = _as_rng(rng).integers(low, high + 1, size=(n, 5)).tolist()
+    return tuple(CostFunction(case_id, CostCoefficients(*coeffs)) for case_id, *coeffs in rows)
 
 
 def _check_domain(x, m: int | None = None) -> np.ndarray:

@@ -69,8 +69,8 @@ class WorldState:
 
 def resolve_functions(config: Config) -> tuple[CostFunction, ...]:
     """The device cost functions a config denotes (sampling from the seed)."""
-    if config.cost_spec.kind == "explicit":
-        return config.cost_spec.functions
+    if config.functions is not None:
+        return config.functions
     stream = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
     return sample_cost_functions(stream, config.n, config.m)
 

@@ -25,12 +25,12 @@ class MetricsReport:
     """Metric series derived from a trace and the optimum, plus a summary block.
 
     The cost ratio shares the trace's step axis; the per-device distance to
-    the optimum is available at the trace's snapshot steps. The trace's own
-    series (spread, totals, event bits) are read off the ``Trace``.
+    the optimum is kept at the final snapshot. The trace's own series
+    (spread, totals, event bits) are read off the ``Trace``.
     """
 
     cost_ratio: np.ndarray            # (K+1,)
-    distance: np.ndarray              # (S, n, m)  |x_bar - x*|
+    final_distance: np.ndarray        # (n, m)  |x_bar - x*| at the final snapshot
     summary: MetricsSummary
 
 
@@ -52,13 +52,13 @@ def collect_metrics(trace: Trace, optimum: np.ndarray) -> MetricsReport:
     cost_ratio = (
         trace.cost_sum_avg / optimum_cost if optimum_cost > 0 else np.full_like(trace.cost_sum_avg, np.nan)
     )
-    distance = np.abs(trace.xbar_snap - optimum[None, :, :])
+    distance = np.abs(trace.xbar_snap[-1] - optimum)
     summary = MetricsSummary(
         final_cost_ratio=float(cost_ratio[-1]),
         final_spread=tuple(float(v) for v in trace.spread[-1]),
-        distance_median=float(np.median(distance[-1])),
-        distance_max=float(distance[-1].max()),
+        distance_median=float(np.median(distance)),
+        distance_max=float(distance.max()),
         event_bits=tuple(int(v) for v in trace.cumulative_event_bits[-1]),
         wall_time_s=trace.wall_time_s,
     )
-    return MetricsReport(cost_ratio=cost_ratio, distance=distance, summary=summary)
+    return MetricsReport(cost_ratio=cost_ratio, final_distance=distance, summary=summary)

@@ -22,6 +22,11 @@ import numpy as np
 from .costs import LoopEnsemble, make_ensemble
 
 
+#: devices holding at most this fraction of a capacity count as inactive
+#: in the KKT certificate and the consensus-derivative estimate
+ACTIVE_THRESHOLD = 1e-9
+
+
 class UnsupportedFunctionError(ValueError):
     """The separable solver was given a function it cannot decouple."""
 
@@ -41,8 +46,8 @@ class OptimalAllocation:
     converged: bool = True
 
 
-def _derivative_spread_term(x_col, g_col, capacity, active_threshold):
-    active = x_col > active_threshold * capacity
+def _derivative_spread_term(x_col, g_col, capacity):
+    active = x_col > ACTIVE_THRESHOLD * capacity
     if not np.any(active):
         return 0.0
     g_act = g_col[active]
@@ -55,21 +60,21 @@ def _derivative_spread_term(x_col, g_col, capacity, active_threshold):
     return spread / mean
 
 
-def _residual_from_grads(x, grads, capacities, active_threshold):
+def _residual_from_grads(x, grads, capacities):
     worst = 0.0
     for j, cap in enumerate(capacities):
         feas = abs(float(x[:, j].sum()) - cap) / cap
-        spread = _derivative_spread_term(x[:, j], grads[:, j], cap, active_threshold)
+        spread = _derivative_spread_term(x[:, j], grads[:, j], cap)
         worst = max(worst, feas, spread)
     return worst
 
 
-def kkt_residual(functions, x, capacities, active_threshold: float = 1e-9) -> float:
+def kkt_residual(functions, x, capacities) -> float:
     """Distance-to-optimality proxy for an allocation matrix.
 
     Per resource, the larger of the relative feasibility gap and the
     normalized derivative spread (max minus min over devices holding more
-    than ``active_threshold`` of capacity, divided by the mean derivative);
+    than ``ACTIVE_THRESHOLD`` of capacity, divided by the mean derivative);
     the result is the max over resources. Zero at the exact optimum.
     """
     x = np.asarray(x, dtype=float)
@@ -82,7 +87,7 @@ def kkt_residual(functions, x, capacities, active_threshold: float = 1e-9) -> fl
             f"({len(functions)}, {len(capacities)})"
         )
     grads = LoopEnsemble(functions, len(capacities)).gradients(x)
-    return _residual_from_grads(x, grads, capacities, active_threshold)
+    return _residual_from_grads(x, grads, capacities)
 
 
 def _demand(ensemble, j, mu, cap, iters):
@@ -226,7 +231,7 @@ def solve_projected_gradient(
     grads = per_function.gradients(x)
     step = 1.0
     for it in range(max_iters + 1):
-        residual = _residual_from_grads(x, grads, capacities, 1e-9)
+        residual = _residual_from_grads(x, grads, capacities)
         if residual <= tol:
             return OptimalAllocation(
                 x_star=x, mu=_mean_active_gradient(x, grads, capacities),
@@ -250,17 +255,17 @@ def solve_projected_gradient(
         grads = per_function.gradients(x)
         step *= 1.25
 
-    residual = _residual_from_grads(x, grads, capacities, 1e-9)
+    residual = _residual_from_grads(x, grads, capacities)
     return OptimalAllocation(
         x_star=x, mu=_mean_active_gradient(x, grads, capacities),
         kkt_residual=residual, iterations=max_iters, converged=False,
     )
 
 
-def _mean_active_gradient(x, grads, capacities, active_threshold=1e-9):
+def _mean_active_gradient(x, grads, capacities):
     """Per-resource consensus derivative estimate (mean over active devices)."""
     mu = np.zeros(len(capacities))
     for j, cap in enumerate(capacities):
-        active = x[:, j] > active_threshold * cap
+        active = x[:, j] > ACTIVE_THRESHOLD * cap
         mu[j] = float(grads[active, j].mean()) if np.any(active) else 0.0
     return mu

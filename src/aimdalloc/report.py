@@ -20,6 +20,10 @@ from .metrics import MetricsReport, collect_metrics
 from .oracle import OptimalAllocation, solve_separable
 
 
+#: convergence threshold per resource, as a fraction of the larger peak spread
+SPREAD_FRACTION = 0.05
+
+
 def _fmt(v: float) -> str:
     return format(float(v), ".9g")
 
@@ -153,16 +157,12 @@ class ComparisonReport:
         return tuple(out)
 
 
-def compare_modes(
-    config: Config,
-    modes: tuple[str, str] | None = None,
-    spread_fraction: float = 0.05,
-) -> ComparisonReport:
+def compare_modes(config: Config, modes: tuple[str, str] | None = None) -> ComparisonReport:
     """Run two update modes on the same instance and measure their gap.
 
     With ``modes`` unset the config must say ``mode: both`` and the pair is
     (deterministic, stochastic). The convergence-step estimate uses a common
-    per-resource threshold: ``spread_fraction`` of the larger of the two
+    per-resource threshold: ``SPREAD_FRACTION`` of the larger of the two
     runs' peak spreads, judged sustainedly.
     """
     if modes is None:
@@ -177,7 +177,7 @@ def compare_modes(
     report_a = collect_metrics(trace_a, optimum.x_star)
     report_b = collect_metrics(trace_b, optimum.x_star)
     peak = np.maximum(trace_a.spread.max(axis=0), trace_b.spread.max(axis=0))
-    thresholds = spread_fraction * peak
+    thresholds = SPREAD_FRACTION * peak
     steps = (
         convergence_step(trace_a.spread, thresholds),
         convergence_step(trace_b.spread, thresholds),

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from aimdalloc import Config, CostSpec, ResourceParams, build_world
+from aimdalloc import Config, ResourceParams, build_world
 
 
 class WeightedSquare:
@@ -84,7 +84,6 @@ def tiny_config(**overrides):
             ResourceParams(capacity=1.2, alpha=0.2, beta=0.5, gamma_norm=0.01),
         ),
         seed=5,
-        cost_spec=CostSpec(kind="sample"),
     )
     fields.update(overrides)
     return Config(**fields)

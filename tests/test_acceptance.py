@@ -18,7 +18,6 @@ from aimdalloc import (
     export_trace,
     partial_derivative,
     run,
-    sample_cost_function,
     sample_cost_functions,
     solve_projected_gradient,
     solve_separable,
@@ -108,7 +107,7 @@ def test_criterion_2_gradient_correctness():
     rng = np.random.default_rng(31337)
     worst = 0.0
     for _ in range(100):
-        f = sample_cost_function(rng)
+        f = sample_cost_functions(rng, 1)[0]
         x = 0.1 + rng.random(3) * 1.9
         for j in range(3):
             exact = partial_derivative(f, x, j)
@@ -134,7 +133,7 @@ def test_criterion_3_average_recursion():
 
 
 def test_criterion_4_convergence_to_optimum(det_report):
-    dist = det_report.distance[-1]
+    dist = det_report.final_distance
     med, mx = float(np.median(dist)), float(dist.max())
     ok = med <= 2e-2 and mx <= 1e-1
     _report("4", ok, f"final |avg - optimum| median {med:.3e} (<=2e-2), max {mx:.3e} (<=1e-1)")

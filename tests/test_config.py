@@ -3,6 +3,7 @@ import json
 import pytest
 
 from aimdalloc import ConfigError, parse_config, serialize_config
+from aimdalloc.config import config_from_dict
 
 from conftest import BUNDLED_CONFIG
 
@@ -106,6 +107,57 @@ class TestValidation:
             parse_config(write_doc(tmp_path, doc))
         assert any("cost_spec.functions" in f for f in exc.value.fields)
 
+    @pytest.mark.parametrize("value", ["32", True])
+    def test_resource_values_must_be_numbers(self, value):
+        doc = minimal_doc()
+        doc["resources"][0]["capacity"] = value
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(doc)
+        assert exc.value.fields == ["resources[0].capacity: expected float"
+                                    f", got {type(value).__name__}"]
+
+    def test_integer_resource_values_widen_to_float(self):
+        doc = minimal_doc()
+        doc["resources"][0]["capacity"] = 32
+        capacity = config_from_dict(doc).resources[0].capacity
+        assert type(capacity) is float and capacity == 32.0
+        doc["resources"][0]["capacity"] = 10**400
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(doc)
+        assert exc.value.fields == ["resources[0].capacity: integer too large for a float"]
+
+    @pytest.mark.parametrize("key, value", [("case_id", 1.9), ("a", 5.7), ("b", "3"), ("c", True)])
+    def test_explicit_cost_entries_not_coerced(self, key, value):
+        entry = {"case_id": 1, "a": 5, "b": 3, "c": 1, "d": 1}
+        doc = minimal_doc(cost_spec={"kind": "explicit", "functions": [{**entry, key: value}, entry]})
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(doc)
+        assert len(exc.value.fields) == 1
+        assert exc.value.fields[0].startswith("cost_spec.functions[0]: ")
+
+    def test_explicit_cost_entry_must_be_object(self):
+        entry = {"case_id": 1, "a": 5, "b": 3, "c": 1, "d": 1}
+        doc = minimal_doc(cost_spec={"kind": "explicit", "functions": [entry, "abc"]})
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(doc)
+        assert exc.value.fields == ["cost_spec.functions[1]: expected an object"]
+
+    def test_all_problems_reported_together(self):
+        doc = minimal_doc(surprise=1)
+        doc["resources"][1]["beta"] = 1.5
+        doc["cost_spec"] = {
+            "kind": "explicit",
+            "functions": [{"case_id": 4, "a": 1, "b": 1, "c": 1, "d": 1},
+                          {"case_id": 1, "a": 1, "b": 1, "c": 1, "d": 1}],
+        }
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(doc)
+        fields = exc.value.fields
+        assert len(fields) == 3
+        assert fields[0] == "surprise: unknown field"
+        assert fields[1].startswith("resources[1]: beta must be in [0, 1)")
+        assert fields[2].startswith("cost_spec.functions[0]: case_id")
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -148,6 +200,15 @@ class TestOverrides:
         cfg = bundled_config.with_overrides(seed=9, trace_stride=5, out_dir="x")
         assert (cfg.seed, cfg.trace_stride, cfg.out_dir) == (9, 5, "x")
 
+    def test_overrides_reparse_serialized_doc(self, bundled_config):
+        doc = serialize_config(bundled_config)
+        doc.update(seed=9, trace_stride=5, out_dir="x")
+        assert bundled_config.with_overrides(seed=9, trace_stride=5, out_dir="x") == config_from_dict(doc)
+
+    def test_unset_overrides_keep_config(self, bundled_config):
+        assert bundled_config.with_overrides() == bundled_config
+
     def test_override_validation(self, bundled_config):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as exc:
             bundled_config.with_overrides(trace_stride=0)
+        assert exc.value.fields == ["trace_stride: must be >= 1 (got 0)"]

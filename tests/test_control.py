@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aimdalloc import Config, CostSpec, ResourceParams, build_world, run
+from aimdalloc import Config, ResourceParams, build_world, run
 from aimdalloc.control import capacity_event_bits
 
 from _stand_ins import WeightedSquare
@@ -56,10 +56,7 @@ class TestOverhead:
         # the hand-worked replay of test_engine raises the bit after steps 2, 3 and 5
         resource = ResourceParams(capacity=1.0, alpha=0.3, beta=0.5, gamma_norm=0.1)
         world = build_world([WeightedSquare(1.0), WeightedSquare(2.0)], [resource], "deterministic", seed=1)
-        cfg = Config(
-            n=2, m=1, steps=5, mode="deterministic", resources=(resource,), seed=1,
-            cost_spec=CostSpec(kind="sample"),
-        )
+        cfg = Config(n=2, m=1, steps=5, mode="deterministic", resources=(resource,), seed=1)
         tr = run(cfg, world=world)
         assert tr.events[:, 0].tolist() == [0, 0, 1, 1, 0, 1]
         assert tr.cumulative_event_bits[:, 0].tolist() == [0, 0, 1, 2, 2, 3]
@@ -68,10 +65,7 @@ class TestOverhead:
         resources = tuple(
             ResourceParams(capacity=1e6, alpha=0.1, beta=0.5, gamma_norm=0.01) for _ in range(3)
         )
-        cfg = Config(
-            n=4, m=3, steps=24, mode="deterministic", resources=resources, seed=0,
-            cost_spec=CostSpec(kind="sample"),
-        )
+        cfg = Config(n=4, m=3, steps=24, mode="deterministic", resources=resources, seed=0)
         tr = run(cfg)
         assert not tr.events.any()
         assert not tr.cumulative_event_bits.any()
@@ -94,8 +88,7 @@ class TestOverhead:
         )
         steps = 200
         cfg = Config(
-            n=n, m=3, steps=steps, mode=mode, resources=resources, seed=seed,
-            cost_spec=CostSpec(kind="sample"), trace_stride=steps,
+            n=n, m=3, steps=steps, mode=mode, resources=resources, seed=seed, trace_stride=steps
         )
         tr = run(cfg)
         bound = np.array([p.gamma_cap * p.capacity + n * p.alpha for p in resources])

@@ -9,7 +9,6 @@ from aimdalloc import (
     estimate_gamma,
     evaluate_cost,
     partial_derivative,
-    sample_cost_function,
     sample_cost_functions,
     verify_assumption1,
 )
@@ -30,19 +29,19 @@ def central_difference(f, x, j, h=1e-5):
 
 class TestSampling:
     def test_same_seed_same_function(self):
-        assert sample_cost_function(12345) == sample_cost_function(12345)
+        assert sample_cost_functions(12345, 1) == sample_cost_functions(12345, 1)
 
     def test_case_frequencies_uniform(self):
         rng = np.random.default_rng(7)
-        draws = [sample_cost_function(rng).case_id for _ in range(10_000)]
+        draws = [f.case_id for f in sample_cost_functions(rng, 10_000)]
         counts = np.bincount(draws, minlength=4)[1:]
         freqs = counts / len(draws)
         assert np.all(np.abs(freqs - 1.0 / 3.0) <= 0.02)
 
     def test_coefficient_ranges(self):
         rng = np.random.default_rng(11)
-        for _ in range(2000):
-            c = sample_cost_function(rng).coeffs
+        for f in sample_cost_functions(rng, 2000):
+            c = f.coeffs
             assert 1 <= c.a <= 25
             assert 1 <= c.b <= 20
             assert 1 <= c.c <= 15
@@ -50,18 +49,31 @@ class TestSampling:
 
     def test_every_coefficient_value_reachable(self):
         rng = np.random.default_rng(3)
-        seen_a = {sample_cost_function(rng).coeffs.a for _ in range(5000)}
+        seen_a = {f.coeffs.a for f in sample_cost_functions(rng, 5000)}
         assert seen_a == set(range(1, 26))
 
     def test_resource_count_restriction(self):
         with pytest.raises(UnsupportedFamilyError):
-            sample_cost_function(0, m=2)
+            sample_cost_functions(0, 1, m=2)
 
     def test_batch_order_is_stream_order(self):
         fns = sample_cost_functions(99, 5)
         rng = np.random.default_rng(99)
-        fns_again = tuple(sample_cost_function(rng) for _ in range(5))
+        fns_again = tuple(sample_cost_functions(rng, 1)[0] for _ in range(5))
         assert fns == fns_again
+
+    @pytest.mark.parametrize("seed", [0, 7, 1729])
+    @pytest.mark.parametrize("n", [1, 5, 60])
+    def test_batch_matches_scalar_draws(self, seed, n):
+        # one (n, 5) draw equals per-device scalar draws of (case, a, b, c, d)
+        # and leaves the generator in the same state
+        batch_rng = np.random.default_rng(seed)
+        scalar_rng = np.random.default_rng(seed)
+        fns = sample_cost_functions(batch_rng, n)
+        bounds = [(1, 3), (1, 25), (1, 20), (1, 15), (1, 10)]
+        rows = [[int(scalar_rng.integers(lo, hi + 1)) for lo, hi in bounds] for _ in range(n)]
+        assert [list(f.to_dict().values()) for f in fns] == rows
+        assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
 
 
 class TestEvaluation:
@@ -87,7 +99,7 @@ class TestEvaluation:
     def test_nonnegative_everywhere_sampled(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            f = sample_cost_function(rng)
+            f = sample_cost_functions(rng, 1)[0]
             x = rng.random(3) * 3.0
             assert evaluate_cost(f, x) >= 0.0
 
@@ -110,7 +122,7 @@ class TestPartialDerivatives:
     def test_matches_central_differences(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
-            f = sample_cost_function(rng)
+            f = sample_cost_functions(rng, 1)[0]
             x = 0.1 + rng.random(3) * 1.9
             for j in range(3):
                 exact = partial_derivative(f, x, j)
@@ -120,7 +132,7 @@ class TestPartialDerivatives:
     def test_positive_for_positive_coordinates(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            f = sample_cost_function(rng)
+            f = sample_cost_functions(rng, 1)[0]
             x = 0.01 + rng.random(3) * 2.0
             grad = f.gradient(x)
             assert np.all(grad > 0.0)
@@ -166,7 +178,7 @@ class TestAssumptionCheck:
         rng = np.random.default_rng(17)
         box = [(0.01, 3.0)] * 3
         for _ in range(10):
-            f = sample_cost_function(rng)
+            f = sample_cost_functions(rng, 1)[0]
             report = verify_assumption1(f, box, samples=1000, rng=rng)
             assert report.passed, report.first_violation
 
@@ -227,6 +239,11 @@ class TestSerialization:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             CostFunction.from_dict({"case_id": 1, "a": 1, "b": 1, "c": 1, "d": 1, "e": 9})
+
+    @pytest.mark.parametrize("case_id", [True, 1.0, "1"])
+    def test_case_id_must_be_integer(self, case_id):
+        with pytest.raises(ValueError):
+            CostFunction(case_id, CostCoefficients(1, 1, 1, 1))
 
     def test_out_of_range_coefficient_rejected(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from aimdalloc import (
     Config,
     CostCoefficients,
     CostFunction,
-    CostSpec,
     ResourceParams,
     collect_metrics,
     export_trace,
@@ -38,7 +37,7 @@ def golden_config():
             ResourceParams(capacity=0.6, alpha=0.05, beta=0.75, gamma_norm=0.02),
         ),
         seed=12345,
-        cost_spec=CostSpec(kind="explicit", functions=functions),
+        functions=functions,
     )
 
 
@@ -46,7 +45,7 @@ def test_exports_match_committed_golden_files(tmp_path):
     cfg = golden_config()
     trace = run(cfg)
     opt = solve_separable(
-        cfg.cost_spec.functions, [p.capacity for p in cfg.resources], tol=1e-10
+        cfg.functions, [p.capacity for p in cfg.resources], tol=1e-10
     )
     report = collect_metrics(trace, opt.x_star)
     export_trace(trace, report, tmp_path)

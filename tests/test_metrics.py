@@ -62,5 +62,5 @@ class TestCollectMetrics:
         report = collect_metrics(trace, opt.x_star)
         assert report.summary.final_cost_ratio == report.cost_ratio[-1]
         np.testing.assert_array_equal(report.summary.final_spread, trace.spread[-1])
-        assert report.summary.distance_median == np.median(report.distance[-1])
-        assert report.summary.distance_max == report.distance[-1].max()
+        assert report.summary.distance_median == np.median(report.final_distance)
+        assert report.summary.distance_max == report.final_distance.max()

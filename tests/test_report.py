@@ -6,7 +6,6 @@ import pytest
 
 from aimdalloc import (
     Config,
-    CostSpec,
     ResourceParams,
     build_world,
     collect_metrics,
@@ -42,7 +41,6 @@ class TestExport:
             mode="deterministic",
             resources=(ResourceParams(capacity=1.0, alpha=0.3, beta=0.5, gamma_norm=0.1),),
             seed=0,
-            cost_spec=CostSpec(kind="sample"),
         )
         world = build_world([WeightedSquare(1.0)], cfg.resources, "deterministic", cfg.seed)
         trace = run(cfg, world=world)
