@@ -7,8 +7,9 @@ Subcommands:
   sweep    repeat a run across a seed range and aggregate
 
 Exit codes: 0 success, 2 configuration problem, 3 run/solver failure
-(including an oracle KKT residual above the config's kkt_tol, checked before
-anything is exported), 1 unexpected error.
+(including a non-finite total, derivative spread or cost, and an oracle KKT
+residual above the config's kkt_tol, both checked before anything is
+exported), 1 unexpected error.
 """
 
 from __future__ import annotations

@@ -42,6 +42,49 @@ class CostCoefficients:
                 raise ValueError(f"coefficient {name}={v} outside [{lo}, {hi}]")
 
 
+def _case_value(case_id, x0, x1, x2, a, b, c, d):
+    """Cost of family case ``case_id`` at (x0, x1, x2) with weights a, b, c, d.
+
+    Coordinates and weights broadcast, so one call evaluates a single point or
+    every row of a same-case block; both give the same bits per entry.
+    """
+    if case_id == 1:
+        return (
+            a * (x0**2 + 0.5 * x0**4)
+            + b * (2.0 * x1**4 + 0.5 * x1**6)
+            + c * (x2**2 + 0.25 * x2**4)
+            + 0.125 * d * x2**8
+        )
+    if case_id == 2:
+        return a * x0**2 + b * (x1**2 + 0.5 * x1**4) + 1.5 * c * x2**4
+    return (
+        a * x0**6 / 3.0
+        + b * x1**2
+        + c * x2**2
+        + d * (x1**6 / 6.0 + 0.125 * x2**4)
+    )
+
+
+def _case_gradient(case_id, x0, x1, x2, a, b, c, d):
+    """The three partials of family case ``case_id``; broadcasts like ``_case_value``.
+
+    Partial k reads only x_k (the cases are separable).
+    """
+    if case_id == 1:
+        g0 = a * (2.0 * x0 + 2.0 * x0**3)
+        g1 = b * (8.0 * x1**3 + 3.0 * x1**5)
+        g2 = c * (2.0 * x2 + x2**3) + d * x2**7
+    elif case_id == 2:
+        g0 = 2.0 * a * x0
+        g1 = b * (2.0 * x1 + 2.0 * x1**3)
+        g2 = 6.0 * c * x2**3
+    else:
+        g0 = 2.0 * a * x0**5
+        g1 = 2.0 * b * x1 + d * x1**5
+        g2 = 2.0 * c * x2 + 0.5 * d * x2**3
+    return g0, g1, g2
+
+
 @dataclass(frozen=True)
 class CostFunction:
     """One device's private cost: a tagged case of the polynomial family.
@@ -66,43 +109,17 @@ class CostFunction:
 
     def value(self, x) -> float | np.ndarray:
         x = np.asarray(x, dtype=float)
-        x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
-        a, b, c, d = self.coeffs.a, self.coeffs.b, self.coeffs.c, self.coeffs.d
-        if self.case_id == 1:
-            out = (
-                a * (x0**2 + 0.5 * x0**4)
-                + b * (2.0 * x1**4 + 0.5 * x1**6)
-                + c * (x2**2 + 0.25 * x2**4)
-                + 0.125 * d * x2**8
-            )
-        elif self.case_id == 2:
-            out = a * x0**2 + b * (x1**2 + 0.5 * x1**4) + 1.5 * c * x2**4
-        else:
-            out = (
-                a * x0**6 / 3.0
-                + b * x1**2
-                + c * x2**2
-                + d * (x1**6 / 6.0 + 0.125 * x2**4)
-            )
+        w = self.coeffs
+        out = _case_value(self.case_id, x[..., 0], x[..., 1], x[..., 2], w.a, w.b, w.c, w.d)
         return out if out.ndim else float(out)
 
     def gradient(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
-        a, b, c, d = self.coeffs.a, self.coeffs.b, self.coeffs.c, self.coeffs.d
-        if self.case_id == 1:
-            g0 = a * (2.0 * x0 + 2.0 * x0**3)
-            g1 = b * (8.0 * x1**3 + 3.0 * x1**5)
-            g2 = c * (2.0 * x2 + x2**3) + d * x2**7
-        elif self.case_id == 2:
-            g0 = 2.0 * a * x0
-            g1 = b * (2.0 * x1 + 2.0 * x1**3)
-            g2 = 6.0 * c * x2**3
-        else:
-            g0 = 2.0 * a * x0**5
-            g1 = 2.0 * b * x1 + d * x1**5
-            g2 = 2.0 * c * x2 + 0.5 * d * x2**3
-        return np.stack([g0, g1, g2], axis=-1)
+        w = self.coeffs
+        return np.stack(
+            _case_gradient(self.case_id, x[..., 0], x[..., 1], x[..., 2], w.a, w.b, w.c, w.d),
+            axis=-1,
+        )
 
     def partial(self, x, j: int) -> float | np.ndarray:
         if not 0 <= j < RESOURCE_COUNT:
@@ -366,35 +383,67 @@ class CostEnsemble:
 
 
 class LoopEnsemble:
-    """Row-by-row evaluation for cost objects outside the built-in family.
+    """Population evaluation with each function's own arithmetic, bit for bit.
 
     Anything exposing ``value(x)``, ``gradient(x)`` and ``partial(x, j)`` on
     length-m vectors works; this keeps small hand-built worlds (single-resource
     quadratics and the like) runnable through the same engine and oracle.
-    Each entry is exactly what the function's own method returns.
+    Each entry is exactly what the function's own method returns. Family
+    members on the family's resource count are grouped by case once, and each
+    case's formula evaluates all its rows in one expression; any other
+    population is evaluated row by row.
     """
 
     def __init__(self, functions, m: int):
         self.functions = tuple(functions)
         self.m = m
+        self._cases = None
+        if m == RESOURCE_COUNT and all(isinstance(f, CostFunction) for f in self.functions):
+            case_ids = np.array([f.case_id for f in self.functions], dtype=int)
+            weights = np.array(
+                [(f.coeffs.a, f.coeffs.b, f.coeffs.c, f.coeffs.d) for f in self.functions],
+                dtype=float,
+            )
+            self._cases = [
+                (case_id, rows, *weights[rows].T)
+                for case_id in CASE_IDS
+                if (rows := np.flatnonzero(case_ids == case_id)).size
+            ]
 
     def __len__(self) -> int:
         return len(self.functions)
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        return np.array([float(f.value(xi)) for f, xi in zip(self.functions, x)])
+        if self._cases is None:
+            return np.array([float(f.value(xi)) for f, xi in zip(self.functions, x)])
+        out = np.empty(len(self.functions))
+        for case_id, rows, *weights in self._cases:
+            out[rows] = _case_value(case_id, *x[rows].T, *weights)
+        return out
 
     def gradients(self, x: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [np.asarray(f.gradient(xi), dtype=float) for f, xi in zip(self.functions, x)]
-        )
+        if self._cases is None:
+            return np.stack(
+                [np.asarray(f.gradient(xi), dtype=float) for f, xi in zip(self.functions, x)]
+            )
+        out = np.empty((len(self.functions), RESOURCE_COUNT))
+        for case_id, rows, *weights in self._cases:
+            out[rows] = np.stack(_case_gradient(case_id, *x[rows].T, *weights), axis=-1)
+        return out
 
     def partial_column(self, t: np.ndarray, j: int) -> np.ndarray:
-        point = np.zeros(self.m)
+        """(n,) partials on resource ``j``, device i evaluated at t[i] e_j."""
         out = np.empty(len(self.functions))
-        for i, f in enumerate(self.functions):
-            point[j] = t[i]
-            out[i] = float(f.partial(point, j))
+        if self._cases is None:
+            point = np.zeros(self.m)
+            for i, f in enumerate(self.functions):
+                point[j] = t[i]
+                out[i] = float(f.partial(point, j))
+            return out
+        for case_id, rows, *weights in self._cases:
+            point = np.zeros((RESOURCE_COUNT, rows.size))
+            point[j] = t[rows]
+            out[rows] = _case_gradient(case_id, *point, *weights)[j]
         return out
 
 

@@ -209,6 +209,26 @@ class Trace:
         return np.cumsum(self.events.astype(np.int64), axis=0)
 
 
+def _check_finite(totals_inst, spread, cost_sum_avg) -> None:
+    """Raise SimulationError at the first step whose recorded series are not all finite.
+
+    A gradient that overflows to inf or turns NaN shows up in the derivative
+    spread at once and, through the back-off, in the totals and the cost.
+    """
+    per_resource = np.isfinite(totals_inst) & np.isfinite(spread)
+    ok = per_resource.all(axis=1) & np.isfinite(cost_sum_avg)
+    if ok.all():
+        return
+    k = int(np.argmin(ok))
+    if per_resource[k].all():
+        raise SimulationError(f"step {k}: population cost {cost_sum_avg[k]} is not finite")
+    j = int(np.argmin(per_resource[k]))
+    raise SimulationError(
+        f"step {k}, resource {j}: total {totals_inst[k, j]} or derivative spread "
+        f"{spread[k, j]} is not finite"
+    )
+
+
 def run(config: Config, mode: str | None = None, world: WorldState | None = None) -> Trace:
     """Simulate ``config.steps`` rounds and record the trace.
 
@@ -216,7 +236,9 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
     the caller runs each variant separately). A prebuilt ``world`` (from
     ``build_world``) substitutes for the config's population, which is how
     hand-built cost functions get full traces; its shape must match the
-    config, and the run advances it in place.
+    config, and the run advances it in place. After the last round, a total,
+    derivative spread or population cost that is inf or NaN raises
+    SimulationError naming the first step (and resource) where it appeared.
     """
     if config.steps < 1:
         raise ValueError("need at least one step")
@@ -266,6 +288,7 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
             xbar_snap[snap_row] = w.x_bar
             grad_snap[snap_row] = w.grads
             snap_row += 1
+    _check_finite(totals_inst, spread, cost_sum_avg)
 
     return Trace(
         config=config,

@@ -2,8 +2,10 @@
 
 Two independent routes to the same optimum: a dual bisection that exploits
 additive separability across resources (exact up to bisection tolerance),
-and a projected-gradient method that only needs values and gradients. Either
-result carries a KKT-style residual so callers can certify it.
+replayed from certified brackets so that most of its steps need no demand
+evaluation, and a projected-gradient method that only needs values and
+gradients. Either result carries a KKT-style residual so callers can
+certify it.
 
 Cost objects follow the same small protocol as elsewhere: ``value(x)`` and
 ``gradient(x)``/``partial(x, j)`` on length-m vectors, plus a truthy
@@ -26,6 +28,9 @@ from .costs import LoopEnsemble, make_ensemble
 #: in the KKT certificate and the consensus-derivative estimate
 ACTIVE_THRESHOLD = 1e-9
 
+#: evaluation cap of each Illinois search that certifies the dual brackets
+_SEARCH_EVALS = 40
+
 
 class UnsupportedFunctionError(ValueError):
     """The separable solver was given a function it cannot decouple."""
@@ -37,7 +42,13 @@ class BracketError(RuntimeError):
 
 @dataclass
 class OptimalAllocation:
-    """Solver output: allocations, per-resource multipliers, certificate data."""
+    """Solver output: allocations, per-resource multipliers, certificate data.
+
+    ``iterations`` counts the solver's steps: for ``solve_separable`` the
+    dual bisection steps summed over resources, skipped ones included, the
+    same count plain bisection takes; for ``solve_projected_gradient`` the
+    gradient steps.
+    """
 
     x_star: np.ndarray      # (n, m)
     mu: np.ndarray          # (m,)
@@ -110,12 +121,60 @@ def _demand(ensemble, j, mu, cap, iters):
     return np.where(sat, cap, 0.5 * (lo + hi))
 
 
+def _illinois(gap_at, records, cap, target, width, max_evals):
+    """Illinois search for a level whose gap is within ``width`` of ``target``.
+
+    Starts from the tightest recorded (level, gap) pairs on either side of
+    ``target``; level 0, never evaluated, stands in with gap -cap. Stops at
+    the first evaluation inside the band, after ``max_evals`` evaluations, or
+    when the bracket cannot shrink further.
+    """
+    a, ga = max(((lv, g) for lv, g in records if g < target), default=(0.0, -cap))
+    above = [(lv, g) for lv, g in records if g > target]
+    if not above:
+        return
+    b, gb = min(above)
+    side = 0
+    for _ in range(max_evals):
+        c = b - (gb - target) * (b - a) / (gb - ga)
+        if not a < c < b:
+            c = 0.5 * (a + b)
+            if not a < c < b:
+                return
+        gc = gap_at(c)
+        if abs(gc - target) <= width:
+            return
+        if gc < target:
+            a, ga = c, gc
+            if side < 0:
+                gb = target + 0.5 * (gb - target)
+            side = -1
+        else:
+            b, gb = c, gc
+            if side > 0:
+                ga = target + 0.5 * (ga - target)
+            side = 1
+
+
 def solve_separable(functions, capacities, tol: float = 1e-8) -> OptimalAllocation:
     """Dual bisection per resource: equalize derivatives, meet capacity exactly.
 
     For each resource, drives the common derivative level mu so that the sum
-    of the per-device inverse derivatives hits the capacity within
-    ``tol * capacity``. Every supplied function must declare itself separable.
+    of the per-device inverse derivatives (``_demand``) hits the capacity
+    within ``tol * capacity``, by bisection on [0, mu_hi] with at most 200
+    steps. Every supplied function must declare itself separable.
+
+    The bisection is replayed from certified brackets: an Illinois search
+    first records (level, gap) pairs on both sides of the accepted band, then
+    the bisection runs step by step, and a midpoint at or below a level whose
+    gap fell short by more than the band goes up, one at or above a level
+    that over-supplied by more than the band goes down, both unevaluated.
+    ``_demand`` is nondecreasing in mu for any deterministic ``partial_column``
+    (every device's inner bisection visits the same midpoints and compares
+    the same partials against mu), and the pairwise sum over devices keeps
+    that order, so every skipped step takes the branch plain bisection would
+    have taken: ``x_star``, ``mu`` and ``iterations`` (the count of bisection
+    steps) are bit for bit those of plain bisection.
     """
     functions = list(functions)
     if not functions:
@@ -141,24 +200,40 @@ def solve_separable(functions, capacities, tol: float = 1e-8) -> OptimalAllocati
         mu_hi = float(per_function.partial_column(np.full(n, cap), j).max())
         if mu_hi <= 0.0:
             raise BracketError(f"resource {j}: all derivatives vanish up to capacity")
+        band = tol * cap
+        records = []  # every evaluated (level, gap); no demand vectors are kept
 
-        def demand(level):
-            return _demand(ensemble, j, level, cap, inner_iters)
+        def gap_at(level):
+            gap = _demand(ensemble, j, level, cap, inner_iters).sum() - cap
+            records.append((level, gap))
+            return gap
 
         # make sure the upper end over-supplies; expand if numerically short
         for _ in range(64):
-            if demand(mu_hi).sum() >= cap:
+            if gap_at(mu_hi) >= 0.0:
                 break
             mu_hi *= 2.0
         else:
             raise BracketError(f"resource {j}: could not bracket capacity")
+
+        # certify levels just outside the band on both sides, then replay
+        _illinois(gap_at, records, cap, -1.5 * band, 0.5 * band, _SEARCH_EVALS)
+        _illinois(gap_at, records, cap, 1.5 * band, 0.5 * band, _SEARCH_EVALS)
+        short = max((lv for lv, g in records if g < -band), default=-np.inf)
+        over = min((lv for lv, g in records if g > band), default=np.inf)
 
         mu_lo = 0.0
         xs = None
         for _ in range(200):
             outer_total += 1
             mid = 0.5 * (mu_lo + mu_hi)
-            xs = demand(mid)
+            if mid <= short:
+                mu_lo = mid
+                continue
+            if mid >= over:
+                mu_hi = mid
+                continue
+            xs = _demand(ensemble, j, mid, cap, inner_iters)
             gap = xs.sum() - cap
             if abs(gap) <= tol * cap:
                 mu[j] = mid

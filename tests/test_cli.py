@@ -1,10 +1,14 @@
 import json
+import re
 
+import numpy as np
 import pytest
 
+from aimdalloc import engine
 from aimdalloc.cli import main
 
 from conftest import REPO_ROOT
+from _stand_ins import BlowUp
 from test_config import minimal_doc, write_doc
 
 
@@ -124,4 +128,18 @@ class TestKktTolerance:
         code = main([command[0], str(cfg), *command[1:], "--out", str(out)])
         assert code == 3
         assert "above kkt_tol" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNonFiniteRun:
+    def test_nan_gradient_exits_before_export(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            engine, "resolve_functions",
+            lambda cfg: tuple(BlowUp(1.0, [np.inf, 0.05, np.inf], np.nan) for _ in range(cfg.n)),
+        )
+        cfg = write_doc(tmp_path, small_doc())
+        out = tmp_path / "out"
+        code = main(["run", str(cfg), "--mode", "deterministic", "--out", str(out)])
+        assert code == 3
+        assert re.search(r"run error: step \d+, resource 1: ", capsys.readouterr().err)
         assert not out.exists()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aimdalloc import (
     CostCoefficients,
@@ -13,7 +15,7 @@ from aimdalloc import (
     verify_assumption1,
 )
 
-from aimdalloc.costs import LoopEnsemble, make_ensemble
+from aimdalloc.costs import CASE_IDS, COEFF_RANGES, LoopEnsemble, make_ensemble
 
 from _stand_ins import Constant, Negation, WeightedSquare
 
@@ -171,6 +173,89 @@ class TestEnsembleConsistency:
     def test_rejects_foreign_functions(self):
         with pytest.raises(TypeError):
             CostEnsemble([WeightedSquare(1.0)])
+
+
+def per_row(fns, x):
+    """Each function's own value, gradient and partials on the three family resources."""
+    values = np.array([float(f.value(xi)) for f, xi in zip(fns, x)])
+    grads = np.stack([np.asarray(f.gradient(xi), dtype=float) for f, xi in zip(fns, x)])
+    partials = []
+    for j in range(3):
+        point = np.zeros_like(x)
+        point[:, j] = x[:, j]
+        partials.append(np.array([float(f.partial(p, j)) for f, p in zip(fns, point)]))
+    return values, grads, partials
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+family_member = st.builds(
+    lambda case_id, *w: CostFunction(case_id, CostCoefficients(*w)),
+    st.sampled_from(CASE_IDS),
+    *(st.integers(lo, hi) for lo, hi in COEFF_RANGES.values()),
+)
+coordinate = st.one_of(
+    st.sampled_from([0.0, 1e-300, 1e4]),
+    st.floats(min_value=0.0, max_value=1e4, allow_nan=False, allow_infinity=False),
+)
+family_rows = st.lists(
+    st.tuples(family_member, st.tuples(coordinate, coordinate, coordinate)), min_size=1, max_size=24
+)
+extreme_rows = [
+    (CostFunction(case_id, CostCoefficients(*w)), point)
+    for case_id in CASE_IDS
+    for w in ((1, 1, 1, 1), tuple(hi for _, hi in COEFF_RANGES.values()))
+    for point in ((0.0, 1e-300, 1e4), (1e4, 0.0, 1e-300), (2.5, 0.3, 17.0))
+]
+
+
+class TestBatchedLoopEnsemble:
+    """Family members evaluated per case in one expression keep the scalar methods' bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(family_rows)
+    @example(extreme_rows)
+    def test_matches_scalar_methods_bit_for_bit(self, rows):
+        fns = [f for f, _ in rows]
+        x = np.array([p for _, p in rows], dtype=float)
+        ens = LoopEnsemble(fns, 3)
+        values, grads, partials = per_row(fns, x)
+        assert same_bits(ens.values(x), values)
+        assert same_bits(ens.gradients(x), grads)
+        for j in range(3):
+            assert same_bits(ens.partial_column(x[:, j], j), partials[j])
+
+    @pytest.mark.parametrize("mixed, m", [(True, 3), (False, 4)])
+    def test_other_populations_use_the_row_loop(self, monkeypatch, mixed, m):
+        calls = []
+        for name in ("value", "gradient", "partial"):
+            method = getattr(CostFunction, name)
+            monkeypatch.setattr(
+                CostFunction, name,
+                lambda self, *a, _method=method, _name=name: calls.append(_name) or _method(self, *a),
+            )
+        fns = list(sample_cost_functions(8, 5)) + ([WeightedSquare(2.0)] if mixed else [])
+        x = np.random.default_rng(8).random((len(fns), m)) * 3.0
+        ens = LoopEnsemble(fns, m)
+        values, grads, partials = per_row(fns, x)
+        calls.clear()
+        got = (ens.values(x), ens.gradients(x), [ens.partial_column(x[:, j], j) for j in range(3)])
+        assert calls.count("value") == 5
+        assert calls.count("partial") == 5 * 3
+        assert same_bits(got[0], values)
+        assert same_bits(got[1], grads)
+        assert all(same_bits(a, b) for a, b in zip(got[2], partials))
+
+    def test_family_population_skips_the_scalar_methods(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(CostFunction, "value", lambda *a: calls.append(a))
+        monkeypatch.setattr(CostFunction, "gradient", lambda *a: calls.append(a))
+        ens = LoopEnsemble(sample_cost_functions(8, 5), 3)
+        x = np.ones((5, 3))
+        ens.values(x), ens.gradients(x), ens.partial_column(x[:, 0], 0)
+        assert calls == []
 
 
 class TestAssumptionCheck:

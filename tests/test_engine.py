@@ -15,7 +15,7 @@ from aimdalloc import (
     step_world,
 )
 
-from _stand_ins import WeightedSquare, hand_world, tiny_config
+from _stand_ins import BlowUp, WeightedSquare, hand_world, tiny_config
 
 
 def config_world(cfg, mode=None):
@@ -162,6 +162,40 @@ class TestStepWorld:
         w.k = 4
         with pytest.raises(SimulationError, match=r"step 4, resource 1:"):
             step_world(w)
+
+
+def two_resource_config():
+    resource = ResourceParams(capacity=1.0, alpha=0.1, beta=0.5, gamma_norm=0.1)
+    return tiny_config(m=2, steps=40, resources=(resource, resource))
+
+
+class TestNonFiniteGuard:
+    """A gradient that turns NaN or inf aborts the run at the first step it shows."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_names_first_step_and_resource(self, bad):
+        cfg = two_resource_config()
+        clean = run(cfg, world=build_world(
+            [WeightedSquare(1.0), WeightedSquare(2.0)], cfg.resources, "deterministic", 1
+        ))
+        threshold = 0.2
+        first = int(np.argmax(clean.xbar_snap[:, :, 1].max(axis=1) > threshold))
+        assert 0 < first < cfg.steps
+        world = build_world(
+            [BlowUp(1.0, [np.inf, threshold], bad), BlowUp(2.0, [np.inf, threshold], bad)],
+            cfg.resources, "deterministic", 1,
+        )
+        with pytest.raises(SimulationError, match=rf"^step {first}, resource 1: "):
+            run(cfg, world=world)
+
+    def test_finite_run_passes(self):
+        cfg = two_resource_config()
+        world = build_world(
+            [BlowUp(1.0, [np.inf, 10.0], np.nan), BlowUp(2.0, [np.inf, 10.0], np.nan)],
+            cfg.resources, "deterministic", 1,
+        )
+        assert np.isfinite(run(cfg, world=world).spread).all()
 
 
 class TestSnapshotSteps:

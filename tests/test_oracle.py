@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aimdalloc import oracle
 from aimdalloc import (
     UnsupportedFunctionError,
     evaluate_cost,
@@ -10,8 +11,9 @@ from aimdalloc import (
     solve_projected_gradient,
     solve_separable,
 )
+from aimdalloc.engine import resolve_functions
 
-from _stand_ins import Coupled, WeightedSquare
+from _stand_ins import Coupled, WeightedSquare, Wiggly, Wrapped, plain_bisection_solve
 
 
 def random_feasible(rng, n, capacities):
@@ -68,22 +70,6 @@ class TestSeparableSolver:
         fns = sample_cost_functions(101, 6)
         caps = [3.0, 2.0, 2.5]
         fast = solve_separable(fns, caps, tol=1e-9)
-
-        class Wrapped:
-            separable = True
-
-            def __init__(self, f):
-                self._f = f
-
-            def value(self, x):
-                return self._f.value(x)
-
-            def gradient(self, x):
-                return self._f.gradient(x)
-
-            def partial(self, x, j):
-                return self._f.partial(x, j)
-
         slow = solve_separable([Wrapped(f) for f in fns], caps, tol=1e-9)
         np.testing.assert_allclose(fast.x_star, slow.x_star, atol=1e-7)
 
@@ -101,6 +87,67 @@ class TestSeparableSolver:
         opt = solve_separable(fns, caps, tol=1e-8)
         np.testing.assert_allclose(opt.x_star.sum(axis=0), caps, rtol=1e-7)
         assert opt.kkt_residual <= 1e-6
+
+
+def assert_same_bits(new, ref):
+    assert new.x_star.tobytes() == ref.x_star.tobytes()
+    assert new.mu.tobytes() == ref.mu.tobytes()
+    assert new.iterations == ref.iterations
+    assert np.float64(new.kkt_residual).tobytes() == np.float64(ref.kkt_residual).tobytes()
+
+
+class TestReplayedBisection:
+    """The replayed dual bisection returns plain bisection's bits with fewer demand evaluations."""
+
+    @pytest.mark.parametrize("n", [1, 7, 60, 300])
+    def test_family_populations(self, n):
+        rng = np.random.default_rng(n)
+        for seed in (3, 1729):
+            fns = sample_cost_functions(seed, n)
+            for caps, tol in (
+                (0.05 + 0.2 * rng.random(3), 1e-8),
+                (1.0 + 4.0 * rng.random(3), 1e-10),
+                (n * (20.0 + 20.0 * rng.random(3)), 1e-8),
+            ):
+                assert_same_bits(
+                    solve_separable(fns, caps, tol=tol), plain_bisection_solve(fns, caps, tol=tol)
+                )
+
+    def test_bundled_capacities(self, bundled_config):
+        fns = resolve_functions(bundled_config)
+        caps = [p.capacity for p in bundled_config.resources]
+        tol = bundled_config.solver_tol
+        assert_same_bits(solve_separable(fns, caps, tol=tol), plain_bisection_solve(fns, caps, tol=tol))
+
+    def test_row_loop_population(self):
+        fns = [Wrapped(f) for f in sample_cost_functions(41, 5)] + [
+            WeightedSquare(w) for w in (0.5, 3.0)
+        ]
+        caps = [2.0, 15.0, 3.0]
+        assert_same_bits(solve_separable(fns, caps), plain_bisection_solve(fns, caps))
+
+    def test_partial_without_order(self):
+        # the demand is nondecreasing in mu for any deterministic partial, so
+        # a non-monotone one replays to the same bits as well
+        fns = [Wiggly(w) for w in (0.5, 1.0, 2.0, 3.5)]
+        for cap in (0.3, 2.5):
+            assert_same_bits(solve_separable(fns, [cap]), plain_bisection_solve(fns, [cap]))
+
+    def test_skips_most_demand_evaluations(self, bundled_config, monkeypatch):
+        calls = []
+        demand = oracle._demand
+
+        def counted(*args):
+            calls.append(args[2])
+            return demand(*args)
+
+        monkeypatch.setattr(oracle, "_demand", counted)
+        fns = resolve_functions(bundled_config)
+        opt = solve_separable(
+            fns, [p.capacity for p in bundled_config.resources], tol=bundled_config.solver_tol
+        )
+        assert opt.iterations == 156
+        assert len(calls) <= opt.iterations / 2
 
 
 class TestProjection:
