@@ -6,7 +6,8 @@ Subcommands:
   solve    centralized optimum only
   sweep    repeat a run across a seed range and aggregate
 
-Exit codes: 0 success, 2 configuration problem, 3 run/solver failure
+Exit codes: 0 success, 2 configuration problem (including a trace over
+engine.TRACE_BUDGET_BYTES, refused before sampling), 3 run/solver failure
 (including a non-finite total, derivative spread or cost, and an oracle KKT
 residual above the config's kkt_tol, both checked before anything is
 exported), 1 unexpected error.

@@ -298,6 +298,19 @@ def estimate_gamma(
     return safety * best
 
 
+def _case_groups(functions: Sequence[CostFunction]) -> list[tuple]:
+    """``(case_id, rows, a, b, c, d)`` per case present, weights as float (len(rows),) arrays."""
+    case_ids = np.array([f.case_id for f in functions], dtype=int)
+    weights = np.array(
+        [(f.coeffs.a, f.coeffs.b, f.coeffs.c, f.coeffs.d) for f in functions], dtype=float
+    )
+    return [
+        (case_id, rows, *weights[rows].T)
+        for case_id in CASE_IDS
+        if (rows := np.flatnonzero(case_ids == case_id)).size
+    ]
+
+
 class CostEnsemble:
     """Vectorized values and gradients for a fixed list of family members.
 
@@ -314,41 +327,28 @@ class CostEnsemble:
             if not isinstance(f, CostFunction):
                 raise TypeError("CostEnsemble requires built-in family members")
         self.functions = tuple(functions)
-        n = len(functions)
-        m = RESOURCE_COUNT
-        v2 = np.zeros((n, m))
-        v4 = np.zeros((n, m))
-        v6 = np.zeros((n, m))
-        v8 = np.zeros((n, m))
-        g1 = np.zeros((n, m))
-        g3 = np.zeros((n, m))
-        g5 = np.zeros((n, m))
-        g7 = np.zeros((n, m))
-        for i, f in enumerate(functions):
-            a, b, c, d = f.coeffs.a, f.coeffs.b, f.coeffs.c, f.coeffs.d
-            if f.case_id == 1:
-                v2[i] = (a, 0.0, c)
-                v4[i] = (0.5 * a, 2.0 * b, 0.25 * c)
-                v6[i] = (0.0, 0.5 * b, 0.0)
-                v8[i] = (0.0, 0.0, 0.125 * d)
-                g1[i] = (2.0 * a, 0.0, 2.0 * c)
-                g3[i] = (2.0 * a, 8.0 * b, c)
-                g5[i] = (0.0, 3.0 * b, 0.0)
-                g7[i] = (0.0, 0.0, d)
-            elif f.case_id == 2:
-                v2[i] = (a, b, 0.0)
-                v4[i] = (0.0, 0.5 * b, 1.5 * c)
-                g1[i] = (2.0 * a, 2.0 * b, 0.0)
-                g3[i] = (0.0, 2.0 * b, 6.0 * c)
+        # value tables v2, v4, v6, v8, then gradient tables g1, g3, g5, g7
+        tables = np.zeros((8, len(functions), RESOURCE_COUNT))
+        for case_id, rows, a, b, c, d in _case_groups(self.functions):
+            z = np.zeros_like(a)
+            if case_id == 1:
+                coeffs = (
+                    (a, z, c), (0.5 * a, 2.0 * b, 0.25 * c), (z, 0.5 * b, z), (z, z, 0.125 * d),
+                    (2.0 * a, z, 2.0 * c), (2.0 * a, 8.0 * b, c), (z, 3.0 * b, z), (z, z, d),
+                )
+            elif case_id == 2:
+                coeffs = (
+                    (a, b, z), (z, 0.5 * b, 1.5 * c), (z, z, z), (z, z, z),
+                    (2.0 * a, 2.0 * b, z), (z, 2.0 * b, 6.0 * c), (z, z, z), (z, z, z),
+                )
             else:
-                v2[i] = (0.0, b, c)
-                v4[i] = (0.0, 0.0, 0.125 * d)
-                v6[i] = (a / 3.0, d / 6.0, 0.0)
-                g1[i] = (0.0, 2.0 * b, 2.0 * c)
-                g3[i] = (0.0, 0.0, 0.5 * d)
-                g5[i] = (2.0 * a, d, 0.0)
-        self._v = (v2, v4, v6, v8)
-        self._g = (g1, g3, g5, g7)
+                coeffs = (
+                    (z, b, c), (z, z, 0.125 * d), (a / 3.0, d / 6.0, z), (z, z, z),
+                    (z, 2.0 * b, 2.0 * c), (z, z, 0.5 * d), (2.0 * a, d, z), (z, z, z),
+                )
+            tables[:, rows] = np.array(coeffs).transpose(0, 2, 1)
+        self._v = tuple(tables[:4])
+        self._g = tuple(tables[4:])
 
     def __len__(self) -> int:
         return len(self.functions)
@@ -399,16 +399,7 @@ class LoopEnsemble:
         self.m = m
         self._cases = None
         if m == RESOURCE_COUNT and all(isinstance(f, CostFunction) for f in self.functions):
-            case_ids = np.array([f.case_id for f in self.functions], dtype=int)
-            weights = np.array(
-                [(f.coeffs.a, f.coeffs.b, f.coeffs.c, f.coeffs.d) for f in self.functions],
-                dtype=float,
-            )
-            self._cases = [
-                (case_id, rows, *weights[rows].T)
-                for case_id in CASE_IDS
-                if (rows := np.flatnonzero(case_ids == case_id)).size
-            ]
+            self._cases = _case_groups(self.functions)
 
     def __len__(self) -> int:
         return len(self.functions)

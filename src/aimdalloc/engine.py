@@ -27,6 +27,10 @@ from .control import capacity_event_bits
 from .costs import CostFunction, make_ensemble, sample_cost_functions
 
 
+#: largest trace ``run`` will allocate, in bytes; a bigger one is refused before sampling
+TRACE_BUDGET_BYTES = 4 * 2**30
+
+
 class SimulationError(RuntimeError):
     """A run aborted; the message carries the cause (and the step, if a round failed)."""
 
@@ -236,12 +240,25 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
     the caller runs each variant separately). A prebuilt ``world`` (from
     ``build_world``) substitutes for the config's population, which is how
     hand-built cost functions get full traces; its shape must match the
-    config, and the run advances it in place. After the last round, a total,
+    config, and the run advances it in place. A trace (snapshots plus
+    full-rate series) estimated above ``TRACE_BUDGET_BYTES`` raises ValueError
+    before anything is sampled or allocated. After the last round, a total,
     derivative spread or population cost that is inf or NaN raises
     SimulationError naming the first step (and resource) where it appeared.
     """
     if config.steps < 1:
         raise ValueError("need at least one step")
+    total, n, m = config.steps, config.n, config.m
+    snaps = snapshot_steps(total, config.trace_stride)
+    # three (S, n, m) float snapshot stacks; per step: three (m,) float series,
+    # the cost and the step index, and m event bytes
+    need = 8 * (3 * len(snaps) * n * m + (total + 1) * (3 * m + 2)) + (total + 1) * m
+    if need > TRACE_BUDGET_BYTES:
+        raise ValueError(
+            f"trace would take about {need / 2**30:.1f} GiB ({len(snaps)} snapshots of "
+            f"{n} x {m}), above the {TRACE_BUDGET_BYTES / 2**30:g} GiB budget; "
+            "keep fewer snapshots with a larger --stride (trace_stride)"
+        )
     t0 = time.perf_counter()
     if world is None:
         w = build_world(
@@ -258,10 +275,7 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
             raise ValueError(f"world was built for mode {w.mode!r}, not {mode!r}")
         if w.k != 0:
             raise ValueError("pass a freshly built world (k = 0); traces start at step 0")
-    total = config.steps
-    n, m = w.n, w.m
 
-    snaps = snapshot_steps(total, config.trace_stride)
     snap_mask = np.zeros(total + 1, dtype=bool)
     snap_mask[snaps] = True
 

@@ -23,9 +23,12 @@ from .oracle import OptimalAllocation, solve_separable
 #: convergence threshold per resource, as a fraction of the larger peak spread
 SPREAD_FRACTION = 0.05
 
+#: trace.csv rows formatted and written per block; sized in rows, not
+#: snapshots, because one snapshot of a wide run is n * m rows
+_BLOCK_ROWS = 8192
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".9g")
+_FLOAT = "%.9g".__mod__
+_TRACE_ROW = "%s%.9g,%.9g,%.9g\n".__mod__
 
 
 @dataclass(frozen=True)
@@ -40,31 +43,45 @@ def export_trace(trace: Trace, report: MetricsReport, out_dir: str | Path) -> Ex
     """Write trace.csv, events.csv, metrics.csv and summary.json.
 
     trace.csv holds the per-device snapshots; events.csv and metrics.csv are
-    full rate. Returns the manifest of files with data row counts (headers
-    excluded).
+    full rate. Floats are written with ``"%.9g" % v``, which is the same
+    string as ``format(v, ".9g")`` for every double (signed zeros,
+    subnormals, infinities and NaN included). trace.csv is streamed in blocks
+    of ``_BLOCK_ROWS`` rows, so its text never has to fit in memory at once.
+    Returns the manifest of files with data row counts (headers excluded).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    m = trace.m
+    n, m = trace.n, trace.m
     rows: dict[str, int] = {}
 
-    lines = ["step,device,resource,x,x_bar,grad_at_xbar"]
-    for s, step in enumerate(trace.snap_steps):
-        for i in range(trace.n):
-            for j in range(m):
-                lines.append(
-                    f"{int(step)},{i},{j},"
-                    f"{_fmt(trace.x_snap[s, i, j])},"
-                    f"{_fmt(trace.xbar_snap[s, i, j])},"
-                    f"{_fmt(trace.grad_snap[s, i, j])}"
-                )
-    rows["trace.csv"] = len(lines) - 1
-    (out / "trace.csv").write_text("\n".join(lines) + "\n")
+    # row r is snapshot r // (n * m), device (r // m) % n, resource r % m
+    per_snap = n * m
+    steps = [f"{step}," for step in trace.snap_steps.tolist()]
+    cells = [f"{i},{j}," for i in range(n) for j in range(m)]
+    x, xbar, grad = (a.reshape(-1) for a in (trace.x_snap, trace.xbar_snap, trace.grad_snap))
+    total = x.size
+    with open(out / "trace.csv", "w") as fh:
+        fh.write("step,device,resource,x,x_bar,grad_at_xbar\n")
+        for lo in range(0, total, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, total)
+            prefixes = []
+            for s in range(lo // per_snap, (hi - 1) // per_snap + 1):
+                base = s * per_snap
+                cut = cells[max(lo - base, 0) : min(hi - base, per_snap)]
+                prefixes += map(steps[s].__add__, cut)
+            fh.write("".join(map(
+                _TRACE_ROW,
+                zip(
+                    prefixes, x[lo:hi].tolist(), xbar[lo:hi].tolist(), grad[lo:hi].tolist(),
+                    strict=True,
+                ),
+            )))
+    rows["trace.csv"] = total
 
     lines = ["step,resource,event"]
-    for k in range(trace.events.shape[0]):
-        for j in range(m):
-            lines.append(f"{k},{j},{int(trace.events[k, j])}")
+    lines += [
+        f"{k},{j},{e}" for k, row in enumerate(trace.events.tolist()) for j, e in enumerate(row)
+    ]
     rows["events.csv"] = len(lines) - 1
     (out / "events.csv").write_text("\n".join(lines) + "\n")
 
@@ -76,16 +93,17 @@ def export_trace(trace: Trace, report: MetricsReport, out_dir: str | Path) -> Ex
         + [f"sum_inst_r{j}" for j in range(m)]
         + [f"cum_bits_r{j}" for j in range(m)]
     )
+    floats = [
+        *trace.spread.T.tolist(),
+        report.cost_ratio.tolist(),
+        *trace.totals_avg.T.tolist(),
+        *trace.totals_inst.T.tolist(),
+    ]
+    columns = [map(str, trace.steps.tolist())]
+    columns += [map(_FLOAT, col) for col in floats]
+    columns += [map(str, col) for col in trace.cumulative_event_bits.T.tolist()]
     lines = [",".join(cols)]
-    cum = trace.cumulative_event_bits
-    for k in range(len(trace.steps)):
-        parts = [str(int(trace.steps[k]))]
-        parts += [_fmt(v) for v in trace.spread[k]]
-        parts.append(_fmt(report.cost_ratio[k]))
-        parts += [_fmt(v) for v in trace.totals_avg[k]]
-        parts += [_fmt(v) for v in trace.totals_inst[k]]
-        parts += [str(int(v)) for v in cum[k]]
-        lines.append(",".join(parts))
+    lines += map(",".join, zip(*columns, strict=True))
     rows["metrics.csv"] = len(lines) - 1
     (out / "metrics.csv").write_text("\n".join(lines) + "\n")
 

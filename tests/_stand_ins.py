@@ -244,3 +244,98 @@ def plain_bisection_solve(functions, capacities, tol: float = 1e-8) -> OptimalAl
     return OptimalAllocation(
         x_star=x_star, mu=mu, kkt_residual=residual, iterations=outer_total
     )
+
+
+def _fmt(v: float) -> str:
+    return format(float(v), ".9g")
+
+
+def reference_export_csv(trace, report, out) -> None:
+    """Reference CSV writer: one ``format`` call and one f-string per cell.
+
+    These are ``export_trace``'s trace.csv, events.csv and metrics.csv loops
+    before it streamed ``%``-formatted row blocks, kept verbatim so tests can
+    require the same bytes. ``out`` must be an existing directory.
+    """
+    m = trace.m
+
+    lines = ["step,device,resource,x,x_bar,grad_at_xbar"]
+    for s, step in enumerate(trace.snap_steps):
+        for i in range(trace.n):
+            for j in range(m):
+                lines.append(
+                    f"{int(step)},{i},{j},"
+                    f"{_fmt(trace.x_snap[s, i, j])},"
+                    f"{_fmt(trace.xbar_snap[s, i, j])},"
+                    f"{_fmt(trace.grad_snap[s, i, j])}"
+                )
+    (out / "trace.csv").write_text("\n".join(lines) + "\n")
+
+    lines = ["step,resource,event"]
+    for k in range(trace.events.shape[0]):
+        for j in range(m):
+            lines.append(f"{k},{j},{int(trace.events[k, j])}")
+    (out / "events.csv").write_text("\n".join(lines) + "\n")
+
+    cols = (
+        ["step"]
+        + [f"spread_r{j}" for j in range(m)]
+        + ["cost_ratio"]
+        + [f"sum_avg_r{j}" for j in range(m)]
+        + [f"sum_inst_r{j}" for j in range(m)]
+        + [f"cum_bits_r{j}" for j in range(m)]
+    )
+    lines = [",".join(cols)]
+    cum = trace.cumulative_event_bits
+    for k in range(len(trace.steps)):
+        parts = [str(int(trace.steps[k]))]
+        parts += [_fmt(v) for v in trace.spread[k]]
+        parts.append(_fmt(report.cost_ratio[k]))
+        parts += [_fmt(v) for v in trace.totals_avg[k]]
+        parts += [_fmt(v) for v in trace.totals_inst[k]]
+        parts += [str(int(v)) for v in cum[k]]
+        lines.append(",".join(parts))
+    (out / "metrics.csv").write_text("\n".join(lines) + "\n")
+
+
+def per_row_cost_tables(functions):
+    """Reference ``CostEnsemble`` tables, filled one function at a time.
+
+    This is ``CostEnsemble.__init__``'s loop before it filled each case's
+    rows with one indexed assignment, kept verbatim so tests can require the
+    same bits. Returns ``(v2, v4, v6, v8), (g1, g3, g5, g7)``.
+    """
+    n = len(functions)
+    m = 3
+    v2 = np.zeros((n, m))
+    v4 = np.zeros((n, m))
+    v6 = np.zeros((n, m))
+    v8 = np.zeros((n, m))
+    g1 = np.zeros((n, m))
+    g3 = np.zeros((n, m))
+    g5 = np.zeros((n, m))
+    g7 = np.zeros((n, m))
+    for i, f in enumerate(functions):
+        a, b, c, d = f.coeffs.a, f.coeffs.b, f.coeffs.c, f.coeffs.d
+        if f.case_id == 1:
+            v2[i] = (a, 0.0, c)
+            v4[i] = (0.5 * a, 2.0 * b, 0.25 * c)
+            v6[i] = (0.0, 0.5 * b, 0.0)
+            v8[i] = (0.0, 0.0, 0.125 * d)
+            g1[i] = (2.0 * a, 0.0, 2.0 * c)
+            g3[i] = (2.0 * a, 8.0 * b, c)
+            g5[i] = (0.0, 3.0 * b, 0.0)
+            g7[i] = (0.0, 0.0, d)
+        elif f.case_id == 2:
+            v2[i] = (a, b, 0.0)
+            v4[i] = (0.0, 0.5 * b, 1.5 * c)
+            g1[i] = (2.0 * a, 2.0 * b, 0.0)
+            g3[i] = (0.0, 2.0 * b, 6.0 * c)
+        else:
+            v2[i] = (0.0, b, c)
+            v4[i] = (0.0, 0.0, 0.125 * d)
+            v6[i] = (a / 3.0, d / 6.0, 0.0)
+            g1[i] = (0.0, 2.0 * b, 2.0 * c)
+            g3[i] = (0.0, 0.0, 0.5 * d)
+            g5[i] = (2.0 * a, d, 0.0)
+    return (v2, v4, v6, v8), (g1, g3, g5, g7)

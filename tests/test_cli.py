@@ -143,3 +143,18 @@ class TestNonFiniteRun:
         assert code == 3
         assert re.search(r"run error: step \d+, resource 1: ", capsys.readouterr().err)
         assert not out.exists()
+
+
+class TestTraceBudget:
+    def test_oversized_trace_exits_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def refuse_sampling(cfg):
+            raise AssertionError("functions sampled before the trace budget check")
+
+        monkeypatch.setattr(engine, "resolve_functions", refuse_sampling)
+        cfg = write_doc(tmp_path, small_doc(n=60_000, steps=30_000))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: trace would take about 15.7 GiB")
+        assert "--stride" in err
+        assert not out.exists()

@@ -17,7 +17,7 @@ from aimdalloc import (
 
 from aimdalloc.costs import CASE_IDS, COEFF_RANGES, LoopEnsemble, make_ensemble
 
-from _stand_ins import Constant, Negation, WeightedSquare
+from _stand_ins import Constant, Negation, WeightedSquare, per_row_cost_tables
 
 
 def central_difference(f, x, j, h=1e-5):
@@ -163,6 +163,21 @@ class TestEnsembleConsistency:
             expected = [f.partial(point[i], j) for i, f in enumerate(fns)]
             np.testing.assert_array_equal(loop.partial_column(t, j), expected)
             np.testing.assert_allclose(CostEnsemble(fns).partial_column(t, j), expected, rtol=1e-13)
+
+    def test_tables_match_per_row_fill(self):
+        # every case at both coefficient extremes, interleaved with a sampled population
+        lows, highs = zip(*COEFF_RANGES.values())
+        extremes = [
+            CostFunction(case_id, CostCoefficients(*w))
+            for case_id in CASE_IDS
+            for w in (lows, highs)
+        ]
+        fns = [f for pair in zip(extremes, sample_cost_functions(23, 6)) for f in pair]
+        fns += sample_cost_functions(24, 200)
+        ens = CostEnsemble(fns)
+        values, gradients = per_row_cost_tables(fns)
+        for got, want in zip(ens._v + ens._g, values + gradients, strict=True):
+            assert got.tobytes() == want.tobytes()
 
     def test_make_ensemble_choice(self):
         fns = sample_cost_functions(5, 4)

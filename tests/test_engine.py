@@ -7,6 +7,7 @@ from aimdalloc import (
     ResourceParams,
     SimulationError,
     build_world,
+    engine,
     md_stochastic,
     resolve_functions,
     run,
@@ -196,6 +197,28 @@ class TestNonFiniteGuard:
             cfg.resources, "deterministic", 1,
         )
         assert np.isfinite(run(cfg, world=world).spread).all()
+
+
+def refuse_sampling(cfg):
+    raise AssertionError("functions sampled before the trace budget check")
+
+
+class TestTraceBudget:
+    """A trace over TRACE_BUDGET_BYTES is refused before anything is sampled or allocated."""
+
+    def test_oversized_trace_refused(self, bundled_config, monkeypatch):
+        monkeypatch.setattr(engine, "resolve_functions", refuse_sampling)
+        cfg = dataclasses.replace(bundled_config, n=60_000)
+        assert (cfg.steps, cfg.trace_stride) == (30_000, None)
+        # 3 snapshot stacks of 3 901 x 60 000 x 3 doubles: about 15.7 GiB
+        with pytest.raises(ValueError, match=r"about 15\.7 GiB .* 4 GiB budget; .*--stride"):
+            run(cfg)
+
+    def test_larger_stride_passes_the_check(self, bundled_config, monkeypatch):
+        monkeypatch.setattr(engine, "resolve_functions", refuse_sampling)
+        cfg = dataclasses.replace(bundled_config, n=60_000, trace_stride=30_000)
+        with pytest.raises(AssertionError, match="sampled before"):
+            run(cfg)
 
 
 class TestSnapshotSteps:

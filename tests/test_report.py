@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import aimdalloc.report
 from aimdalloc import (
     Config,
     ResourceParams,
@@ -17,7 +18,7 @@ from aimdalloc import (
     solve_separable,
 )
 
-from _stand_ins import WeightedSquare
+from _stand_ins import WeightedSquare, reference_export_csv
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +90,84 @@ class TestExport:
         doc = json.loads((manifest.directory / "summary.json").read_text())
         assert doc["config_hash"] == trace.config_hash
         assert doc["mode"] == "deterministic"
+
+
+CSV_FILES = ("trace.csv", "events.csv", "metrics.csv")
+
+SPECIAL_FLOATS = [
+    -0.0, 5e-324, -5e-324, 1e-300, np.inf, -np.inf, np.nan,
+    123456789.0, 1234567890.0, -1234567890.0, 1e16, 0.1,
+]
+
+
+def assert_matches_reference(trace, report, tmp_path, reference_dir=None):
+    manifest = export_trace(trace, report, tmp_path / "new")
+    if reference_dir is None:
+        reference_dir = tmp_path / "reference"
+        reference_dir.mkdir()
+        reference_export_csv(trace, report, reference_dir)
+    for name in CSV_FILES:
+        assert (manifest.directory / name).read_bytes() == (reference_dir / name).read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def long_runs(tmp_path_factory, bundled_config):
+    """Both modes at 1 200 steps (every step to 1 000, then every 10th), with reference CSVs."""
+    cr = compare_modes(dataclasses.replace(bundled_config, steps=1200))
+    runs = {}
+    for mode, trace, report in zip(cr.modes, cr.traces, cr.reports):
+        reference_dir = tmp_path_factory.mktemp(f"reference-{mode}")
+        reference_export_csv(trace, report, reference_dir)
+        runs[mode] = (trace, report, reference_dir)
+    return runs
+
+
+class TestExportMatchesReference:
+    """The streamed %-formatted writer reproduces the per-cell reference byte for byte."""
+
+    @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+    def test_bundled_config(self, long_runs, tmp_path, mode):
+        trace, report, reference_dir = long_runs[mode]
+        assert np.any(np.diff(trace.snap_steps) == 1) and np.any(np.diff(trace.snap_steps) == 10)
+        assert_matches_reference(trace, report, tmp_path, reference_dir)
+
+    def test_special_floats(self, exported, tmp_path):
+        _, trace, report, _ = exported
+
+        def spiked(a):
+            a = a.astype(float)
+            flat = a.reshape(-1)
+            idx = np.arange(0, flat.size, 97)
+            flat[idx] = np.resize(SPECIAL_FLOATS, idx.size)
+            flat[-len(SPECIAL_FLOATS):] = SPECIAL_FLOATS
+            return a
+
+        fields = ("x_snap", "xbar_snap", "grad_snap", "spread", "totals_avg", "totals_inst")
+        trace = dataclasses.replace(trace, **{f: spiked(getattr(trace, f)) for f in fields})
+        report = dataclasses.replace(report, cost_ratio=spiked(report.cost_ratio))
+        assert_matches_reference(trace, report, tmp_path)
+
+    def test_blocks_end_mid_snapshot(self, long_runs, tmp_path, monkeypatch):
+        trace, report, reference_dir = long_runs["deterministic"]
+        rows = trace.x_snap.size
+        # blocks of 7 split snapshots of n * m rows, and the last block is partial
+        assert (trace.n * trace.m) % 7 and rows % 7
+        monkeypatch.setattr(aimdalloc.report, "_BLOCK_ROWS", 7)
+        assert_matches_reference(trace, report, tmp_path, reference_dir)
+
+    def test_one_device_one_resource_one_step(self, tmp_path):
+        cfg = Config(
+            n=1,
+            m=1,
+            steps=1,
+            mode="deterministic",
+            resources=(ResourceParams(capacity=1.0, alpha=0.3, beta=0.5, gamma_norm=0.1),),
+            seed=0,
+        )
+        world = build_world([WeightedSquare(1.0)], cfg.resources, "deterministic", cfg.seed)
+        trace = run(cfg, world=world)
+        opt = solve_separable([WeightedSquare(1.0)], [1.0], tol=1e-9)
+        assert_matches_reference(trace, collect_metrics(trace, opt.x_star), tmp_path)
 
 
 class TestConvergenceStep:
