@@ -75,13 +75,14 @@ def scaling_factor(gamma_norm, grad, x_bar_j, stats: ClampStats | None = None):
     average is at or below AVERAGE_FLOOR.
     """
     x_bar_arr = np.asarray(x_bar_j, dtype=float)
-    if np.any(x_bar_arr <= AVERAGE_FLOOR):
+    # the minimum alone decides unless it is NaN (or the array is empty)
+    if not x_bar_arr.min(initial=np.inf) > AVERAGE_FLOOR and np.any(x_bar_arr <= AVERAGE_FLOOR):
         raise DegenerateAverageError(
             f"average allocation <= {AVERAGE_FLOOR} in scaling factor"
         )
     raw = gamma_norm * np.asarray(grad, dtype=float) / x_bar_arr
-    lam = np.clip(raw, LAMBDA_MARGIN, 1.0 - LAMBDA_MARGIN)
-    if stats is not None:
+    lam = np.minimum(np.maximum(raw, LAMBDA_MARGIN), 1.0 - LAMBDA_MARGIN)
+    if stats is not None and not (lam == raw).all():
         stats.low += int(np.count_nonzero(raw < LAMBDA_MARGIN))
         stats.high += int(np.count_nonzero(raw > 1.0 - LAMBDA_MARGIN))
     return float(lam) if lam.ndim == 0 else lam

@@ -354,16 +354,26 @@ class CostEnsemble:
         return len(self.functions)
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        """Per-device cost at the (n, m) allocation matrix ``x``."""
+        """Per-device cost at the (..., n, m) allocation ``x``, shape (..., n).
+
+        The terms are weighted and added in place, in the order
+        v2 p2 + v4 p4 + v6 p6 + v8 p8, so a block of many matrices needs only
+        the four power arrays as temporaries.
+        """
         v2, v4, v6, v8 = self._v
+        x = np.asarray(x, dtype=float)
         p2 = x * x
         p4 = p2 * p2
         p6 = p4 * p2
         p8 = p4 * p4
-        return (v2 * p2 + v4 * p4 + v6 * p6 + v8 * p8).sum(axis=1)
+        p2 *= v2
+        p2 += np.multiply(p4, v4, out=p4)
+        p2 += np.multiply(p6, v6, out=p6)
+        p2 += np.multiply(p8, v8, out=p8)
+        return p2.sum(axis=-1)
 
     def gradients(self, x: np.ndarray) -> np.ndarray:
-        """(n, m) matrix of partials, row i being device i's gradient."""
+        """(..., n, m) partials at ``x``; row i of each matrix is device i's gradient."""
         g1, g3, g5, g7 = self._g
         p2 = x * x
         p3 = p2 * x
@@ -391,7 +401,8 @@ class LoopEnsemble:
     Each entry is exactly what the function's own method returns. Family
     members on the family's resource count are grouped by case once, and each
     case's formula evaluates all its rows in one expression; any other
-    population is evaluated row by row.
+    population is evaluated row by row. ``values`` and ``gradients`` also take
+    leading block axes, (..., n, m), like ``CostEnsemble``'s.
     """
 
     def __init__(self, functions, m: int):
@@ -405,22 +416,33 @@ class LoopEnsemble:
         return len(self.functions)
 
     def values(self, x: np.ndarray) -> np.ndarray:
+        """Per-device cost at the (..., n, m) allocation ``x``, shape (..., n)."""
+        x = np.asarray(x, dtype=float)
         if self._cases is None:
-            return np.array([float(f.value(xi)) for f, xi in zip(self.functions, x)])
-        out = np.empty(len(self.functions))
+            return self._row_loop(lambda f, xi: float(f.value(xi)), x).reshape(x.shape[:-1])
+        out = np.empty(x.shape[:-1])
         for case_id, rows, *weights in self._cases:
-            out[rows] = _case_value(case_id, *x[rows].T, *weights)
+            out[..., rows] = _case_value(case_id, *np.moveaxis(x[..., rows, :], -1, 0), *weights)
         return out
 
     def gradients(self, x: np.ndarray) -> np.ndarray:
+        """(..., n, m) partials at ``x``; row i of each matrix is device i's gradient."""
+        x = np.asarray(x, dtype=float)
         if self._cases is None:
-            return np.stack(
-                [np.asarray(f.gradient(xi), dtype=float) for f, xi in zip(self.functions, x)]
-            )
-        out = np.empty((len(self.functions), RESOURCE_COUNT))
+            return self._row_loop(lambda f, xi: f.gradient(xi), x).reshape(*x.shape[:-1], -1)
+        out = np.empty(x.shape)
         for case_id, rows, *weights in self._cases:
-            out[rows] = np.stack(_case_gradient(case_id, *x[rows].T, *weights), axis=-1)
+            out[..., rows, :] = np.stack(
+                _case_gradient(case_id, *np.moveaxis(x[..., rows, :], -1, 0), *weights), axis=-1
+            )
         return out
+
+    def _row_loop(self, method, x):
+        """``method(f, x_i)`` for every device row of every (n, m) matrix in ``x``."""
+        mats = x.reshape(-1, *x.shape[-2:])
+        return np.array(
+            [[method(f, xi) for f, xi in zip(self.functions, mat)] for mat in mats], dtype=float
+        )
 
     def partial_column(self, t: np.ndarray, j: int) -> np.ndarray:
         """(n,) partials on resource ``j``, device i evaluated at t[i] e_j."""

@@ -10,6 +10,13 @@ Every device hears the same broadcast, so one round is a single matrix step
 over the whole population, x(k+1) = A(k) x(k) + alpha: ``step_world``
 advances one mutable ``WorldState`` in place, backing off all event columns
 with one scaling-factor call and one back-off call.
+
+``run`` pairs that kernel with a recorder. Each round it keeps the event
+bits, the instantaneous totals and any snapshot, and copies the averages and
+their gradients into a (rounds, n, m) block of about ``_BLOCK_BYTES``; once
+per block it fills the block's rows of the series read off the averages
+(their totals, the derivative spread and the population cost) with one
+ensemble call on the whole block.
 """
 
 from __future__ import annotations
@@ -29,6 +36,11 @@ from .costs import CostFunction, make_ensemble, sample_cost_functions
 
 #: largest trace ``run`` will allocate, in bytes; a bigger one is refused before sampling
 TRACE_BUDGET_BYTES = 4 * 2**30
+
+#: bytes of one (rounds, n, m) block the recorder buffers between series fills;
+#: small enough that the block and the cost evaluation's temporaries stay in
+#: cache (a 1 MiB block made a 10 000-device run about 40% slower per round)
+_BLOCK_BYTES = 256 * 2**10
 
 
 class SimulationError(RuntimeError):
@@ -129,7 +141,7 @@ def step_world(w: WorldState) -> None:
     the first event column at fault.
     """
     x_next = aimd.additive_increase(w.x, w.alpha)
-    cols = np.flatnonzero(w.events)
+    cols = w.events.nonzero()[0]
     if cols.size:
         try:
             lam = aimd.scaling_factor(
@@ -288,20 +300,32 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
     xbar_snap = np.zeros((len(snaps), n, m))
     grad_snap = np.zeros((len(snaps), n, m))
 
+    rounds = max(1, min(total + 1, _BLOCK_BYTES // (8 * n * m)))
+    xbar_block = np.empty((rounds, n, m))
+    grad_block = np.empty((rounds, n, m))
     snap_row = 0
-    for k in range(total + 1):
-        if k > 0:
-            step_world(w)
-        events[k] = w.events
-        totals_inst[k] = w.totals
-        totals_avg[k] = w.x_bar.sum(axis=0)
-        spread[k] = w.grads.max(axis=0) - w.grads.min(axis=0)
-        cost_sum_avg[k] = w.ensemble.values(w.x_bar).sum()
-        if snap_mask[k]:
-            x_snap[snap_row] = w.x
-            xbar_snap[snap_row] = w.x_bar
-            grad_snap[snap_row] = w.grads
-            snap_row += 1
+    for start in range(0, total + 1, rounds):
+        stop = min(start + rounds, total + 1)
+        for i, k in enumerate(range(start, stop)):
+            if k > 0:
+                step_world(w)
+            xbar_block[i] = w.x_bar
+            grad_block[i] = w.grads
+            events[k] = w.events
+            totals_inst[k] = w.totals
+            if snap_mask[k]:
+                x_snap[snap_row] = w.x
+                xbar_snap[snap_row] = w.x_bar
+                grad_snap[snap_row] = w.grads
+                snap_row += 1
+        xb = xbar_block[: stop - start]
+        # a middle-axis sum adds the devices one after another, as a per-round
+        # x_bar.sum(axis=0) does; a pairwise sum would change the last bits
+        totals_avg[start:stop] = xb.sum(axis=1)
+        # max and min are exact, so the resource-major copy changes no bit
+        g = np.ascontiguousarray(grad_block[: stop - start].transpose(0, 2, 1))
+        spread[start:stop] = g.max(axis=-1) - g.min(axis=-1)
+        cost_sum_avg[start:stop] = w.ensemble.values(xb).sum(axis=-1)
     _check_finite(totals_inst, spread, cost_sum_avg)
 
     return Trace(

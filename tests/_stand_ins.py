@@ -1,9 +1,14 @@
 """Hand-built cost objects, small configs and worlds shared by several test modules."""
 
+import time
+
 import numpy as np
 
 from aimdalloc import Config, ResourceParams, build_world
+from aimdalloc.aimd import AVERAGE_FLOOR, LAMBDA_MARGIN, DegenerateAverageError
+from aimdalloc.config import config_hash
 from aimdalloc.costs import LoopEnsemble, make_ensemble
+from aimdalloc.engine import Trace, resolve_functions, snapshot_steps, step_world
 from aimdalloc.oracle import (
     BracketError,
     OptimalAllocation,
@@ -339,3 +344,90 @@ def per_row_cost_tables(functions):
             g3[i] = (0.0, 0.0, 0.5 * d)
             g5[i] = (2.0 * a, d, 0.0)
     return (v2, v4, v6, v8), (g1, g3, g5, g7)
+
+
+def reference_scaling_factor(gamma_norm, grad, x_bar_j, stats=None):
+    """Reference back-off scaling factor: ``np.any`` guard, ``np.clip``, two counts.
+
+    This is ``aimd.scaling_factor`` before its guard read the minimum and its
+    clamp counts were skipped on unclamped calls, kept verbatim so tests can
+    require the same bits, counts and errors.
+    """
+    x_bar_arr = np.asarray(x_bar_j, dtype=float)
+    if np.any(x_bar_arr <= AVERAGE_FLOOR):
+        raise DegenerateAverageError(
+            f"average allocation <= {AVERAGE_FLOOR} in scaling factor"
+        )
+    raw = gamma_norm * np.asarray(grad, dtype=float) / x_bar_arr
+    lam = np.clip(raw, LAMBDA_MARGIN, 1.0 - LAMBDA_MARGIN)
+    if stats is not None:
+        stats.low += int(np.count_nonzero(raw < LAMBDA_MARGIN))
+        stats.high += int(np.count_nonzero(raw > 1.0 - LAMBDA_MARGIN))
+    return float(lam) if lam.ndim == 0 else lam
+
+
+def reference_run(config, mode=None, world=None):
+    """Reference recorder: every full-rate series filled one round at a time.
+
+    This is ``engine.run``'s per-round recording loop before the recorder
+    filled the averages' series once per block of rounds, kept verbatim so
+    tests can require the same bits. The trace budget and world checks are
+    left out; ``world``, when given, must be freshly built for ``config``.
+    """
+    total, n, m = config.steps, config.n, config.m
+    snaps = snapshot_steps(total, config.trace_stride)
+    t0 = time.perf_counter()
+    if world is None:
+        w = build_world(
+            resolve_functions(config), config.resources, mode or config.mode, config.seed
+        )
+    else:
+        w = world
+
+    snap_mask = np.zeros(total + 1, dtype=bool)
+    snap_mask[snaps] = True
+
+    events = np.zeros((total + 1, m), dtype=np.uint8)
+    totals_inst = np.zeros((total + 1, m))
+    totals_avg = np.zeros((total + 1, m))
+    spread = np.zeros((total + 1, m))
+    cost_sum_avg = np.zeros(total + 1)
+    x_snap = np.zeros((len(snaps), n, m))
+    xbar_snap = np.zeros((len(snaps), n, m))
+    grad_snap = np.zeros((len(snaps), n, m))
+
+    snap_row = 0
+    for k in range(total + 1):
+        if k > 0:
+            step_world(w)
+        events[k] = w.events
+        totals_inst[k] = w.totals
+        totals_avg[k] = w.x_bar.sum(axis=0)
+        spread[k] = w.grads.max(axis=0) - w.grads.min(axis=0)
+        cost_sum_avg[k] = w.ensemble.values(w.x_bar).sum()
+        if snap_mask[k]:
+            x_snap[snap_row] = w.x
+            xbar_snap[snap_row] = w.x_bar
+            grad_snap[snap_row] = w.grads
+            snap_row += 1
+
+    return Trace(
+        config=config,
+        config_hash=config_hash(config),
+        mode=w.mode,
+        seed=config.seed,
+        steps=np.arange(total + 1),
+        events=events,
+        totals_inst=totals_inst,
+        totals_avg=totals_avg,
+        spread=spread,
+        cost_sum_avg=cost_sum_avg,
+        snap_steps=snaps,
+        x_snap=x_snap,
+        xbar_snap=xbar_snap,
+        grad_snap=grad_snap,
+        functions=w.functions,
+        clamp_low=w.clamp.low,
+        clamp_high=w.clamp.high,
+        wall_time_s=time.perf_counter() - t0,
+    )

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from aimdalloc import (
     AVERAGE_FLOOR,
@@ -15,6 +16,8 @@ from aimdalloc import (
     scaling_factor,
     update_average,
 )
+
+from _stand_ins import reference_scaling_factor
 
 finite_pos = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
 unit_open = st.floats(min_value=1e-6, max_value=1.0 - 1e-6, allow_nan=False)
@@ -87,6 +90,61 @@ class TestScalingFactor:
     def test_vector_inputs(self):
         lam = scaling_factor(0.1, np.array([2.0, 4.0]), np.array([1.0, 1.0]))
         np.testing.assert_allclose(lam, [0.2, 0.4])
+
+
+def _around(v):
+    return [float(np.nextafter(v, -np.inf)), v, float(np.nextafter(v, np.inf))]
+
+
+#: with gamma_norm = x_bar = 1 the raw ratio is the gradient itself, so these
+#: put it exactly at, and one ulp either side of, both clamp margins
+margin_grads = _around(LAMBDA_MARGIN) + _around(1.0 - LAMBDA_MARGIN)
+special = [np.nan, np.inf, -np.inf, 0.0, -0.0]
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def scaling_inputs(draw):
+    """(gamma_norm, grad, x_bar): scalars or (n, k) blocks with one gamma_norm per column."""
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5))
+    cols = shape[-1:] if shape else ()
+    gamma = draw(hnp.arrays(float, cols, elements=st.one_of(
+        st.just(1.0), st.floats(min_value=1e-3, max_value=1e3)
+    )))
+    grad = draw(hnp.arrays(float, shape, elements=st.one_of(
+        st.sampled_from(margin_grads + special), any_float
+    )))
+    x_bar = draw(hnp.arrays(float, shape, elements=st.one_of(
+        st.just(1.0), st.sampled_from(_around(AVERAGE_FLOOR) + special), any_float
+    )))
+    return gamma, grad, x_bar
+
+
+def outcome(fn, gamma, grad, x_bar):
+    """(lam bytes and type, or the error type) and the clamp counts of one call."""
+    stats = ClampStats(low=3, high=5)
+    try:
+        with np.errstate(all="ignore"):
+            lam = fn(gamma, grad, x_bar, stats)
+    except DegenerateAverageError:
+        return "degenerate", None
+    return (type(lam), np.asarray(lam).tobytes()), (stats.low, stats.high)
+
+
+class TestScalingFactorMatchesReference:
+    """The minimum guard, min/max clip and skipped counts keep the old formula's results."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scaling_inputs())
+    @example((np.ones(6), np.array(margin_grads), np.ones(6)))
+    @example((1.0, np.array(margin_grads), np.ones(6)))
+    @example(
+        (np.ones(2), np.array([[np.nan, 1.0], [0.5, np.inf]]), np.array([[1.0, np.nan], [2.0, 1e-9]]))
+    )
+    @example((np.ones(2), np.array([[-np.inf, 0.3]]), np.array([[np.nan, 0.5]])))
+    @example((2.0, 0.3, AVERAGE_FLOOR))
+    def test_same_lambda_counts_and_errors(self, args):
+        assert outcome(scaling_factor, *args) == outcome(reference_scaling_factor, *args)
 
 
 class TestDeterministicBackoff:

@@ -17,7 +17,7 @@ from aimdalloc import (
 
 from aimdalloc.costs import CASE_IDS, COEFF_RANGES, LoopEnsemble, make_ensemble
 
-from _stand_ins import Constant, Negation, WeightedSquare, per_row_cost_tables
+from _stand_ins import Constant, Negation, WeightedSquare, Wrapped, per_row_cost_tables
 
 
 def central_difference(f, x, j, h=1e-5):
@@ -271,6 +271,25 @@ class TestBatchedLoopEnsemble:
         x = np.ones((5, 3))
         ens.values(x), ens.gradients(x), ens.partial_column(x[:, 0], 0)
         assert calls == []
+
+
+    @pytest.mark.parametrize("lead", [(1,), (4,), (2, 3)])
+    @pytest.mark.parametrize("kind", ["vectorized", "case-grouped", "row loop"])
+    def test_leading_block_axes_match_per_matrix_calls(self, kind, lead):
+        fns = sample_cost_functions(31, 9)
+        ens = {
+            "vectorized": lambda: CostEnsemble(fns),
+            "case-grouped": lambda: LoopEnsemble(fns, 3),
+            "row loop": lambda: LoopEnsemble([Wrapped(f) for f in fns], 3),
+        }[kind]()
+        x = np.random.default_rng(32).random((*lead, 9, 3)) * 3.0
+        x[..., 0, :] = 0.0
+        x[..., 1, 1] = 1e4
+        for method, shape in (("values", (*lead, 9)), ("gradients", (*lead, 9, 3))):
+            got = getattr(ens, method)(x)
+            per_matrix = [getattr(ens, method)(mat) for mat in x.reshape(-1, 9, 3)]
+            assert got.shape == shape
+            assert got.tobytes() == np.stack(per_matrix).tobytes()
 
 
 class TestAssumptionCheck:

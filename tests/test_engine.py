@@ -16,7 +16,9 @@ from aimdalloc import (
     step_world,
 )
 
-from _stand_ins import BlowUp, WeightedSquare, hand_world, tiny_config
+from aimdalloc.costs import CostEnsemble, LoopEnsemble
+
+from _stand_ins import BlowUp, WeightedSquare, Wrapped, hand_world, reference_run, tiny_config
 
 
 def config_world(cfg, mode=None):
@@ -317,3 +319,69 @@ class TestRun:
         step_world(w3)
         with pytest.raises(ValueError):
             run(cfg, world=w3)
+
+
+def assert_same_trace(got, want):
+    """Every array of two traces has the same dtype, shape and bytes; so do the clamp counts."""
+    arrays = {k: v for k, v in vars(want).items() if isinstance(v, np.ndarray)}
+    assert arrays.keys() == {k for k, v in vars(got).items() if isinstance(v, np.ndarray)}
+    for name, want_arr in arrays.items():
+        got_arr = getattr(got, name)
+        assert (got_arr.dtype, got_arr.shape) == (want_arr.dtype, want_arr.shape), name
+        assert got_arr.tobytes() == want_arr.tobytes(), name
+    assert (got.clamp_low, got.clamp_high) == (want.clamp_low, want.clamp_high)
+
+
+class TestBlockRecorder:
+    """Series filled once per block of rounds keep the per-round recorder's bits."""
+
+    @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+    def test_bundled_config_matches_reference(self, bundled_config, mode):
+        cfg = dataclasses.replace(bundled_config, steps=1200)
+        assert_same_trace(run(cfg, mode=mode), reference_run(cfg, mode=mode))
+
+    @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+    def test_seven_round_blocks_straddle_snapshots(self, bundled_config, monkeypatch, mode):
+        cfg = dataclasses.replace(bundled_config, steps=1200)
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", 7 * 8 * cfg.n * cfg.m)
+        calls = []
+        values = CostEnsemble.values
+        monkeypatch.setattr(
+            CostEnsemble, "values", lambda self, x: calls.append(x.shape) or values(self, x)
+        )
+        got = run(cfg, mode=mode)
+        # 1201 rounds: 171 full blocks and a last block of 4
+        assert calls == [(7, cfg.n, cfg.m)] * 171 + [(4, cfg.n, cfg.m)]
+        monkeypatch.undo()
+        assert_same_trace(got, reference_run(cfg, mode=mode))
+
+    def test_single_device_resource_and_step(self):
+        resource = ResourceParams(capacity=1.0, alpha=0.3, beta=0.5, gamma_norm=0.1)
+        cfg = tiny_config(n=1, m=1, steps=1, resources=(resource,))
+
+        def world():
+            return build_world([WeightedSquare(1.5)], cfg.resources, cfg.mode, cfg.seed)
+
+        assert_same_trace(run(cfg, world=world()), reference_run(cfg, world=world()))
+
+    def test_row_loop_world(self, bundled_config):
+        cfg = dataclasses.replace(bundled_config, steps=200)
+        fns = [Wrapped(f) if i % 2 else f for i, f in enumerate(resolve_functions(cfg))]
+
+        def world():
+            return build_world(fns, cfg.resources, "stochastic", cfg.seed)
+
+        w = world()
+        assert isinstance(w.ensemble, LoopEnsemble) and w.ensemble._cases is None
+        assert_same_trace(run(cfg, world=w), reference_run(cfg, world=world()))
+
+    def test_case_grouped_loop_world(self, bundled_config):
+        cfg = dataclasses.replace(bundled_config, steps=300)
+
+        def world():
+            w = config_world(cfg, mode="stochastic")
+            w.ensemble = LoopEnsemble(w.functions, cfg.m)
+            return w
+
+        assert world().ensemble._cases is not None
+        assert_same_trace(run(cfg, world=world()), reference_run(cfg, world=world()))
