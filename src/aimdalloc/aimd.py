@@ -7,6 +7,7 @@ same kernels drive single-device unit tests and whole-population updates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,16 +40,17 @@ class ResourceParams:
     gamma_norm: float = 1.0
 
     def __post_init__(self):
-        if not self.capacity > 0:
-            raise ValueError(f"capacity must be positive, got {self.capacity}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        # each message starts with the field name; config errors prefix its path
+        if not 0 < self.capacity < math.inf:
+            raise ValueError(f"capacity must be positive and finite, got {self.capacity}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must be in [0, 1), got {self.beta}")
         if not 0.0 < self.gamma_cap <= 1.0:
             raise ValueError(f"gamma_cap must be in (0, 1], got {self.gamma_cap}")
-        if not self.gamma_norm > 0:
-            raise ValueError(f"gamma_norm must be positive, got {self.gamma_norm}")
+        if not 0 < self.gamma_norm < math.inf:
+            raise ValueError(f"gamma_norm must be positive and finite, got {self.gamma_norm}")
 
 
 @dataclass

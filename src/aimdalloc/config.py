@@ -139,7 +139,7 @@ def config_from_dict(doc: dict) -> Config:
             try:
                 resources.append(ResourceParams(**values))
             except ValueError as e:
-                problems.append(f"{path}: {e}")
+                problems.append(f"{path}.{e}")
 
     functions = None
     spec = doc.get("cost_spec")

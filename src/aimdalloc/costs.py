@@ -373,13 +373,22 @@ class CostEnsemble:
         return p2.sum(axis=-1)
 
     def gradients(self, x: np.ndarray) -> np.ndarray:
-        """(..., n, m) partials at ``x``; row i of each matrix is device i's gradient."""
+        """(..., n, m) partials at ``x``; row i of each matrix is device i's gradient.
+
+        The terms are weighted and added in place, in the order
+        g1 x + g3 p3 + g5 p5 + g7 p7, as in ``values``.
+        """
         g1, g3, g5, g7 = self._g
+        x = np.asarray(x, dtype=float)
         p2 = x * x
         p3 = p2 * x
         p5 = p3 * p2
         p7 = p5 * p2
-        return g1 * x + g3 * p3 + g5 * p5 + g7 * p7
+        out = g1 * x
+        out += np.multiply(p3, g3, out=p3)
+        out += np.multiply(p5, g5, out=p5)
+        out += np.multiply(p7, g7, out=p7)
+        return out
 
     def partial_column(self, t: np.ndarray, j: int) -> np.ndarray:
         """(n,) partials on resource ``j``, device i evaluated at t[i] e_j.

@@ -8,6 +8,10 @@ files and golden-file tests are possible.
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import tempfile
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,8 +31,12 @@ SPREAD_FRACTION = 0.05
 #: snapshots, because one snapshot of a wide run is n * m rows
 _BLOCK_ROWS = 8192
 
+#: fewest trace.csv rows worth a process of their own; a trace with fewer
+#: than two of these is formatted in-process (see BENCH_export_fork.json)
+_FORK_ROWS = 4500
+
 _FLOAT = "%.9g".__mod__
-_TRACE_ROW = "%s%.9g,%.9g,%.9g\n".__mod__
+_TRACE_ROW = "%s%.9g,%.9g,%.9g\n"
 
 
 @dataclass(frozen=True)
@@ -47,37 +55,141 @@ def export_trace(trace: Trace, report: MetricsReport, out_dir: str | Path) -> Ex
     string as ``format(v, ".9g")`` for every double (signed zeros,
     subnormals, infinities and NaN included). trace.csv is streamed in blocks
     of ``_BLOCK_ROWS`` rows, so its text never has to fit in memory at once.
+
+    A large trace.csv is split into contiguous row ranges, up to one per
+    available CPU (see ``_row_bounds``). Each range after the first is
+    formatted by a forked worker into an anonymous temporary file in
+    ``out_dir``, while this process writes the first range and the other
+    files; the workers' files are then appended in row order, so the bytes
+    are those of the in-process writer. A failed worker raises RuntimeError
+    once every worker is reaped; an error here kills and reaps them.
     Returns the manifest of files with data row counts (headers excluded).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    n, m = trace.n, trace.m
-    rows: dict[str, int] = {}
+    bounds = _row_bounds(trace)
+    rows = {"trace.csv": bounds[-1]}
+    workers = []  # (pid, anonymous temporary file) per unreaped worker, in row order
+    failed = []  # exit statuses of the workers that failed
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            tmp = tempfile.TemporaryFile(dir=out)
+            pid = os.fork()
+            if pid == 0:
+                _worker(tmp, trace, lo, hi)
+            workers.append((pid, tmp))
+        with open(out / "trace.csv", "w") as fh:
+            fh.write("step,device,resource,x,x_bar,grad_at_xbar\n")
+            _write_rows(fh, trace, 0, bounds[1])
+            _write_full_rate(trace, report, out, rows)
+            fh.flush()
+            while workers:
+                pid, tmp = workers[0]
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del workers[0]
+                with tmp:
+                    if status != 0:
+                        failed.append(status)
+                    elif not failed:
+                        tmp.seek(0)
+                        shutil.copyfileobj(tmp, fh.buffer, 1 << 20)
+        if failed:
+            raise RuntimeError(f"{len(failed)} trace.csv worker(s) failed, exit status {failed[0]}")
+    finally:
+        for pid, tmp in workers:  # unreaped only after an error
+            import signal  # failure path only: every CLI start pays for top-level imports
 
-    # row r is snapshot r // (n * m), device (r // m) % n, resource r % m
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            tmp.close()
+    return ExportManifest(directory=out, rows=rows)
+
+
+def _row_bounds(trace: Trace) -> list[int]:
+    """Boundaries of the trace.csv row ranges: ``[0, b1, ..., rows]``.
+
+    One range per process: the first is this process's, each later one a
+    worker's. This process also formats events.csv and metrics.csv, so its
+    range is shortened by their value count (three values make one trace
+    row) and the workers split the rest equally. It is one range, and no
+    fork happens, when ``os.fork`` is missing, when more than one thread is
+    running, when only one CPU is available, or when the trace has fewer
+    than ``2 * _FORK_ROWS`` rows.
+    """
+    total = trace.x_snap.size
+    procs = min(_cpus(), total // _FORK_ROWS)
+    if procs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [0, total]
+    extra = trace.events.size + trace.spread.shape[0] * (4 * trace.m + 2)
+    first = max(0, (3 * total + extra) // procs - extra) // 3
+    rest = total - first
+    return [0] + [first + rest * k // (procs - 1) for k in range(procs)]
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _worker(tmp, trace: Trace, lo: int, hi: int):
+    """Forked child: format rows [lo, hi) into ``tmp`` and end the process.
+
+    It never returns, so the child cannot run its parent's code after the
+    fork, and ``os._exit`` flushes none of the parent's buffers it inherited.
+    The child only formats floats; it calls no BLAS and takes no lock. That
+    is what makes the fork safe even where native threads, such as an
+    OpenBLAS pool, exist (Python 3.12 and later warn on ``fork()`` then).
+    """
+    status = 1
+    try:
+        with open(tmp.fileno(), "w", closefd=False) as fh:
+            _write_rows(fh, trace, lo, hi)
+        status = 0
+    except Exception:
+        import traceback  # failure path only, like ``signal`` in export_trace
+
+        traceback.print_exc()
+    finally:
+        os._exit(status)
+
+
+def _write_rows(fh, trace: Trace, lo: int, hi: int) -> None:
+    """Write trace.csv data rows [lo, hi) to ``fh`` in blocks of ``_BLOCK_ROWS`` rows.
+
+    Row r is snapshot r // (n * m), device (r // m) % n, resource r % m. Each
+    block is one ``%`` of the row template repeated once per row over one
+    list in which the ``step,device,resource,`` prefixes and the three float
+    columns are interleaved; an extended-slice assignment raises if a column's
+    length differs from the block's.
+    """
+    n, m = trace.n, trace.m
     per_snap = n * m
     steps = [f"{step}," for step in trace.snap_steps.tolist()]
     cells = [f"{i},{j}," for i in range(n) for j in range(m)]
     x, xbar, grad = (a.reshape(-1) for a in (trace.x_snap, trace.xbar_snap, trace.grad_snap))
-    total = x.size
-    with open(out / "trace.csv", "w") as fh:
-        fh.write("step,device,resource,x,x_bar,grad_at_xbar\n")
-        for lo in range(0, total, _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, total)
-            prefixes = []
-            for s in range(lo // per_snap, (hi - 1) // per_snap + 1):
-                base = s * per_snap
-                cut = cells[max(lo - base, 0) : min(hi - base, per_snap)]
-                prefixes += map(steps[s].__add__, cut)
-            fh.write("".join(map(
-                _TRACE_ROW,
-                zip(
-                    prefixes, x[lo:hi].tolist(), xbar[lo:hi].tolist(), grad[lo:hi].tolist(),
-                    strict=True,
-                ),
-            )))
-    rows["trace.csv"] = total
+    full = _TRACE_ROW * _BLOCK_ROWS
+    for start in range(lo, hi, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, hi)
+        prefixes = []
+        for s in range(start // per_snap, (stop - 1) // per_snap + 1):
+            base = s * per_snap
+            cut = cells[max(start - base, 0) : min(stop - base, per_snap)]
+            prefixes += map(steps[s].__add__, cut)
+        flat = [None] * (4 * (stop - start))
+        flat[0::4] = prefixes
+        flat[1::4] = x[start:stop].tolist()
+        flat[2::4] = xbar[start:stop].tolist()
+        flat[3::4] = grad[start:stop].tolist()
+        template = full if stop - start == _BLOCK_ROWS else _TRACE_ROW * (stop - start)
+        fh.write(template % tuple(flat))
 
+
+def _write_full_rate(trace: Trace, report: MetricsReport, out: Path, rows: dict[str, int]):
+    """Write events.csv, metrics.csv and summary.json, adding their row counts to ``rows``."""
+    m = trace.m
     lines = ["step,resource,event"]
     lines += [
         f"{k},{j},{e}" for k, row in enumerate(trace.events.tolist()) for j, e in enumerate(row)
@@ -129,8 +241,6 @@ def export_trace(trace: Trace, report: MetricsReport, out_dir: str | Path) -> Ex
     }
     (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     rows["summary.json"] = 1
-
-    return ExportManifest(directory=out, rows=rows)
 
 
 def convergence_step(spread: np.ndarray, thresholds: np.ndarray) -> int:

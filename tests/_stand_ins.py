@@ -346,6 +346,20 @@ def per_row_cost_tables(functions):
     return (v2, v4, v6, v8), (g1, g3, g5, g7)
 
 
+def reference_gradients(ensemble, x):
+    """Reference ``CostEnsemble.gradients``: one expression, a temporary per term.
+
+    This is the method before it weighted and added the terms in place, kept
+    verbatim so tests can require the same bits.
+    """
+    g1, g3, g5, g7 = ensemble._g
+    p2 = x * x
+    p3 = p2 * x
+    p5 = p3 * p2
+    p7 = p5 * p2
+    return g1 * x + g3 * p3 + g5 * p5 + g7 * p7
+
+
 def reference_scaling_factor(gamma_norm, grad, x_bar_j, stats=None):
     """Reference back-off scaling factor: ``np.any`` guard, ``np.clip``, two counts.
 

@@ -38,6 +38,10 @@ class TestResourceParams:
             {"gamma_cap": 0.0},
             {"gamma_cap": 1.5},
             {"gamma_norm": 0.0},
+            {"capacity": np.inf},
+            {"capacity": np.nan},
+            {"alpha": np.inf},
+            {"gamma_norm": np.inf},
         ],
     )
     def test_invalid_field_rejected(self, kwargs):

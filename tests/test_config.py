@@ -3,6 +3,7 @@ import json
 import pytest
 
 from aimdalloc import ConfigError, parse_config, serialize_config
+from aimdalloc.cli import main
 from aimdalloc.config import config_from_dict
 
 from conftest import BUNDLED_CONFIG
@@ -126,6 +127,19 @@ class TestValidation:
             config_from_dict(doc)
         assert exc.value.fields == ["resources[0].capacity: integer too large for a float"]
 
+    @pytest.mark.parametrize("key", ["capacity", "alpha", "gamma_norm"])
+    def test_non_finite_resource_values_rejected(self, tmp_path, capsys, key):
+        doc = minimal_doc()
+        doc["resources"][0][key] = float("inf")
+        path = write_doc(tmp_path, doc)
+        assert f'"{key}": Infinity' in path.read_text()
+        with pytest.raises(ConfigError) as exc:
+            parse_config(path)
+        assert exc.value.fields == [f"resources[0].{key} must be positive and finite, got inf"]
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"resources[0].{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key, value", [("case_id", 1.9), ("a", 5.7), ("b", "3"), ("c", True)])
     def test_explicit_cost_entries_not_coerced(self, key, value):
         entry = {"case_id": 1, "a": 5, "b": 3, "c": 1, "d": 1}
@@ -155,7 +169,7 @@ class TestValidation:
         fields = exc.value.fields
         assert len(fields) == 3
         assert fields[0] == "surprise: unknown field"
-        assert fields[1].startswith("resources[1]: beta must be in [0, 1)")
+        assert fields[1].startswith("resources[1].beta must be in [0, 1)")
         assert fields[2].startswith("cost_spec.functions[0]: case_id")
 
     def test_malformed_json(self, tmp_path):

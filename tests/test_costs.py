@@ -17,7 +17,14 @@ from aimdalloc import (
 
 from aimdalloc.costs import CASE_IDS, COEFF_RANGES, LoopEnsemble, make_ensemble
 
-from _stand_ins import Constant, Negation, WeightedSquare, Wrapped, per_row_cost_tables
+from _stand_ins import (
+    Constant,
+    Negation,
+    WeightedSquare,
+    Wrapped,
+    per_row_cost_tables,
+    reference_gradients,
+)
 
 
 def central_difference(f, x, j, h=1e-5):
@@ -178,6 +185,14 @@ class TestEnsembleConsistency:
         values, gradients = per_row_cost_tables(fns)
         for got, want in zip(ens._v + ens._g, values + gradients, strict=True):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lead", [(), (5,)])
+    @pytest.mark.parametrize("n", [60, 10_000])
+    def test_gradients_match_reference_expression(self, n, lead):
+        ens = CostEnsemble(sample_cost_functions(41, n))
+        x = np.random.default_rng(42).random((*lead, n, 3)) * 3.0
+        x[..., 0, :] = (0.0, 1e-300, 1e4)
+        assert ens.gradients(x).tobytes() == reference_gradients(ens, x).tobytes()
 
     def test_make_ensemble_choice(self):
         fns = sample_cost_functions(5, 4)

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -110,6 +112,38 @@ def assert_matches_reference(trace, report, tmp_path, reference_dir=None):
         assert (manifest.directory / name).read_bytes() == (reference_dir / name).read_bytes(), name
 
 
+def spiked_export(trace, report):
+    """``trace`` and ``report`` with special floats spread through every float column."""
+
+    def spiked(a):
+        a = a.astype(float)
+        flat = a.reshape(-1)
+        idx = np.arange(0, flat.size, 97)
+        flat[idx] = np.resize(SPECIAL_FLOATS, idx.size)
+        flat[-len(SPECIAL_FLOATS):] = SPECIAL_FLOATS
+        return a
+
+    fields = ("x_snap", "xbar_snap", "grad_snap", "spread", "totals_avg", "totals_inst")
+    trace = dataclasses.replace(trace, **{f: spiked(getattr(trace, f)) for f in fields})
+    return trace, dataclasses.replace(report, cost_ratio=spiked(report.cost_ratio))
+
+
+def one_device_export():
+    """Trace and report of one device on one resource for one step: two trace.csv rows."""
+    cfg = Config(
+        n=1,
+        m=1,
+        steps=1,
+        mode="deterministic",
+        resources=(ResourceParams(capacity=1.0, alpha=0.3, beta=0.5, gamma_norm=0.1),),
+        seed=0,
+    )
+    world = build_world([WeightedSquare(1.0)], cfg.resources, "deterministic", cfg.seed)
+    trace = run(cfg, world=world)
+    opt = solve_separable([WeightedSquare(1.0)], [1.0], tol=1e-9)
+    return trace, collect_metrics(trace, opt.x_star)
+
+
 @pytest.fixture(scope="module")
 def long_runs(tmp_path_factory, bundled_config):
     """Both modes at 1 200 steps (every step to 1 000, then every 10th), with reference CSVs."""
@@ -133,19 +167,7 @@ class TestExportMatchesReference:
 
     def test_special_floats(self, exported, tmp_path):
         _, trace, report, _ = exported
-
-        def spiked(a):
-            a = a.astype(float)
-            flat = a.reshape(-1)
-            idx = np.arange(0, flat.size, 97)
-            flat[idx] = np.resize(SPECIAL_FLOATS, idx.size)
-            flat[-len(SPECIAL_FLOATS):] = SPECIAL_FLOATS
-            return a
-
-        fields = ("x_snap", "xbar_snap", "grad_snap", "spread", "totals_avg", "totals_inst")
-        trace = dataclasses.replace(trace, **{f: spiked(getattr(trace, f)) for f in fields})
-        report = dataclasses.replace(report, cost_ratio=spiked(report.cost_ratio))
-        assert_matches_reference(trace, report, tmp_path)
+        assert_matches_reference(*spiked_export(trace, report), tmp_path)
 
     def test_blocks_end_mid_snapshot(self, long_runs, tmp_path, monkeypatch):
         trace, report, reference_dir = long_runs["deterministic"]
@@ -156,18 +178,127 @@ class TestExportMatchesReference:
         assert_matches_reference(trace, report, tmp_path, reference_dir)
 
     def test_one_device_one_resource_one_step(self, tmp_path):
-        cfg = Config(
-            n=1,
-            m=1,
-            steps=1,
-            mode="deterministic",
-            resources=(ResourceParams(capacity=1.0, alpha=0.3, beta=0.5, gamma_norm=0.1),),
-            seed=0,
-        )
-        world = build_world([WeightedSquare(1.0)], cfg.resources, "deterministic", cfg.seed)
-        trace = run(cfg, world=world)
-        opt = solve_separable([WeightedSquare(1.0)], [1.0], tol=1e-9)
-        assert_matches_reference(trace, collect_metrics(trace, opt.x_star), tmp_path)
+        assert_matches_reference(*one_device_export(), tmp_path)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Pids of the workers ``export_trace`` forks, recorded in the parent."""
+    pids = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def split_rows(monkeypatch, cpus):
+    """Make ``export_trace`` split any trace.csv into one row range per CPU of ``cpus``."""
+    monkeypatch.setattr(aimdalloc.report, "_FORK_ROWS", 1)
+    monkeypatch.setattr(aimdalloc.report, "_cpus", lambda: cpus)
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+class TestSplitExport:
+    """trace.csv formatted by forked row-range workers has the in-process bytes."""
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+    def test_bundled_config(self, long_runs, tmp_path, monkeypatch, forks, mode, cpus):
+        trace, report, reference_dir = long_runs[mode]
+        assert trace.x_snap.size == 183_780
+        split_rows(monkeypatch, cpus)
+        assert_matches_reference(trace, report, tmp_path, reference_dir)
+        assert len(forks) == cpus - 1
+        assert_reaped(forks)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_special_floats(self, exported, tmp_path, monkeypatch, forks, cpus):
+        _, trace, report, _ = exported
+        trace, report = spiked_export(trace, report)
+        split_rows(monkeypatch, cpus)
+        assert_matches_reference(trace, report, tmp_path)
+        assert len(forks) == cpus - 1
+
+    def test_ranges_end_mid_snapshot_and_mid_block(self, long_runs, tmp_path, monkeypatch, forks):
+        trace, report, reference_dir = long_runs["deterministic"]
+        split_rows(monkeypatch, 3)
+        monkeypatch.setattr(aimdalloc.report, "_BLOCK_ROWS", 7)
+        bounds = aimdalloc.report._row_bounds(trace)
+        per_snap = trace.n * trace.m
+        assert all(b % per_snap for b in bounds[1:-1])
+        assert all((hi - lo) % 7 for lo, hi in zip(bounds, bounds[1:]))
+        assert_matches_reference(trace, report, tmp_path, reference_dir)
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("case", ["small trace", "one cpu", "no fork", "thread running"])
+    def test_serial_cases_never_fork(self, exported, tmp_path, monkeypatch, case):
+        _, trace, report, _ = exported
+        if case == "small trace":
+            trace, report = one_device_export()
+            monkeypatch.setattr(aimdalloc.report, "_cpus", lambda: 3)
+        else:
+            split_rows(monkeypatch, 1 if case == "one cpu" else 3)
+
+        def no_fork():
+            raise AssertionError("os.fork called")
+
+        if case == "no fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "fork", no_fork)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, daemon=True)
+        if case == "thread running":
+            waiter.start()
+        try:
+            assert_matches_reference(trace, report, tmp_path)
+        finally:
+            release.set()
+            if waiter.is_alive():
+                waiter.join(timeout=10)
+        assert not waiter.is_alive()
+
+    def test_failed_worker_raises_after_reaping(self, exported, tmp_path, monkeypatch, forks):
+        _, trace, report, _ = exported
+        split_rows(monkeypatch, 3)
+        write_rows = aimdalloc.report._write_rows
+
+        def failing_in_workers(fh, trace, lo, hi):
+            if lo > 0:
+                raise OSError("worker cannot write")
+            write_rows(fh, trace, lo, hi)
+
+        monkeypatch.setattr(aimdalloc.report, "_write_rows", failing_in_workers)
+        with pytest.raises(RuntimeError, match="2 trace.csv worker.* exit status 1"):
+            export_trace(trace, report, tmp_path)
+        assert len(forks) == 2
+        assert_reaped(forks)
+        assert sorted(os.listdir(tmp_path)) == sorted([*CSV_FILES, "summary.json"])
+
+    def test_parent_error_kills_and_reaps_workers(self, exported, tmp_path, monkeypatch, forks):
+        _, trace, report, _ = exported
+        split_rows(monkeypatch, 3)
+
+        def failing(*args):
+            raise OSError("parent cannot write")
+
+        monkeypatch.setattr(aimdalloc.report, "_write_full_rate", failing)
+        with pytest.raises(OSError, match="parent cannot write"):
+            export_trace(trace, report, tmp_path)
+        assert len(forks) == 2
+        assert_reaped(forks)
+        assert os.listdir(tmp_path) == ["trace.csv"]
 
 
 class TestConvergenceStep:
