@@ -22,8 +22,7 @@ rng = np.random.default_rng(7)
 print("=== sampling ===")
 functions = sample_cost_functions(rng, 5)
 for i, f in enumerate(functions):
-    c = f.coeffs
-    print(f"device {i}: case {f.case_id}, weights a={c.a} b={c.b} c={c.c} d={c.d}")
+    print(f"device {i}: case {f.case_id}, weights a={f.a} b={f.b} c={f.c} d={f.d}")
 
 print("\n=== evaluation and exact gradients ===")
 x = np.array([0.8, 0.4, 0.6])

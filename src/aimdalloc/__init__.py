@@ -22,7 +22,6 @@ from .aimd import (
 from .config import Config, ConfigError, config_hash, parse_config, serialize_config
 from .costs import (
     AssumptionReport,
-    CostCoefficients,
     CostEnsemble,
     CostFunction,
     UnsupportedFamilyError,
@@ -72,7 +71,6 @@ __all__ = [
     "ComparisonReport",
     "Config",
     "ConfigError",
-    "CostCoefficients",
     "CostEnsemble",
     "CostFunction",
     "DegenerateAverageError",

@@ -15,31 +15,14 @@ import numpy as np
 
 RESOURCE_COUNT = 3
 
-COEFF_RANGES = {"a": (1, 25), "b": (1, 20), "c": (1, 15), "d": (1, 10)}
+#: inclusive integer range of every field of a ``CostFunction``, in field order
+FIELD_RANGES = {"case_id": (1, 3), "a": (1, 25), "b": (1, 20), "c": (1, 15), "d": (1, 10)}
 
-CASE_IDS = (1, 2, 3)
+CASE_IDS = tuple(range(1, FIELD_RANGES["case_id"][1] + 1))
 
 
 class UnsupportedFamilyError(ValueError):
     """Raised when a sampler is asked for a resource count it does not cover."""
-
-
-@dataclass(frozen=True)
-class CostCoefficients:
-    """Integer cost weights: a (RAM), b (CPU), c (storage), d (other costs)."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self):
-        for name, (lo, hi) in COEFF_RANGES.items():
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-                raise ValueError(f"coefficient {name} must be an integer, got {v!r}")
-            if not lo <= v <= hi:
-                raise ValueError(f"coefficient {name}={v} outside [{lo}, {hi}]")
 
 
 def _case_value(case_id, x0, x1, x2, a, b, c, d):
@@ -89,35 +72,41 @@ def _case_gradient(case_id, x0, x1, x2, a, b, c, d):
 class CostFunction:
     """One device's private cost: a tagged case of the polynomial family.
 
-    All three cases are nonnegative on the positive orthant, vanish at the
-    origin, and have strictly increasing partial derivatives in each
-    coordinate for x > 0, which is what the back-off scaling rule relies on.
-    ``value``/``gradient``/``partial`` broadcast over leading axes, so a
-    (P, 3) batch of points evaluates in one call.
+    ``case_id`` picks the case; a (RAM), b (CPU), c (storage) and d (other
+    costs) are its integer weights. All three cases are nonnegative on the
+    positive orthant, vanish at the origin, and have strictly increasing
+    partial derivatives in each coordinate for x > 0, which is what the
+    back-off scaling rule relies on. ``value``/``gradient``/``partial``
+    broadcast over leading axes, so a (P, 3) batch of points evaluates in one
+    call.
     """
 
     case_id: int
-    coeffs: CostCoefficients
+    a: int
+    b: int
+    c: int
+    d: int
 
     #: all cases are sums of single-coordinate terms, so cross-partials vanish
     separable = True
 
     def __post_init__(self):
-        v = self.case_id
-        if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v not in CASE_IDS:
-            raise ValueError(f"case_id must be one of {CASE_IDS}, got {v!r}")
+        for name, (lo, hi) in FIELD_RANGES.items():
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            if not lo <= v <= hi:
+                raise ValueError(f"{name}={v} outside [{lo}, {hi}]")
 
     def value(self, x) -> float | np.ndarray:
         x = np.asarray(x, dtype=float)
-        w = self.coeffs
-        out = _case_value(self.case_id, x[..., 0], x[..., 1], x[..., 2], w.a, w.b, w.c, w.d)
+        out = _case_value(self.case_id, x[..., 0], x[..., 1], x[..., 2], self.a, self.b, self.c, self.d)
         return out if out.ndim else float(out)
 
     def gradient(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        w = self.coeffs
         return np.stack(
-            _case_gradient(self.case_id, x[..., 0], x[..., 1], x[..., 2], w.a, w.b, w.c, w.d),
+            _case_gradient(self.case_id, x[..., 0], x[..., 1], x[..., 2], self.a, self.b, self.c, self.d),
             axis=-1,
         )
 
@@ -128,19 +117,18 @@ class CostFunction:
         return out if out.ndim else float(out)
 
     def to_dict(self) -> dict:
-        c = self.coeffs
-        return {"case_id": self.case_id, "a": c.a, "b": c.b, "c": c.c, "d": c.d}
+        return {name: getattr(self, name) for name in FIELD_RANGES}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CostFunction":
-        extra = set(d) - {"case_id", "a", "b", "c", "d"}
+        extra = set(d) - set(FIELD_RANGES)
         if extra:
             raise ValueError(f"unknown cost-function keys: {sorted(extra)}")
         try:
-            coeffs = CostCoefficients(d["a"], d["b"], d["c"], d["d"])
-            return cls(case_id=d["case_id"], coeffs=coeffs)
+            fields = {name: d[name] for name in FIELD_RANGES}
         except KeyError as e:
             raise ValueError(f"cost function missing key {e.args[0]!r}") from None
+        return cls(**fields)
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -161,17 +149,17 @@ def sample_cost_functions(rng, n: int, m: int = RESOURCE_COUNT) -> tuple[CostFun
         raise UnsupportedFamilyError(
             f"the built-in family is defined for exactly {RESOURCE_COUNT} resources, got m={m}"
         )
-    low, high = np.array([(1, len(CASE_IDS)), *COEFF_RANGES.values()]).T
-    rows = _as_rng(rng).integers(low, high + 1, size=(n, 5)).tolist()
-    return tuple(CostFunction(case_id, CostCoefficients(*coeffs)) for case_id, *coeffs in rows)
+    low, high = np.array(list(FIELD_RANGES.values())).T
+    rows = _as_rng(rng).integers(low, high + 1, size=(n, len(FIELD_RANGES))).tolist()
+    return tuple(CostFunction(*row) for row in rows)
 
 
 def _check_domain(x, m: int | None = None) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if m is not None and x.shape[-1] != m:
         raise ValueError(f"allocation vector has length {x.shape[-1]}, expected {m}")
-    if np.any(x < 0):
-        raise ValueError("allocation vector has a negative component")
+    if not np.all(x >= 0):
+        raise ValueError("allocation has a negative or NaN component")
     return x
 
 
@@ -207,7 +195,9 @@ def verify_assumption1(f, box: Sequence[tuple[float, float]], samples: int, rng=
     axis, within the positive orthant) and tests, per axis, that the partial
     is strictly positive and does not decrease when the coordinate moves
     toward the upper box edge. Returns a report rather than raising; the
-    first violation found is recorded.
+    first violation in (point, axis) order is recorded, positivity before
+    monotonicity. All points and bumps are drawn up front, so ``rng`` ends in
+    the same state whether or not the check passes.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -220,36 +210,29 @@ def verify_assumption1(f, box: Sequence[tuple[float, float]], samples: int, rng=
     lows = np.array([lo for lo, _ in box])
     highs = np.array([hi for _, hi in box])
     pts = lows + rng.random((samples, m)) * (highs - lows)
-    for row in pts:
-        for j in range(m):
-            g = float(f.partial(row, j))
-            if not g > 0.0:
-                return AssumptionReport(
-                    passed=False,
-                    points_checked=samples,
-                    first_violation=AssumptionViolation(
-                        kind="positivity",
-                        axis=j,
-                        point=tuple(row),
-                        detail=f"partial {g} is not strictly positive",
-                    ),
-                )
-            bumped = row.copy()
-            bumped[j] = row[j] + (highs[j] - row[j]) * float(rng.random())
-            g_up = float(f.partial(bumped, j))
-            # tiny relative slack for float noise in the closed forms
-            if g_up < g * (1.0 - 1e-12) - 1e-15:
-                return AssumptionReport(
-                    passed=False,
-                    points_checked=samples,
-                    first_violation=AssumptionViolation(
-                        kind="monotonicity",
-                        axis=j,
-                        point=tuple(row),
-                        detail=f"partial fell from {g} to {g_up} along axis {j}",
-                    ),
-                )
-    return AssumptionReport(passed=True, points_checked=samples)
+    # bumped[j] is pts with coordinate j moved toward the upper box edge
+    bumped = np.repeat(pts[None], m, axis=0)
+    axes = np.arange(m)
+    bumped[axes, :, axes] = (pts + (highs - pts) * rng.random((samples, m))).T
+    ens = LoopEnsemble([f], m)
+    g = ens.gradients(pts[:, None, :])[:, 0, :]
+    g_up = ens.gradients(bumped[..., None, :])[axes, :, 0, axes].T
+    not_positive = ~(g > 0.0)
+    # tiny relative slack for float noise in the closed forms
+    failed = not_positive | (g_up < g * (1.0 - 1e-12) - 1e-15)
+    if not failed.any():
+        return AssumptionReport(passed=True, points_checked=samples)
+    r, j = divmod(int(failed.argmax()), m)
+    g0, g1 = float(g[r, j]), float(g_up[r, j])
+    if not_positive[r, j]:
+        kind, detail = "positivity", f"partial {g0} is not strictly positive"
+    else:
+        kind, detail = "monotonicity", f"partial fell from {g0} to {g1} along axis {j}"
+    return AssumptionReport(
+        passed=False,
+        points_checked=samples,
+        first_violation=AssumptionViolation(kind=kind, axis=j, point=tuple(pts[r]), detail=detail),
+    )
 
 
 def estimate_gamma(
@@ -282,28 +265,34 @@ def estimate_gamma(
     m = len(box)
     axes = [np.linspace(lo, hi, grid) for lo, hi in box]
     mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    best = np.full(m, np.inf)
-    for f in functions:
-        for point in mesh:
-            for j in range(m):
-                g = float(f.partial(point, j))
-                if g == 0.0:
-                    continue
-                ratio = point[j] / g
-                if ratio < best[j]:
-                    best[j] = ratio
+    ens = LoopEnsemble(functions, m)
+    # per (function, axis) minimum over the lattice in point order, then the
+    # first function holding each axis' minimum: the same pick, signed zeros
+    # included, as a scan over functions, then points
+    per_function = np.full((len(functions), m), np.inf)
+    for point in mesh:
+        g = ens.gradients(np.tile(point, (len(functions), 1)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = point / g
+        # vanished partials are skipped; NaN ratios never compare below
+        lower = (ratio < per_function) & (g != 0.0)
+        per_function[lower] = ratio[lower]
+    best = per_function[per_function.argmin(axis=0), np.arange(m)]
     if not np.all(np.isfinite(best)):
         bad = [j for j in range(m) if not np.isfinite(best[j])]
         raise ValueError(f"all partials vanished on the grid for resource axes {bad}")
     return safety * best
 
 
+def _family_only(functions, m: int) -> bool:
+    """True when every function is a built-in family member on the family's resource count."""
+    return m == RESOURCE_COUNT and all(isinstance(f, CostFunction) for f in functions)
+
+
 def _case_groups(functions: Sequence[CostFunction]) -> list[tuple]:
     """``(case_id, rows, a, b, c, d)`` per case present, weights as float (len(rows),) arrays."""
     case_ids = np.array([f.case_id for f in functions], dtype=int)
-    weights = np.array(
-        [(f.coeffs.a, f.coeffs.b, f.coeffs.c, f.coeffs.d) for f in functions], dtype=float
-    )
+    weights = np.array([(f.a, f.b, f.c, f.d) for f in functions], dtype=float)
     return [
         (case_id, rows, *weights[rows].T)
         for case_id in CASE_IDS
@@ -404,9 +393,9 @@ class CostEnsemble:
 class LoopEnsemble:
     """Population evaluation with each function's own arithmetic, bit for bit.
 
-    Anything exposing ``value(x)``, ``gradient(x)`` and ``partial(x, j)`` on
-    length-m vectors works; this keeps small hand-built worlds (single-resource
-    quadratics and the like) runnable through the same engine and oracle.
+    Anything exposing ``value(x)`` and ``gradient(x)`` on length-m vectors
+    works; this keeps small hand-built worlds (single-resource quadratics and
+    the like) runnable through the same engine and oracle.
     Each entry is exactly what the function's own method returns. Family
     members on the family's resource count are grouped by case once, and each
     case's formula evaluates all its rows in one expression; any other
@@ -417,9 +406,7 @@ class LoopEnsemble:
     def __init__(self, functions, m: int):
         self.functions = tuple(functions)
         self.m = m
-        self._cases = None
-        if m == RESOURCE_COUNT and all(isinstance(f, CostFunction) for f in self.functions):
-            self._cases = _case_groups(self.functions)
+        self._cases = _case_groups(self.functions) if _family_only(self.functions, m) else None
 
     def __len__(self) -> int:
         return len(self.functions)
@@ -455,18 +442,9 @@ class LoopEnsemble:
 
     def partial_column(self, t: np.ndarray, j: int) -> np.ndarray:
         """(n,) partials on resource ``j``, device i evaluated at t[i] e_j."""
-        out = np.empty(len(self.functions))
-        if self._cases is None:
-            point = np.zeros(self.m)
-            for i, f in enumerate(self.functions):
-                point[j] = t[i]
-                out[i] = float(f.partial(point, j))
-            return out
-        for case_id, rows, *weights in self._cases:
-            point = np.zeros((RESOURCE_COUNT, rows.size))
-            point[j] = t[rows]
-            out[rows] = _case_gradient(case_id, *point, *weights)[j]
-        return out
+        x = np.zeros((len(self.functions), self.m))
+        x[:, j] = t
+        return self.gradients(x)[:, j]
 
 
 def make_ensemble(functions, m: int):
@@ -475,6 +453,6 @@ def make_ensemble(functions, m: int):
     Built-in family members on the family's resource count get the vectorized
     ``CostEnsemble``; anything else gets the per-function ``LoopEnsemble``.
     """
-    if m == RESOURCE_COUNT and all(isinstance(f, CostFunction) for f in functions):
+    if _family_only(functions, m):
         return CostEnsemble(functions)
     return LoopEnsemble(functions, m)

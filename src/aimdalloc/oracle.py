@@ -8,11 +8,12 @@ gradients. Either result carries a KKT-style residual so callers can
 certify it.
 
 Cost objects follow the same small protocol as elsewhere: ``value(x)`` and
-``gradient(x)``/``partial(x, j)`` on length-m vectors, plus a truthy
-``separable`` attribute when cross-partials vanish. Populations are evaluated
-through ``costs.make_ensemble``; certificates, the dual bracket and the
+``gradient(x)`` on length-m vectors, plus a truthy ``separable`` attribute
+when cross-partials vanish. Populations are evaluated through
+``costs.make_ensemble``; certificates, the dual bracket and the
 projected-gradient objective use the per-function ``LoopEnsemble`` so they
-carry each function's own arithmetic.
+carry each function's own arithmetic. Objects outside the built-in family are
+bracketed and inverted through rows of their ``gradient``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import LoopEnsemble, make_ensemble
+from .costs import LoopEnsemble, _check_domain, make_ensemble
 
 
 #: devices holding at most this fraction of a capacity count as inactive
@@ -76,7 +77,8 @@ def _residual_from_grads(x, grads, capacities):
     for j, cap in enumerate(capacities):
         feas = abs(float(x[:, j].sum()) - cap) / cap
         spread = _derivative_spread_term(x[:, j], grads[:, j], cap)
-        worst = max(worst, feas, spread)
+        # a NaN term reads as inf: max() would drop it unless it came first
+        worst = max(worst, *(np.inf if np.isnan(t) else t for t in (feas, spread)))
     return worst
 
 
@@ -86,11 +88,10 @@ def kkt_residual(functions, x, capacities) -> float:
     Per resource, the larger of the relative feasibility gap and the
     normalized derivative spread (max minus min over devices holding more
     than ``ACTIVE_THRESHOLD`` of capacity, divided by the mean derivative);
-    the result is the max over resources. Zero at the exact optimum.
+    the result is the max over resources. Zero at the exact optimum; inf
+    when a term is NaN. Negative or NaN allocations raise ``ValueError``.
     """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("allocation matrix has a negative component")
+    x = _check_domain(x)
     capacities = np.asarray(capacities, dtype=float)
     if x.shape != (len(functions), len(capacities)):
         raise ValueError(
@@ -169,9 +170,10 @@ def solve_separable(functions, capacities, tol: float = 1e-8) -> OptimalAllocati
     the bisection runs step by step, and a midpoint at or below a level whose
     gap fell short by more than the band goes up, one at or above a level
     that over-supplied by more than the band goes down, both unevaluated.
-    ``_demand`` is nondecreasing in mu for any deterministic ``partial_column``
-    (every device's inner bisection visits the same midpoints and compares
-    the same partials against mu), and the pairwise sum over devices keeps
+    ``_demand`` is nondecreasing in mu for any deterministic ``partial_column``,
+    which outside the family means any deterministic ``gradient``: every
+    device's inner bisection visits the same midpoints and compares the same
+    partials against mu, and the pairwise sum over devices keeps
     that order, so every skipped step takes the branch plain bisection would
     have taken: ``x_star``, ``mu`` and ``iterations`` (the count of bisection
     steps) are bit for bit those of plain bisection.

@@ -7,7 +7,13 @@ import numpy as np
 from aimdalloc import Config, ResourceParams, build_world
 from aimdalloc.aimd import AVERAGE_FLOOR, LAMBDA_MARGIN, DegenerateAverageError
 from aimdalloc.config import config_hash
-from aimdalloc.costs import LoopEnsemble, make_ensemble
+from aimdalloc.costs import (
+    AssumptionReport,
+    AssumptionViolation,
+    LoopEnsemble,
+    _as_rng,
+    make_ensemble,
+)
 from aimdalloc.engine import Trace, resolve_functions, snapshot_steps, step_world
 from aimdalloc.oracle import (
     BracketError,
@@ -82,6 +88,21 @@ class Coupled:
 
     def partial(self, x, j: int) -> float:
         return float(2.0 * np.asarray(x, dtype=float).sum())
+
+
+class RootSum:
+    """f(x) = sum(sqrt(x_j)): increasing but concave, so its partials fall."""
+
+    separable = True
+
+    def value(self, x) -> float:
+        return float(np.sqrt(np.asarray(x, dtype=float)).sum())
+
+    def gradient(self, x) -> np.ndarray:
+        return 0.5 / np.sqrt(np.asarray(x, dtype=float))
+
+    def partial(self, x, j: int) -> float:
+        return float(self.gradient(x)[j])
 
 
 class Wrapped:
@@ -321,7 +342,7 @@ def per_row_cost_tables(functions):
     g5 = np.zeros((n, m))
     g7 = np.zeros((n, m))
     for i, f in enumerate(functions):
-        a, b, c, d = f.coeffs.a, f.coeffs.b, f.coeffs.c, f.coeffs.d
+        a, b, c, d = f.a, f.b, f.c, f.d
         if f.case_id == 1:
             v2[i] = (a, 0.0, c)
             v4[i] = (0.5 * a, 2.0 * b, 0.25 * c)
@@ -445,3 +466,78 @@ def reference_run(config, mode=None, world=None):
         clamp_high=w.clamp.high,
         wall_time_s=time.perf_counter() - t0,
     )
+
+
+def reference_verify_assumption1(f, box, samples, rng=0):
+    """Reference Assumption 1 check: one ``partial`` call per point, axis and bump.
+
+    This is ``costs.verify_assumption1`` before it drew every bump at once
+    and evaluated the points through ``LoopEnsemble``, kept verbatim (input
+    checks left out) so tests can require the same report. A bump is drawn
+    only after its cell's positivity check passed, so on a failing function
+    ``rng`` stops earlier than in the batched check.
+    """
+    box = [(float(lo), float(hi)) for lo, hi in box]
+    rng = _as_rng(rng)
+    m = len(box)
+    lows = np.array([lo for lo, _ in box])
+    highs = np.array([hi for _, hi in box])
+    pts = lows + rng.random((samples, m)) * (highs - lows)
+    for row in pts:
+        for j in range(m):
+            g = float(f.partial(row, j))
+            if not g > 0.0:
+                return AssumptionReport(
+                    passed=False,
+                    points_checked=samples,
+                    first_violation=AssumptionViolation(
+                        kind="positivity",
+                        axis=j,
+                        point=tuple(row),
+                        detail=f"partial {g} is not strictly positive",
+                    ),
+                )
+            bumped = row.copy()
+            bumped[j] = row[j] + (highs[j] - row[j]) * float(rng.random())
+            g_up = float(f.partial(bumped, j))
+            # tiny relative slack for float noise in the closed forms
+            if g_up < g * (1.0 - 1e-12) - 1e-15:
+                return AssumptionReport(
+                    passed=False,
+                    points_checked=samples,
+                    first_violation=AssumptionViolation(
+                        kind="monotonicity",
+                        axis=j,
+                        point=tuple(row),
+                        detail=f"partial fell from {g} to {g_up} along axis {j}",
+                    ),
+                )
+    return AssumptionReport(passed=True, points_checked=samples)
+
+
+def reference_estimate_gamma(functions, box, grid, safety=1.0):
+    """Reference normalization bound: one ``partial`` call per function, point and axis.
+
+    This is ``costs.estimate_gamma`` before it evaluated each lattice point
+    through ``LoopEnsemble``, kept verbatim (input checks left out) so tests
+    can require the same bits.
+    """
+    functions = list(functions)
+    box = [(float(lo), float(hi)) for lo, hi in box]
+    m = len(box)
+    axes = [np.linspace(lo, hi, grid) for lo, hi in box]
+    mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    best = np.full(m, np.inf)
+    for f in functions:
+        for point in mesh:
+            for j in range(m):
+                g = float(f.partial(point, j))
+                if g == 0.0:
+                    continue
+                ratio = point[j] / g
+                if ratio < best[j]:
+                    best[j] = ratio
+    if not np.all(np.isfinite(best)):
+        bad = [j for j in range(m) if not np.isfinite(best[j])]
+        raise ValueError(f"all partials vanished on the grid for resource axes {bad}")
+    return safety * best

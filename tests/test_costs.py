@@ -1,10 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aimdalloc import (
-    CostCoefficients,
     CostEnsemble,
     CostFunction,
     UnsupportedFamilyError,
@@ -15,16 +16,24 @@ from aimdalloc import (
     verify_assumption1,
 )
 
-from aimdalloc.costs import CASE_IDS, COEFF_RANGES, LoopEnsemble, make_ensemble
+from aimdalloc.costs import CASE_IDS, FIELD_RANGES, LoopEnsemble, make_ensemble
 
 from _stand_ins import (
+    BlowUp,
     Constant,
+    Coupled,
     Negation,
+    RootSum,
     WeightedSquare,
+    Wiggly,
     Wrapped,
     per_row_cost_tables,
+    reference_estimate_gamma,
     reference_gradients,
+    reference_verify_assumption1,
 )
+
+WEIGHT_RANGES = [FIELD_RANGES[name] for name in "abcd"]
 
 
 def central_difference(f, x, j, h=1e-5):
@@ -50,15 +59,14 @@ class TestSampling:
     def test_coefficient_ranges(self):
         rng = np.random.default_rng(11)
         for f in sample_cost_functions(rng, 2000):
-            c = f.coeffs
-            assert 1 <= c.a <= 25
-            assert 1 <= c.b <= 20
-            assert 1 <= c.c <= 15
-            assert 1 <= c.d <= 10
+            assert 1 <= f.a <= 25
+            assert 1 <= f.b <= 20
+            assert 1 <= f.c <= 15
+            assert 1 <= f.d <= 10
 
     def test_every_coefficient_value_reachable(self):
         rng = np.random.default_rng(3)
-        seen_a = {f.coeffs.a for f in sample_cost_functions(rng, 5000)}
+        seen_a = {f.a for f in sample_cost_functions(rng, 5000)}
         assert seen_a == set(range(1, 26))
 
     def test_resource_count_restriction(self):
@@ -87,23 +95,28 @@ class TestSampling:
 
 class TestEvaluation:
     def test_case2_unit_coefficients(self):
-        f = CostFunction(2, CostCoefficients(1, 1, 1, 1))
+        f = CostFunction(2, 1, 1, 1, 1)
         assert evaluate_cost(f, (1.0, 1.0, 1.0)) == pytest.approx(4.0, abs=1e-12)
 
     def test_case1_hand_value(self):
         # a(1 + 1/2) + b(2 + 1/2) + c(1 + 1/4) + d/8 at the all-ones point
-        f = CostFunction(1, CostCoefficients(a=2, b=1, c=1, d=8))
+        f = CostFunction(1, a=2, b=1, c=1, d=8)
         assert evaluate_cost(f, (1.0, 1.0, 1.0)) == pytest.approx(7.75, abs=1e-12)
 
     def test_zero_allocation_costs_nothing(self):
         for case in (1, 2, 3):
-            f = CostFunction(case, CostCoefficients(5, 5, 5, 5))
+            f = CostFunction(case, 5, 5, 5, 5)
             assert evaluate_cost(f, np.zeros(3)) == 0.0
 
     def test_negative_component_rejected(self):
-        f = CostFunction(2, CostCoefficients(1, 1, 1, 1))
+        f = CostFunction(2, 1, 1, 1, 1)
         with pytest.raises(ValueError):
             evaluate_cost(f, (1.0, -0.1, 0.0))
+
+    def test_nan_component_rejected(self):
+        f = CostFunction(2, 1, 1, 1, 1)
+        with pytest.raises(ValueError, match="NaN"):
+            evaluate_cost(f, (1.0, np.nan, 0.0))
 
     def test_nonnegative_everywhere_sampled(self):
         rng = np.random.default_rng(5)
@@ -115,16 +128,16 @@ class TestEvaluation:
 
 class TestPartialDerivatives:
     def test_case2_quadratic_slope(self):
-        f = CostFunction(2, CostCoefficients(1, 1, 1, 1))
+        f = CostFunction(2, 1, 1, 1, 1)
         assert partial_derivative(f, (1.0, 0.3, 0.7), 0) == pytest.approx(2.0, abs=1e-12)
 
     def test_case3_hand_partial(self):
         # 2 b x1 + d x1^5 at x1 = 1 with b=1, d=6
-        f = CostFunction(3, CostCoefficients(a=1, b=1, c=1, d=6))
+        f = CostFunction(3, a=1, b=1, c=1, d=6)
         assert partial_derivative(f, (0.5, 1.0, 0.5), 1) == pytest.approx(8.0, abs=1e-12)
 
     def test_index_out_of_range(self):
-        f = CostFunction(1, CostCoefficients(1, 1, 1, 1))
+        f = CostFunction(1, 1, 1, 1, 1)
         with pytest.raises(IndexError):
             partial_derivative(f, (1.0, 1.0, 1.0), 3)
 
@@ -173,9 +186,9 @@ class TestEnsembleConsistency:
 
     def test_tables_match_per_row_fill(self):
         # every case at both coefficient extremes, interleaved with a sampled population
-        lows, highs = zip(*COEFF_RANGES.values())
+        lows, highs = zip(*WEIGHT_RANGES)
         extremes = [
-            CostFunction(case_id, CostCoefficients(*w))
+            CostFunction(case_id, *w)
             for case_id in CASE_IDS
             for w in (lows, highs)
         ]
@@ -221,11 +234,7 @@ def same_bits(a, b):
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
-family_member = st.builds(
-    lambda case_id, *w: CostFunction(case_id, CostCoefficients(*w)),
-    st.sampled_from(CASE_IDS),
-    *(st.integers(lo, hi) for lo, hi in COEFF_RANGES.values()),
-)
+family_member = st.builds(CostFunction, *(st.integers(lo, hi) for lo, hi in FIELD_RANGES.values()))
 coordinate = st.one_of(
     st.sampled_from([0.0, 1e-300, 1e4]),
     st.floats(min_value=0.0, max_value=1e4, allow_nan=False, allow_infinity=False),
@@ -234,9 +243,9 @@ family_rows = st.lists(
     st.tuples(family_member, st.tuples(coordinate, coordinate, coordinate)), min_size=1, max_size=24
 )
 extreme_rows = [
-    (CostFunction(case_id, CostCoefficients(*w)), point)
+    (CostFunction(case_id, *w), point)
     for case_id in CASE_IDS
-    for w in ((1, 1, 1, 1), tuple(hi for _, hi in COEFF_RANGES.values()))
+    for w in ((1, 1, 1, 1), tuple(hi for _, hi in WEIGHT_RANGES))
     for point in ((0.0, 1e-300, 1e4), (1e4, 0.0, 1e-300), (2.5, 0.3, 17.0))
 ]
 
@@ -272,8 +281,10 @@ class TestBatchedLoopEnsemble:
         values, grads, partials = per_row(fns, x)
         calls.clear()
         got = (ens.values(x), ens.gradients(x), [ens.partial_column(x[:, j], j) for j in range(3)])
+        # one gradient row per device for ``gradients`` and for each column
         assert calls.count("value") == 5
-        assert calls.count("partial") == 5 * 3
+        assert calls.count("gradient") == 5 + 5 * 3
+        assert calls.count("partial") == 0
         assert same_bits(got[0], values)
         assert same_bits(got[1], grads)
         assert all(same_bits(a, b) for a, b in zip(got[2], partials))
@@ -326,6 +337,16 @@ class TestAssumptionCheck:
         assert not report.passed
         assert report.first_violation.kind == "positivity"
 
+    def test_concave_function_fails_monotonicity(self):
+        # sum of square roots: positive partials 0.5 / sqrt(x_j) that fall as x_j grows
+        box = [(0.01, 3.0)] * 3
+        report = verify_assumption1(RootSum(), box, samples=10, rng=4)
+        first_point = 0.01 + np.random.default_rng(4).random(3) * 2.99
+        assert not report.passed
+        assert report.first_violation.kind == "monotonicity"
+        assert report.first_violation.axis == 0
+        assert report.first_violation.point == tuple(first_point)
+
 
 class TestGammaEstimate:
     def test_pure_square_gives_half(self):
@@ -364,10 +385,76 @@ class TestGammaEstimate:
         with pytest.raises(ValueError):
             estimate_gamma([], [(0.1, 1.0)], grid=4)
 
+    def test_vanished_partials_rejected(self):
+        with pytest.raises(ValueError, match="all partials vanished"):
+            estimate_gamma([Constant()], [(0.1, 1.0)] * 2, grid=4)
+
+
+BOX3 = [(0.01, 3.0), (0.05, 2.0), (0.1, 2.5)]
+# on BOX3 with rng 9 the NaN blow-up first fails positivity at point 4, axis 2,
+# and the -inf one first fails monotonicity at point 1, axis 2
+THRESHOLDS = (2.9, 1.95, 2.45)
+STAND_INS = {
+    "negation": lambda: Negation(),
+    "constant": lambda: Constant(),
+    "coupled": lambda: Coupled(),
+    "wiggly": lambda: Wiggly(3.0),
+    "root-sum": lambda: RootSum(),
+    "blow-up-nan": lambda: BlowUp(1.0, THRESHOLDS, np.nan),
+    "blow-up-neg-inf": lambda: BlowUp(1.0, THRESHOLDS, -np.inf),
+}
+
+
+class TestBatchedChecksMatchReference:
+    """The batched Assumption 1 check and gamma estimate keep the per-point loops' results."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_assumption_check_on_family_members(self, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        f = sample_cost_functions(rng, 1)[0]
+        sample_cost_functions(ref_rng, 1)
+        report = verify_assumption1(f, BOX3, samples=200, rng=rng)
+        assert report == reference_verify_assumption1(f, BOX3, samples=200, rng=ref_rng)
+        assert report.passed
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("name", STAND_INS)
+    def test_assumption_check_on_stand_ins(self, name):
+        f = STAND_INS[name]()
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        report = verify_assumption1(f, BOX3, samples=50, rng=rng)
+        assert report == reference_verify_assumption1(f, BOX3, samples=50, rng=ref_rng)
+        if report.passed:
+            assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize(
+        "population",
+        [
+            lambda: sample_cost_functions(1729, 60),
+            lambda: [*sample_cost_functions(3, 4), Wiggly(2.0), Coupled(), Negation()],
+            lambda: [Wiggly(0.5), BlowUp(2.0, THRESHOLDS, np.nan)],
+            lambda: [BlowUp(1.0, THRESHOLDS, -np.inf), WeightedSquare(1.0)],
+            # zeros of both signs tie at the minimum: the first function's sign wins
+            lambda: [BlowUp(1.0, THRESHOLDS, np.inf), BlowUp(1.0, (1.0, 1.0, 1.0), -np.inf)],
+            lambda: [BlowUp(1.0, (1.0, 1.0, 1.0), -np.inf), BlowUp(1.0, THRESHOLDS, np.inf)],
+            *(lambda make=make: [make()] for make in STAND_INS.values()),
+        ],
+    )
+    def test_gamma_estimate(self, population):
+        fns = population()
+        box = [(0.1, 32.0), (0.1, 20.0), (0.1, 25.0)]
+        try:
+            want = reference_estimate_gamma(fns, box, grid=5, safety=0.5)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                estimate_gamma(fns, box, grid=5, safety=0.5)
+        else:
+            assert estimate_gamma(fns, box, grid=5, safety=0.5).tobytes() == want.tobytes()
+
 
 class TestSerialization:
     def test_round_trip(self):
-        f = CostFunction(3, CostCoefficients(7, 2, 15, 10))
+        f = CostFunction(3, 7, 2, 15, 10)
         assert CostFunction.from_dict(f.to_dict()) == f
 
     def test_unknown_key_rejected(self):
@@ -377,8 +464,16 @@ class TestSerialization:
     @pytest.mark.parametrize("case_id", [True, 1.0, "1"])
     def test_case_id_must_be_integer(self, case_id):
         with pytest.raises(ValueError):
-            CostFunction(case_id, CostCoefficients(1, 1, 1, 1))
+            CostFunction(case_id, 1, 1, 1, 1)
 
     def test_out_of_range_coefficient_rejected(self):
         with pytest.raises(ValueError):
             CostFunction.from_dict({"case_id": 1, "a": 26, "b": 1, "c": 1, "d": 1})
+
+    @pytest.mark.parametrize("name", FIELD_RANGES)
+    def test_errors_name_the_field(self, name):
+        entry = {"case_id": 1, "a": 1, "b": 1, "c": 1, "d": 1}
+        with pytest.raises(ValueError, match=f"^{name}=0 outside"):
+            CostFunction.from_dict({**entry, name: 0})
+        with pytest.raises(ValueError, match=f"missing key '{name}'"):
+            CostFunction.from_dict({k: v for k, v in entry.items() if k != name})

@@ -9,7 +9,6 @@ from pathlib import Path
 
 from aimdalloc import (
     Config,
-    CostCoefficients,
     CostFunction,
     ResourceParams,
     collect_metrics,
@@ -23,8 +22,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 def golden_config():
     functions = (
-        CostFunction(1, CostCoefficients(3, 2, 4, 5)),
-        CostFunction(2, CostCoefficients(7, 1, 2, 3)),
+        CostFunction(1, 3, 2, 4, 5),
+        CostFunction(2, 7, 1, 2, 3),
     )
     return Config(
         n=2,

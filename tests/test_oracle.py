@@ -13,7 +13,7 @@ from aimdalloc import (
 )
 from aimdalloc.engine import resolve_functions
 
-from _stand_ins import Coupled, WeightedSquare, Wiggly, Wrapped, plain_bisection_solve
+from _stand_ins import BlowUp, Coupled, WeightedSquare, Wiggly, Wrapped, plain_bisection_solve
 
 
 def random_feasible(rng, n, capacities):
@@ -221,6 +221,28 @@ class TestKktResidual:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             kkt_residual([WeightedSquare(1.0)], np.zeros((2, 1)), [1.0])
+
+    @pytest.mark.parametrize("where", ["entry", "column"])
+    def test_nan_allocation_rejected(self, where):
+        # the exact optimum reads about 1e-8; a NaN in it must not pass for optimal
+        fns = sample_cost_functions(0, 4)
+        x = solve_separable(fns, [1.0] * 3).x_star.copy()
+        if where == "entry":
+            x[2, 0] = np.nan
+        else:
+            x[:, 1] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            kkt_residual(fns, x, [1.0] * 3)
+
+    def test_negative_allocation_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            kkt_residual([WeightedSquare(1.0)] * 2, np.array([[-0.5], [3.5]]), [3.0])
+
+    def test_nan_gradient_reads_inf(self):
+        # a feasible split whose first device's derivative is NaN: the spread term is NaN
+        fns = [BlowUp(1.0, [1.0], np.nan), WeightedSquare(1.0)]
+        x = np.array([[1.5], [1.5]])
+        assert kkt_residual(fns, x, [3.0]) == np.inf
 
 
 class TestOptimalityProperties:
