@@ -1,6 +1,7 @@
 """Run configuration: JSON schema, validation, and round-trip serialization.
 
-A config file is a single JSON object; unknown keys are rejected so typos
+A config file is a single JSON object whose top-level keys are stated once,
+in file order, by the table ``_FIELDS``; unknown keys are rejected so typos
 fail loudly. ``config_from_dict`` reads a document in one typed pass and
 reports every problem at once. ``parse_config`` and ``serialize_config`` are
 inverses on valid configurations, and the config hash embedded in exports is
@@ -11,8 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .aimd import ResourceParams
 from .costs import CostFunction
@@ -48,23 +50,43 @@ class Config:
     def with_overrides(self, seed=None, trace_stride=None, out_dir=None) -> "Config":
         """This config with the given fields replaced, checked like a config file."""
         doc = serialize_config(self)
-        for key, value, convert in (
-            ("seed", seed, int), ("trace_stride", trace_stride, int), ("out_dir", out_dir, str)
-        ):
+        for key, value in (("seed", seed), ("trace_stride", trace_stride), ("out_dir", out_dir)):
             if value is not None:
-                doc[key] = convert(value)
+                doc[key] = _FIELDS[key].kind(value)
         return config_from_dict(doc)
 
 
-_TOP_KEYS = {
-    "n", "m", "steps", "mode", "resources", "seed", "cost_spec",
-    "trace_stride", "out_dir", "solver_tol", "kkt_tol",
-}
 _REQUIRED = object()
-_RESOURCE_DEFAULTS = {
-    "capacity": _REQUIRED, "alpha": _REQUIRED, "beta": _REQUIRED,
-    "gamma_cap": 1.0, "gamma_norm": _REQUIRED,
+
+
+class _Field(NamedTuple):
+    """How one top-level scalar is read: JSON type, check, reason, default."""
+
+    kind: type
+    check: Callable | None = None
+    why: str = ""
+    default: object = _REQUIRED
+
+
+_IN_UNIT = (lambda v: 0 < v < 1), "must be in (0, 1)"
+#: every top-level key in file order; None marks the keys with their own reader
+_FIELDS = {
+    "n": _Field(int, lambda v: v >= 1, "must be >= 1"),
+    # config files describe the built-in three-resource cost family; other
+    # resource counts are reachable through build_world with custom costs
+    "m": _Field(int, lambda v: v == 3, "must be 3 (built-in cost family)"),
+    "steps": _Field(int, lambda v: v >= 1, "must be >= 1"),
+    "mode": _Field(str, lambda v: v in MODES, f"must be one of {MODES}"),
+    "seed": _Field(int, lambda v: 0 <= v < 2**64, "must fit in 64 bits"),
+    "resources": None,
+    "cost_spec": None,
+    "trace_stride": _Field(int, lambda v: v >= 1, "must be >= 1", default=None),
+    "out_dir": _Field(str, default=None),
+    "solver_tol": _Field(float, *_IN_UNIT, default=DEFAULT_SOLVER_TOL),
+    "kkt_tol": _Field(float, *_IN_UNIT, default=DEFAULT_KKT_TOL),
 }
+# a config must state gamma_norm although ResourceParams defaults it
+_RESOURCE_DEFAULTS = {f.name: _REQUIRED for f in fields(ResourceParams)} | {"gamma_cap": 1.0}
 
 
 def config_from_dict(doc: dict) -> Config:
@@ -104,26 +126,15 @@ def config_from_dict(doc: dict) -> Config:
             return None
         return v
 
-    unknown(doc, _TOP_KEYS)
-    n = read(doc, "n", int, lambda v: v >= 1, "must be >= 1")
-    # config files describe the built-in three-resource cost family; other
-    # resource counts are reachable through build_world with custom costs
-    m = read(doc, "m", int, lambda v: v == 3, "must be 3 (built-in cost family)")
-    steps = read(doc, "steps", int, lambda v: v >= 1, "must be >= 1")
-    mode = read(doc, "mode", str, lambda v: v in MODES, f"must be one of {MODES}")
-    seed = read(doc, "seed", int, lambda v: 0 <= v < 2**64, "must fit in 64 bits")
-    trace_stride = read(doc, "trace_stride", int, lambda v: v >= 1, "must be >= 1", default=None)
-    out_dir = read(doc, "out_dir", str, default=None)
-    in_unit = (lambda v: 0 < v < 1), "must be in (0, 1)"
-    solver_tol = read(doc, "solver_tol", float, *in_unit, default=DEFAULT_SOLVER_TOL)
-    kkt_tol = read(doc, "kkt_tol", float, *in_unit, default=DEFAULT_KKT_TOL)
+    unknown(doc, _FIELDS)
+    top = {key: read(doc, key, *field) for key, field in _FIELDS.items() if field}
 
     docs = doc.get("resources")
     if not isinstance(docs, list) or not docs:
         problems.append("resources: expected a non-empty list")
         docs = []
-    if m is not None and docs and len(docs) != m:
-        problems.append(f"resources: length {len(docs)} does not match m={m}")
+    if top["m"] is not None and docs and len(docs) != top["m"]:
+        problems.append(f"resources: length {len(docs)} does not match m={top['m']}")
     resources = []
     for idx, r in enumerate(docs):
         path = f"resources[{idx}]"
@@ -153,8 +164,8 @@ def config_from_dict(doc: dict) -> Config:
         if not isinstance(entries, list):
             problems.append("cost_spec.functions: expected a list")
             entries = []
-        elif n is not None and len(entries) != n:
-            problems.append(f"cost_spec.functions: length {len(entries)} does not match n={n}")
+        elif top["n"] is not None and len(entries) != top["n"]:
+            problems.append(f"cost_spec.functions: length {len(entries)} does not match n={top['n']}")
         functions = []
         for i, fd in enumerate(entries):
             if not isinstance(fd, dict):
@@ -170,19 +181,7 @@ def config_from_dict(doc: dict) -> Config:
 
     if problems:
         raise ConfigError(problems)
-    return Config(
-        n=n,
-        m=m,
-        steps=steps,
-        mode=mode,
-        resources=tuple(resources),
-        seed=seed,
-        functions=functions,
-        trace_stride=trace_stride,
-        out_dir=out_dir,
-        solver_tol=solver_tol,
-        kkt_tol=kkt_tol,
-    )
+    return Config(**top, resources=tuple(resources), functions=functions)
 
 
 def parse_config(path: str | Path) -> Config:
@@ -203,32 +202,13 @@ def parse_config(path: str | Path) -> Config:
 
 def serialize_config(cfg: Config) -> dict:
     """Plain-dict form; json.dumps of this round-trips through parse."""
-    doc = {
-        "n": cfg.n,
-        "m": cfg.m,
-        "steps": cfg.steps,
-        "mode": cfg.mode,
-        "seed": cfg.seed,
-        "resources": [
-            {
-                "capacity": r.capacity,
-                "alpha": r.alpha,
-                "beta": r.beta,
-                "gamma_cap": r.gamma_cap,
-                "gamma_norm": r.gamma_norm,
-            }
-            for r in cfg.resources
-        ],
-        "cost_spec": (
-            {"kind": "sample"}
-            if cfg.functions is None
-            else {"kind": "explicit", "functions": [f.to_dict() for f in cfg.functions]}
-        ),
-        "trace_stride": cfg.trace_stride,
-        "out_dir": cfg.out_dir,
-        "solver_tol": cfg.solver_tol,
-        "kkt_tol": cfg.kkt_tol,
-    }
+    doc = {key: getattr(cfg, key) if field else None for key, field in _FIELDS.items()}
+    doc["resources"] = [asdict(r) for r in cfg.resources]
+    doc["cost_spec"] = (
+        {"kind": "sample"}
+        if cfg.functions is None
+        else {"kind": "explicit", "functions": [f.to_dict() for f in cfg.functions]}
+    )
     return doc
 
 

@@ -154,10 +154,8 @@ def sample_cost_functions(rng, n: int, m: int = RESOURCE_COUNT) -> tuple[CostFun
     return tuple(CostFunction(*row) for row in rows)
 
 
-def _check_domain(x, m: int | None = None) -> np.ndarray:
+def _check_domain(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if m is not None and x.shape[-1] != m:
-        raise ValueError(f"allocation vector has length {x.shape[-1]}, expected {m}")
     if not np.all(x >= 0):
         raise ValueError("allocation has a negative or NaN component")
     return x

@@ -12,7 +12,7 @@ import os
 import shutil
 import tempfile
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -230,14 +230,7 @@ def _write_full_rate(trace: Trace, report: MetricsReport, out: Path, rows: dict[
         ],
         "clamp_low": trace.clamp_low,
         "clamp_high": trace.clamp_high,
-        "summary": {
-            "final_cost_ratio": report.summary.final_cost_ratio,
-            "final_spread": list(report.summary.final_spread),
-            "distance_median": report.summary.distance_median,
-            "distance_max": report.summary.distance_max,
-            "event_bits": list(report.summary.event_bits),
-            "wall_time_s": report.summary.wall_time_s,
-        },
+        "summary": asdict(report.summary),
     }
     (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     rows["summary.json"] = 1
@@ -285,18 +278,17 @@ class ComparisonReport:
         return tuple(out)
 
 
-def compare_modes(config: Config, modes: tuple[str, str] | None = None) -> ComparisonReport:
-    """Run two update modes on the same instance and measure their gap.
+def compare_modes(config: Config) -> ComparisonReport:
+    """Run both update modes on the same instance and measure their gap.
 
-    With ``modes`` unset the config must say ``mode: both`` and the pair is
-    (deterministic, stochastic). The convergence-step estimate uses a common
-    per-resource threshold: ``SPREAD_FRACTION`` of the larger of the two
-    runs' peak spreads, judged sustainedly.
+    The config must say ``mode: both``; the pair is (deterministic,
+    stochastic). The convergence-step estimate uses a common per-resource
+    threshold: ``SPREAD_FRACTION`` of the larger of the two runs' peak
+    spreads, judged sustainedly.
     """
-    if modes is None:
-        if config.mode != "both":
-            raise ValueError("compare_modes needs mode 'both' (or an explicit mode pair)")
-        modes = ("deterministic", "stochastic")
+    if config.mode != "both":
+        raise ValueError("compare_modes needs mode 'both'")
+    modes = ("deterministic", "stochastic")
     trace_a = engine.run(config, mode=modes[0])
     trace_b = engine.run(config, mode=modes[1])
     optimum = solve_separable(

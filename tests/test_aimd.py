@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -162,10 +164,10 @@ class TestDeterministicBackoff:
         assert md_deterministic(3.0, 1.0, 0.7) == pytest.approx(2.1, abs=1e-15)
 
     @given(x=finite_pos, lam=unit_open, beta=beta_range)
+    @example(x=17171.0, lam=0.999999, beta=1e-8)  # x * (1 - lam * (1 - beta)) is 6e-11 off
     def test_multiplier_identity(self, x, lam, beta):
-        assert md_deterministic(x, lam, beta) == pytest.approx(
-            x * (1.0 - lam * (1.0 - beta)), rel=1e-12
-        )
+        exact = Fraction(x) * (1 - Fraction(lam) * (1 - Fraction(beta)))
+        assert md_deterministic(x, lam, beta) == pytest.approx(float(exact), rel=1e-12)
 
     @given(x=finite_pos, lam=unit_open, beta=beta_range)
     def test_multiplier_strictly_inside_beta_one(self, x, lam, beta):

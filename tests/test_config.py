@@ -2,11 +2,12 @@ import json
 
 import pytest
 
-from aimdalloc import ConfigError, parse_config, serialize_config
+from aimdalloc import ConfigError, config_hash, parse_config, serialize_config
 from aimdalloc.cli import main
 from aimdalloc.config import config_from_dict
 
 from conftest import BUNDLED_CONFIG
+from test_golden import golden_config
 
 
 def minimal_doc(**overrides):
@@ -203,10 +204,24 @@ class TestRoundTrip:
         again = parse_config(write_doc(tmp_path, serialize_config(cfg), name="again.json"))
         assert again == cfg
 
-    def test_bundled_file_round_trips_byte_for_byte(self):
-        text = BUNDLED_CONFIG.read_text()
-        cfg = parse_config(BUNDLED_CONFIG)
+    @pytest.mark.parametrize("path", sorted(BUNDLED_CONFIG.parent.glob("*.json")), ids=lambda p: p.stem)
+    def test_bundled_file_round_trips_byte_for_byte(self, path):
+        text = path.read_text()
+        cfg = parse_config(path)
         assert json.dumps(serialize_config(cfg), indent=2) + "\n" == text
+
+    @pytest.mark.parametrize("name, digest", [
+        pytest.param(name, digest, id=name) for name, digest in [
+            ("tourist_center", "99590a7dc7dcd047cc4401ff19e37bdd6ae8e222eb1758202d1b095e4a0adde7"),
+            ("quickstart", "7eccf3fbe24b76f39189dae7b800210f7678a80260adcb475153f6f95c9b5a50"),
+        ]
+    ])
+    def test_bundled_config_hash_pinned(self, name, digest):
+        assert config_hash(parse_config(BUNDLED_CONFIG.parent / f"{name}.json")) == digest
+
+    def test_explicit_functions_config_hash_pinned(self):
+        digest = "258e66f1ed7f28decf8ea77702d438a1d50d592a4057a9fe405f900a0143dfb2"
+        assert config_hash(golden_config()) == digest
 
 
 class TestOverrides:

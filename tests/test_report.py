@@ -322,13 +322,6 @@ class TestCompareModes:
         with pytest.raises(ValueError):
             compare_modes(cfg)
 
-    def test_identical_modes_are_identical(self, bundled_config):
-        cfg = dataclasses.replace(bundled_config, steps=300)
-        cr = compare_modes(cfg, modes=("deterministic", "deterministic"))
-        np.testing.assert_array_equal(cr.traces[0].xbar_snap, cr.traces[1].xbar_snap)
-        assert np.all(cr.final_diff == 0.0)
-        assert cr.convergence_steps[0] == cr.convergence_steps[1]
-
     def test_shared_functions_and_shapes(self, bundled_config):
         cfg = dataclasses.replace(bundled_config, steps=300)
         cr = compare_modes(cfg)
