@@ -19,6 +19,9 @@ AVERAGE_FLOOR = 1e-9
 #: clamp margin keeping the scaling factor strictly inside (0, 1)
 LAMBDA_MARGIN = 1e-6
 
+#: the two back-off variants a run can simulate, in comparison order
+RUN_MODES = ("deterministic", "stochastic")
+
 
 class DegenerateAverageError(ValueError):
     """Average allocation too close to zero for the scaling rule."""

@@ -7,7 +7,8 @@ Subcommands:
   sweep    repeat a run across a seed range and aggregate
 
 Exit codes: 0 success, 2 configuration problem (including a trace over
-engine.TRACE_BUDGET_BYTES, refused before sampling), 3 run/solver failure
+engine.TRACE_BUDGET_BYTES, refused before sampling, and an output directory
+blocked by a file, refused before simulating), 3 run/solver failure
 (including a non-finite total, derivative spread or cost, and an oracle KKT
 residual above the config's kkt_tol, both checked before anything is
 exported), 1 unexpected error.
@@ -16,23 +17,34 @@ exported), 1 unexpected error.
 from __future__ import annotations
 
 import argparse
-import json
+import itertools
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import engine
+from .aimd import RUN_MODES
 from .config import Config, ConfigError, config_hash, parse_config
 from .engine import SimulationError
 from .metrics import collect_metrics
-from .oracle import BracketError, solve_separable
-from .report import compare_modes, export_comparison, export_trace
+from .oracle import BracketError
+from .report import certified_optimum, compare_modes, export_comparison, export_trace, write_json
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
 EXIT_CONFIG = 2
 EXIT_RUN = 3
+
+#: ``add_argument`` arguments of every flag; ``_COMMANDS`` says which subcommands take it
+_FLAGS = {
+    "config": dict(help="path to a JSON config file"),
+    "--out": dict(help="output directory (overrides config out_dir)"),
+    "--stride": dict(type=int, help="trace snapshot stride (overrides config)"),
+    "--seed": dict(type=int, help="run seed (overrides config)"),
+    "--seeds": dict(required=True, metavar="A..B", help="inclusive seed range, e.g. 1..5"),
+    "--mode": dict(choices=RUN_MODES, help="run mode (required when the config says 'both')"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,37 +53,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="AIMD multi-resource allocation: simulate, compare, solve.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("config", help="path to a JSON config file")
-        p.add_argument("--out", help="output directory (overrides config out_dir)")
-        p.add_argument("--stride", type=int, help="trace snapshot stride (overrides config)")
-        p.add_argument("--seed", type=int, help="run seed (overrides config)")
-
-    p_run = sub.add_parser("run", help="single simulation run")
-    add_common(p_run)
-    p_run.add_argument(
-        "--mode",
-        choices=("deterministic", "stochastic"),
-        help="run mode (required when the config says 'both')",
-    )
-
-    p_cmp = sub.add_parser("compare", help="deterministic vs stochastic comparison")
-    add_common(p_cmp)
-
-    p_solve = sub.add_parser("solve", help="centralized optimum only")
-    add_common(p_solve)
-
-    p_sweep = sub.add_parser("sweep", help="same run across a seed range")
-    add_common(p_sweep)
-    p_sweep.add_argument(
-        "--seeds", required=True, metavar="A..B", help="inclusive seed range, e.g. 1..5"
-    )
-    p_sweep.add_argument(
-        "--mode",
-        choices=("deterministic", "stochastic"),
-        help="run mode (required when the config says 'both')",
-    )
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        # exact flags only: otherwise sweep would read --seed as --seeds
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -84,17 +70,14 @@ def _load_config(args) -> Config:
     )
 
 
-def _out_dir(cfg: Config, command: str) -> Path:
-    if cfg.out_dir:
-        return Path(cfg.out_dir)
-    return Path(f"aimdalloc-{command}-{config_hash(cfg)[:12]}")
-
-
-def _certify(optimum, cfg: Config) -> None:
-    if optimum.kkt_residual > cfg.kkt_tol:
-        raise SimulationError(
-            f"kkt residual {optimum.kkt_residual:.3e} above kkt_tol {cfg.kkt_tol:g}"
-        )
+def _out_dir(cfg: Config, command: str, subdirs=()) -> Path:
+    """The output directory, not yet made; ConfigError if a file blocks it or an ``out / sub``."""
+    out = Path(cfg.out_dir or f"aimdalloc-{command}-{config_hash(cfg)[:12]}")
+    for path in itertools.chain([out], map(out.joinpath, subdirs)):
+        nearest = next((p for p in (path, *path.parents) if p.exists()), None)
+        if nearest is not None and not nearest.is_dir():
+            raise ConfigError([f"out_dir: {nearest} is not a directory"])
+    return out
 
 
 def _single_mode(cfg: Config, flag_mode: str | None) -> str:
@@ -107,10 +90,7 @@ def _single_mode(cfg: Config, flag_mode: str | None) -> str:
 def _run_and_export(cfg: Config, mode: str, out: Path):
     """Simulate one mode, certify the oracle's optimum, then collect metrics and export."""
     trace = engine.run(cfg, mode=mode)
-    optimum = solve_separable(
-        trace.functions, [p.capacity for p in cfg.resources], tol=cfg.solver_tol
-    )
-    _certify(optimum, cfg)
+    optimum = certified_optimum(cfg, trace.functions)
     report = collect_metrics(trace, optimum.x_star)
     return trace, report, export_trace(trace, report, out)
 
@@ -129,11 +109,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _load_config(args)
-    if cfg.mode != "both":
-        raise ConfigError(["mode: compare needs mode 'both'"])
+    out = _out_dir(cfg, "compare", RUN_MODES)
     cr = compare_modes(cfg)
-    _certify(cr.optimum, cfg)
-    manifest = export_comparison(cr, _out_dir(cfg, "compare"))
+    manifest = export_comparison(cr, out)
     diff = cr.final_diff
     print(f"compare {cr.modes[0]} vs {cr.modes[1]}: "
           f"convergence steps {cr.convergence_steps[0]} vs {cr.convergence_steps[1]}")
@@ -144,12 +122,9 @@ def _cmd_compare(args) -> int:
 
 def _cmd_solve(args) -> int:
     cfg = _load_config(args)
-    functions = engine.resolve_functions(cfg)
-    optimum = solve_separable(
-        functions, [p.capacity for p in cfg.resources], tol=cfg.solver_tol
-    )
-    _certify(optimum, cfg)
     out = _out_dir(cfg, "solve")
+    functions = engine.resolve_functions(cfg)
+    optimum = certified_optimum(cfg, functions)
     out.mkdir(parents=True, exist_ok=True)
     doc = {
         "config_hash": config_hash(cfg),
@@ -160,7 +135,7 @@ def _cmd_solve(args) -> int:
         "converged": optimum.converged,
         "cost_functions": [f.to_dict() for f in functions],
     }
-    (out / "optimum.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_json(out / "optimum.json", doc)
     print(f"solved: mu = {[round(float(v), 6) for v in optimum.mu]}, "
           f"kkt residual {optimum.kkt_residual:.3e}")
     print(f"wrote optimum.json to {out}")
@@ -182,7 +157,7 @@ def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     mode = _single_mode(cfg, args.mode)
     seeds = _parse_seed_range(args.seeds)
-    out = _out_dir(cfg, "sweep")
+    out = _out_dir(cfg, "sweep", (f"seed_{seed}" for seed in seeds))
     per_seed = []
     for seed in seeds:
         run_cfg = cfg.with_overrides(seed=seed)
@@ -207,26 +182,24 @@ def _cmd_sweep(args) -> int:
         "event_bits_min": [int(v) for v in bits.min(axis=0)],
         "event_bits_max": [int(v) for v in bits.max(axis=0)],
     }
-    (out / "sweep.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_json(out / "sweep.json", doc)
     print(f"wrote sweep.json to {out}")
     return EXIT_OK
 
 
+#: handler, help and flags of every subcommand, as in the README synopsis
 _COMMANDS = {
-    "run": _cmd_run,
-    "compare": _cmd_compare,
-    "solve": _cmd_solve,
-    "sweep": _cmd_sweep,
+    "run": (_cmd_run, "single simulation run", "config --out --stride --seed --mode"),
+    "compare": (_cmd_compare, "deterministic vs stochastic comparison", "config --out --stride --seed"),
+    "solve": (_cmd_solve, "centralized optimum only", "config --out --seed"),
+    "sweep": (_cmd_sweep, "same run across a seed range", "config --out --stride --seeds --mode"),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _COMMANDS[args.command][0](args)
     except (SimulationError, BracketError) as e:
         print(f"run error: {e}", file=sys.stderr)
         return EXIT_RUN

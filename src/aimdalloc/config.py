@@ -16,10 +16,10 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .aimd import ResourceParams
+from .aimd import RUN_MODES, ResourceParams
 from .costs import CostFunction
 
-MODES = ("deterministic", "stochastic", "both")
+MODES = (*RUN_MODES, "both")
 
 DEFAULT_SOLVER_TOL = 1e-8
 DEFAULT_KKT_TOL = 1e-6

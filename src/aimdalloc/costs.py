@@ -314,28 +314,21 @@ class CostEnsemble:
             if not isinstance(f, CostFunction):
                 raise TypeError("CostEnsemble requires built-in family members")
         self.functions = tuple(functions)
-        # value tables v2, v4, v6, v8, then gradient tables g1, g3, g5, g7
-        tables = np.zeros((8, len(functions), RESOURCE_COUNT))
+        # gradient tables g1, g3, g5, g7; the value table of degree 2k + 2 is
+        # the gradient table of degree 2k + 1 over 2k + 2, the same bits as the
+        # scalar formula for integer weights: 2a / 6 rounds the same real as a / 3
+        tables = np.zeros((4, len(functions), RESOURCE_COUNT))
         for case_id, rows, a, b, c, d in _case_groups(self.functions):
             z = np.zeros_like(a)
             if case_id == 1:
-                coeffs = (
-                    (a, z, c), (0.5 * a, 2.0 * b, 0.25 * c), (z, 0.5 * b, z), (z, z, 0.125 * d),
-                    (2.0 * a, z, 2.0 * c), (2.0 * a, 8.0 * b, c), (z, 3.0 * b, z), (z, z, d),
-                )
+                coeffs = ((2.0 * a, z, 2.0 * c), (2.0 * a, 8.0 * b, c), (z, 3.0 * b, z), (z, z, d))
             elif case_id == 2:
-                coeffs = (
-                    (a, b, z), (z, 0.5 * b, 1.5 * c), (z, z, z), (z, z, z),
-                    (2.0 * a, 2.0 * b, z), (z, 2.0 * b, 6.0 * c), (z, z, z), (z, z, z),
-                )
+                coeffs = ((2.0 * a, 2.0 * b, z), (z, 2.0 * b, 6.0 * c), (z, z, z), (z, z, z))
             else:
-                coeffs = (
-                    (z, b, c), (z, z, 0.125 * d), (a / 3.0, d / 6.0, z), (z, z, z),
-                    (z, 2.0 * b, 2.0 * c), (z, z, 0.5 * d), (2.0 * a, d, z), (z, z, z),
-                )
+                coeffs = ((z, 2.0 * b, 2.0 * c), (z, z, 0.5 * d), (2.0 * a, d, z), (z, z, z))
             tables[:, rows] = np.array(coeffs).transpose(0, 2, 1)
-        self._v = tuple(tables[:4])
-        self._g = tuple(tables[4:])
+        self._g = tuple(tables)
+        self._v = tuple(g / (2 * k + 2) for k, g in enumerate(self._g))
 
     def __len__(self) -> int:
         return len(self.functions)

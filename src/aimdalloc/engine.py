@@ -100,8 +100,8 @@ def build_world(functions, params, mode: str, seed: int) -> WorldState:
     independent of the stream ``resolve_functions`` samples from, so the same
     seed yields the same functions in both modes.
     """
-    if mode not in ("deterministic", "stochastic"):
-        raise ValueError(f"world mode must be deterministic or stochastic, got {mode!r}")
+    if mode not in aimd.RUN_MODES:
+        raise ValueError(f"world mode must be one of {aimd.RUN_MODES}, got {mode!r}")
     functions = tuple(functions)
     params = tuple(params)
     if not functions:
@@ -188,8 +188,9 @@ class Trace:
 
     Scalar-per-resource series (events, totals, derivative spread) and the
     population cost at the averages are kept at every step; full (n, m)
-    matrices are kept at ``snapshot_steps``. Config, seed and mode are
-    enough to replay the run bit for bit.
+    matrices are kept at ``snapshot_steps``. Config and mode replay the run
+    bit for bit unless ``run`` was given a prebuilt world, whose functions
+    and ensemble the config does not hold.
     """
 
     config: Config

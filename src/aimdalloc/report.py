@@ -1,8 +1,8 @@
-"""Trace serialization and mode-versus-mode comparison runs.
+"""Trace serialization, the certified oracle call, and mode-versus-mode comparison runs.
 
-Exports are byte-stable: floats carry 9 significant digits, column order is
-fixed, and every file ends in a newline, so identical runs produce identical
-files and golden-file tests are possible.
+Exports are byte-stable: floats carry 9 significant digits, column and JSON
+key order is fixed, and every file ends in a newline, so identical runs
+produce identical files and golden-file tests are possible.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import engine
-from .config import Config, serialize_config
-from .engine import Trace
+from .aimd import RUN_MODES
+from .config import Config, ConfigError, serialize_config
+from .engine import SimulationError, Trace
 from .metrics import MetricsReport, collect_metrics
 from .oracle import OptimalAllocation, solve_separable
 
@@ -37,6 +38,25 @@ _FORK_ROWS = 4500
 
 _FLOAT = "%.9g".__mod__
 _TRACE_ROW = "%s%.9g,%.9g,%.9g\n"
+
+
+def certified_optimum(config: Config, functions) -> OptimalAllocation:
+    """The optimum under the config's capacities and solver_tol, certified to its kkt_tol.
+
+    A KKT residual above kkt_tol raises SimulationError, before anything is measured.
+    """
+    capacities = [p.capacity for p in config.resources]
+    optimum = solve_separable(functions, capacities, tol=config.solver_tol)
+    if optimum.kkt_residual > config.kkt_tol:
+        raise SimulationError(
+            f"kkt residual {optimum.kkt_residual:.3e} above kkt_tol {config.kkt_tol:g}"
+        )
+    return optimum
+
+
+def write_json(path: Path, doc: dict) -> None:
+    """Write ``doc`` as JSON with sorted keys, two-space indent and a final newline."""
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 @dataclass(frozen=True)
@@ -232,7 +252,7 @@ def _write_full_rate(trace: Trace, report: MetricsReport, out: Path, rows: dict[
         "clamp_high": trace.clamp_high,
         "summary": asdict(report.summary),
     }
-    (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    write_json(out / "summary.json", summary)
     rows["summary.json"] = 1
 
 
@@ -281,42 +301,31 @@ class ComparisonReport:
 def compare_modes(config: Config) -> ComparisonReport:
     """Run both update modes on the same instance and measure their gap.
 
-    The config must say ``mode: both``; the pair is (deterministic,
-    stochastic). The convergence-step estimate uses a common per-resource
-    threshold: ``SPREAD_FRACTION`` of the larger of the two runs' peak
-    spreads, judged sustainedly.
+    The config must say ``mode: both`` (else ConfigError); the pair is
+    ``RUN_MODES``, measured against one ``certified_optimum``. The
+    convergence-step estimate uses a common per-resource threshold:
+    ``SPREAD_FRACTION`` of the larger of the two runs' peak spreads, judged
+    sustainedly.
     """
     if config.mode != "both":
-        raise ValueError("compare_modes needs mode 'both'")
-    modes = ("deterministic", "stochastic")
-    trace_a = engine.run(config, mode=modes[0])
-    trace_b = engine.run(config, mode=modes[1])
-    optimum = solve_separable(
-        trace_a.functions, [p.capacity for p in config.resources], tol=config.solver_tol
-    )
-    report_a = collect_metrics(trace_a, optimum.x_star)
-    report_b = collect_metrics(trace_b, optimum.x_star)
-    peak = np.maximum(trace_a.spread.max(axis=0), trace_b.spread.max(axis=0))
-    thresholds = SPREAD_FRACTION * peak
-    steps = (
-        convergence_step(trace_a.spread, thresholds),
-        convergence_step(trace_b.spread, thresholds),
-    )
+        raise ConfigError(["mode: compare needs mode 'both'"])
+    traces = tuple(engine.run(config, mode=mode) for mode in RUN_MODES)
+    optimum = certified_optimum(config, traces[0].functions)
+    thresholds = SPREAD_FRACTION * np.maximum(*(t.spread.max(axis=0) for t in traces))
     return ComparisonReport(
-        modes=modes,
-        traces=(trace_a, trace_b),
-        reports=(report_a, report_b),
+        modes=RUN_MODES,
+        traces=traces,
+        reports=tuple(collect_metrics(t, optimum.x_star) for t in traces),
         optimum=optimum,
-        final_diff=np.abs(trace_a.xbar_snap[-1] - trace_b.xbar_snap[-1]),
+        final_diff=np.abs(traces[0].xbar_snap[-1] - traces[1].xbar_snap[-1]),
         spread_threshold=thresholds,
-        convergence_steps=steps,
+        convergence_steps=tuple(convergence_step(t.spread, thresholds) for t in traces),
     )
 
 
 def export_comparison(cr: ComparisonReport, out_dir: str | Path) -> ExportManifest:
     """Write both runs' exports into per-mode subdirectories plus comparison.json."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(out_dir)  # made with its per-mode subdirectories
     rows: dict[str, int] = {}
     for mode, trace, report in zip(cr.modes, cr.traces, cr.reports, strict=True):
         sub = out / mode
@@ -339,6 +348,6 @@ def export_comparison(cr: ComparisonReport, out_dir: str | Path) -> ExportManife
         "optimum_mu": [float(v) for v in cr.optimum.mu],
         "optimum_kkt_residual": cr.optimum.kkt_residual,
     }
-    (out / "comparison.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_json(out / "comparison.json", doc)
     rows["comparison.json"] = 1
     return ExportManifest(directory=out, rows=rows)

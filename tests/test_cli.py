@@ -1,11 +1,13 @@
+import argparse
 import json
+import os
 import re
 
 import numpy as np
 import pytest
 
 from aimdalloc import engine
-from aimdalloc.cli import main
+from aimdalloc.cli import _build_parser, main
 
 from conftest import REPO_ROOT
 from _stand_ins import BlowUp
@@ -21,6 +23,54 @@ def small_doc(**overrides):
     ]
     doc.update(overrides)
     return doc
+
+
+def readme_synopsis():
+    """Each subcommand's flags as the README's CLI synopsis lists them."""
+    text = (REPO_ROOT / "README.md").read_text()
+    return {
+        name: set(re.findall(r"--[a-z]+", rest))
+        for name, rest in re.findall(r"^aimdalloc (\w+) +CONFIG(.*)$", text, re.MULTILINE)
+    }
+
+
+class TestParser:
+    SUBPARSERS = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+
+    @pytest.mark.parametrize("command", ["run", "compare", "solve", "sweep"])
+    def test_flags_match_readme_synopsis(self, command):
+        options = {
+            s for a in self.SUBPARSERS[command]._actions for s in a.option_strings
+        } - {"-h", "--help"}
+        assert options == readme_synopsis()[command]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "c.json", "--stride", "5"],
+            ["sweep", "c.json", "--seeds", "1..2", "--seed", "5"],
+        ],
+    )
+    def test_flags_outside_synopsis_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+QUICKSTART_COMMANDS = [
+    ["run", "--mode", "deterministic"],
+    ["compare"],
+    ["solve"],
+    ["sweep", "--seeds", "42..42", "--mode", "deterministic"],
+]
+
+
+def quickstart_copy(tmp_path, **overrides):
+    doc = json.loads((REPO_ROOT / "configs" / "quickstart.json").read_text())
+    doc.update(overrides)
+    return write_doc(tmp_path, doc)
 
 
 class TestRunCommand:
@@ -110,20 +160,10 @@ class TestSweepCommand:
 
 
 class TestKktTolerance:
-    @pytest.mark.parametrize(
-        "command",
-        [
-            ["run", "--mode", "deterministic"],
-            ["compare"],
-            ["solve"],
-            ["sweep", "--seeds", "42..42", "--mode", "deterministic"],
-        ],
-    )
+    @pytest.mark.parametrize("command", QUICKSTART_COMMANDS)
     def test_residual_above_tolerance_exits_before_export(self, tmp_path, capsys, command):
         # the quickstart optimum certifies at about 4e-9, far above 1e-12
-        doc = json.loads((REPO_ROOT / "configs" / "quickstart.json").read_text())
-        doc["kkt_tol"] = 1e-12
-        cfg = write_doc(tmp_path, doc)
+        cfg = quickstart_copy(tmp_path, kkt_tol=1e-12)
         out = tmp_path / "out"
         code = main([command[0], str(cfg), *command[1:], "--out", str(out)])
         assert code == 3
@@ -158,3 +198,36 @@ class TestTraceBudget:
         assert err.startswith("config error: trace would take about 15.7 GiB")
         assert "--stride" in err
         assert not out.exists()
+
+
+class TestOutBlockedByFile:
+    @pytest.fixture(autouse=True)
+    def refuse_simulating(self, monkeypatch):
+        def refuse(cfg):
+            raise AssertionError("functions resolved before the output directory was checked")
+
+        monkeypatch.setattr(engine, "resolve_functions", refuse)
+
+    @pytest.mark.parametrize("command", QUICKSTART_COMMANDS)
+    @pytest.mark.parametrize("under", [False, True])
+    def test_config_error_before_simulating(self, tmp_path, capsys, command, under):
+        cfg = quickstart_copy(tmp_path)
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / "out" if under else blocker
+        assert main([command[0], str(cfg), *command[1:], "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: invalid config: out_dir: {blocker} is not a directory\n"
+
+    @pytest.mark.parametrize(
+        "command, taken",
+        [(QUICKSTART_COMMANDS[1], "stochastic"), (QUICKSTART_COMMANDS[3], "seed_42")],
+    )
+    def test_file_in_place_of_a_subdirectory(self, tmp_path, capsys, command, taken):
+        cfg = quickstart_copy(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / taken).write_text("")
+        assert main([command[0], str(cfg), *command[1:], "--out", str(out)]) == 2
+        assert f"out_dir: {out / taken} is not a directory" in capsys.readouterr().err
+        assert os.listdir(out) == [taken]

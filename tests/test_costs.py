@@ -194,6 +194,13 @@ class TestEnsembleConsistency:
         ]
         fns = [f for pair in zip(extremes, sample_cost_functions(23, 6)) for f in pair]
         fns += sample_cost_functions(24, 200)
+        # each table entry depends on one weight, so one function per (case,
+        # weight value) reaches every entry the family can produce
+        fns += [
+            CostFunction(case_id, *(min(k, hi) for hi in highs))
+            for case_id in CASE_IDS
+            for k in range(1, max(highs) + 1)
+        ]
         ens = CostEnsemble(fns)
         values, gradients = per_row_cost_tables(fns)
         for got, want in zip(ens._v + ens._g, values + gradients, strict=True):

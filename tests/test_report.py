@@ -10,16 +10,19 @@ import aimdalloc.report
 from aimdalloc import (
     Config,
     ResourceParams,
+    SimulationError,
     build_world,
     collect_metrics,
     compare_modes,
     convergence_step,
     export_comparison,
     export_trace,
+    parse_config,
     run,
     solve_separable,
 )
 
+from conftest import REPO_ROOT
 from _stand_ins import WeightedSquare, reference_export_csv
 
 
@@ -321,6 +324,12 @@ class TestCompareModes:
         cfg = dataclasses.replace(bundled_config, mode="deterministic", steps=50)
         with pytest.raises(ValueError):
             compare_modes(cfg)
+
+    def test_uncertified_optimum_raises(self):
+        # the quickstart optimum certifies at about 4e-9, far above 1e-12
+        cfg = parse_config(REPO_ROOT / "configs" / "quickstart.json")
+        with pytest.raises(SimulationError, match="above kkt_tol"):
+            compare_modes(dataclasses.replace(cfg, steps=50, kkt_tol=1e-12))
 
     def test_shared_functions_and_shapes(self, bundled_config):
         cfg = dataclasses.replace(bundled_config, steps=300)
