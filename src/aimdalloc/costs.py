@@ -329,6 +329,8 @@ class CostEnsemble:
             tables[:, rows] = np.array(coeffs).transpose(0, 2, 1)
         self._g = tuple(tables)
         self._v = tuple(g / (2 * k + 2) for k, g in enumerate(self._g))
+        # (m, 4, n): resource j's g1, g3, g5, g7 columns, contiguous for partial_column
+        self._columns = np.ascontiguousarray(tables.transpose(2, 0, 1))
 
     def __len__(self) -> int:
         return len(self.functions)
@@ -338,7 +340,9 @@ class CostEnsemble:
 
         The terms are weighted and added in place, in the order
         v2 p2 + v4 p4 + v6 p6 + v8 p8, so a block of many matrices needs only
-        the four power arrays as temporaries.
+        the four power arrays as temporaries. Each device's resources are then
+        added column by column, (r0 + r1) + r2, the order ``sum(axis=-1)``
+        adds them in, without its one 3-wide loop per device.
         """
         v2, v4, v6, v8 = self._v
         x = np.asarray(x, dtype=float)
@@ -350,7 +354,9 @@ class CostEnsemble:
         p2 += np.multiply(p4, v4, out=p4)
         p2 += np.multiply(p6, v6, out=p6)
         p2 += np.multiply(p8, v8, out=p8)
-        return p2.sum(axis=-1)
+        total = p2[..., 0] + p2[..., 1]
+        total += p2[..., 2]
+        return total
 
     def gradients(self, x: np.ndarray) -> np.ndarray:
         """(..., n, m) partials at ``x``; row i of each matrix is device i's gradient.
@@ -376,7 +382,7 @@ class CostEnsemble:
         Horner form of the odd polynomial; all coefficients are nonnegative,
         so the result is nondecreasing in t.
         """
-        c1, c3, c5, c7 = (g[:, j] for g in self._g)
+        c1, c3, c5, c7 = self._columns[j]
         t2 = t * t
         return ((c7 * t2 + c5) * t2 + c3) * t2 * t + c1 * t
 

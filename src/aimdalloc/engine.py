@@ -130,6 +130,19 @@ def build_world(functions, params, mode: str, seed: int) -> WorldState:
     )
 
 
+def _device_sum(a: np.ndarray) -> np.ndarray:
+    """Per-resource totals of an (..., n, m) array, the devices added one after another.
+
+    A running sum along the device axis adds them in the order numpy's reduce
+    over that axis does, so the bits are the same, but in one loop per
+    resource column rather than one 3-wide loop per device; a pairwise sum
+    would change the last bits. Unlike the reduce, it leaves an all -0.0
+    column at -0.0, which engine state never holds: allocations and averages
+    start at +0.0 and are only added to or scaled by nonnegative factors.
+    """
+    return np.add.accumulate(a, axis=-2)[..., -1, :]
+
+
 def step_world(w: WorldState) -> None:
     """Advance ``w`` by one synchronous round, in place.
 
@@ -159,7 +172,7 @@ def step_world(w: WorldState) -> None:
     w.x_bar = aimd.update_average(w.x_bar, x_next, w.k)
     w.x = x_next
     w.grads = w.ensemble.gradients(w.x_bar)
-    w.totals = x_next.sum(axis=0)
+    w.totals = _device_sum(x_next)
     w.events = capacity_event_bits(w.totals, w.capacity, w.gamma_cap)
     w.k += 1
 
@@ -320,9 +333,7 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
                 grad_snap[snap_row] = w.grads
                 snap_row += 1
         xb = xbar_block[: stop - start]
-        # a middle-axis sum adds the devices one after another, as a per-round
-        # x_bar.sum(axis=0) does; a pairwise sum would change the last bits
-        totals_avg[start:stop] = xb.sum(axis=1)
+        totals_avg[start:stop] = _device_sum(xb)
         # max and min are exact, so the resource-major copy changes no bit
         g = np.ascontiguousarray(grad_block[: stop - start].transpose(0, 2, 1))
         spread[start:stop] = g.max(axis=-1) - g.min(axis=-1)

@@ -116,9 +116,11 @@ def _demand(ensemble, j, mu, cap, iters):
     hi = np.full(n, cap)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        below = ensemble.partial_column(mid, j) <= mu
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+        below = (ensemble.partial_column(mid, j) <= mu).astype(float)
+        # branch-free np.where(below, mid, lo) and np.where(below, hi, mid):
+        # exact, since 0 <= lo <= mid <= hi, all finite, and none is -0.0
+        lo = np.maximum(lo, mid * below)
+        hi = np.maximum(mid, hi * below)
     return np.where(sat, cap, 0.5 * (lo + hi))
 
 

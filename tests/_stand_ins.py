@@ -1,5 +1,6 @@
 """Hand-built cost objects, small configs and worlds shared by several test modules."""
 
+import functools
 import time
 
 import numpy as np
@@ -13,13 +14,13 @@ from aimdalloc.costs import (
     LoopEnsemble,
     _as_rng,
     make_ensemble,
+    sample_cost_functions,
 )
 from aimdalloc.engine import Trace, resolve_functions, snapshot_steps, step_world
 from aimdalloc.oracle import (
     BracketError,
     OptimalAllocation,
     UnsupportedFunctionError,
-    _demand,
     kkt_residual,
 )
 
@@ -169,6 +170,12 @@ class BlowUp:
         return float(self.gradient(x)[j])
 
 
+@functools.cache
+def sampled_functions(n):
+    """``sample_cost_functions(n, n)``, drawn once per session; 10 000 draws take about 0.1 s."""
+    return sample_cost_functions(n, n)
+
+
 def tiny_config(**overrides):
     """Two sampled devices on three resources, ten deterministic rounds."""
     fields = dict(
@@ -200,11 +207,30 @@ def hand_world(mode="deterministic"):
     )
 
 
+def reference_demand(ensemble, j, mu, cap, iters):
+    """Reference demand bisection: each step moves the brackets with two ``np.where`` calls.
+
+    This is ``oracle._demand`` before its bracket update became a branch-free
+    select, kept verbatim so tests can require the same bits.
+    """
+    n = len(ensemble)
+    sat = ensemble.partial_column(np.full(n, cap), j) <= mu
+    lo = np.zeros(n)
+    hi = np.full(n, cap)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        below = ensemble.partial_column(mid, j) <= mu
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return np.where(sat, cap, 0.5 * (lo + hi))
+
+
 def plain_bisection_solve(functions, capacities, tol: float = 1e-8) -> OptimalAllocation:
     """Reference dual solver: every bisection step evaluates the demand.
 
     This is ``solve_separable`` before its bisection was replayed from
-    certified brackets, kept verbatim so tests can require the same bits.
+    certified brackets, kept verbatim so tests can require the same bits;
+    its demand is ``reference_demand``.
 
     For each resource, drives the common derivative level mu so that the sum
     of the per-device inverse derivatives hits the capacity within
@@ -236,7 +262,7 @@ def plain_bisection_solve(functions, capacities, tol: float = 1e-8) -> OptimalAl
             raise BracketError(f"resource {j}: all derivatives vanish up to capacity")
 
         def demand(level):
-            return _demand(ensemble, j, level, cap, inner_iters)
+            return reference_demand(ensemble, j, level, cap, inner_iters)
 
         # make sure the upper end over-supplies; expand if numerically short
         for _ in range(64):
@@ -379,6 +405,46 @@ def reference_gradients(ensemble, x):
     p5 = p3 * p2
     p7 = p5 * p2
     return g1 * x + g3 * p3 + g5 * p5 + g7 * p7
+
+
+def reference_values(ensemble, x):
+    """Reference ``CostEnsemble.values``: each device's resources added by ``sum(axis=-1)``.
+
+    This is the method before it added the resource columns one by one, kept
+    verbatim so tests can require the same bits.
+    """
+    v2, v4, v6, v8 = ensemble._v
+    x = np.asarray(x, dtype=float)
+    p2 = x * x
+    p4 = p2 * p2
+    p6 = p4 * p2
+    p8 = p4 * p4
+    p2 *= v2
+    p2 += np.multiply(p4, v4, out=p4)
+    p2 += np.multiply(p6, v6, out=p6)
+    p2 += np.multiply(p8, v8, out=p8)
+    return p2.sum(axis=-1)
+
+
+def reference_partial_column(ensemble, t, j):
+    """Reference ``CostEnsemble.partial_column``: Horner form on strided table columns.
+
+    This is the method before it read each resource's coefficients from
+    contiguous rows, kept verbatim so tests can require the same bits.
+    """
+    c1, c3, c5, c7 = (g[:, j] for g in ensemble._g)
+    t2 = t * t
+    return ((c7 * t2 + c5) * t2 + c3) * t2 * t + c1 * t
+
+
+def reference_device_sum(a):
+    """Reference device totals of an (n, m) or (B, n, m) array: numpy's reduce.
+
+    These are ``step_world``'s ``x_next.sum(axis=0)`` and the block
+    recorder's ``xb.sum(axis=1)`` before both became one running sum, kept
+    verbatim so tests can require the same bits.
+    """
+    return a.sum(axis=0) if a.ndim == 2 else a.sum(axis=1)
 
 
 def reference_scaling_factor(gamma_norm, grad, x_bar_j, stats=None):

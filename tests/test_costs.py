@@ -30,7 +30,10 @@ from _stand_ins import (
     per_row_cost_tables,
     reference_estimate_gamma,
     reference_gradients,
+    reference_partial_column,
+    reference_values,
     reference_verify_assumption1,
+    sampled_functions,
 )
 
 WEIGHT_RANGES = [FIELD_RANGES[name] for name in "abcd"]
@@ -213,6 +216,32 @@ class TestEnsembleConsistency:
         x = np.random.default_rng(42).random((*lead, n, 3)) * 3.0
         x[..., 0, :] = (0.0, 1e-300, 1e4)
         assert ens.gradients(x).tobytes() == reference_gradients(ens, x).tobytes()
+
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    @pytest.mark.parametrize("n", [1, 2, 60, 10_000])
+    def test_values_match_reference_sum(self, n, lead):
+        ens = CostEnsemble(sampled_functions(n))
+        rng = np.random.default_rng(44)
+        x = rng.random((*lead, n, 3)) * 3.0
+        special = rng.random(x.shape) < 0.2
+        x[special] = rng.choice([0.0, -0.0, np.inf, np.nan], special.sum())
+        with np.errstate(invalid="ignore"):
+            got, want = ens.values(x), reference_values(ens, x)
+        # inf times a zero weight is the default NaN, whose sign bit differs
+        # from a NaN input's; a device row holding both may give either sign,
+        # as numpy's own add loops do, so NaNs are compared by position only
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 60, 10_000])
+    def test_partial_column_matches_reference_expression(self, n):
+        ens = CostEnsemble(sampled_functions(n))
+        t = np.random.default_rng(46).random(n) * 3.0
+        t[: min(n, 3)] = (1e4, 0.0, 1e-300)[: min(n, 3)]
+        for j in range(3):
+            want = reference_partial_column(ens, t, j)
+            assert ens.partial_column(t, j).tobytes() == want.tobytes()
 
     def test_make_ensemble_choice(self):
         fns = sample_cost_functions(5, 4)

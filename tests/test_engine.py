@@ -18,7 +18,17 @@ from aimdalloc import (
 
 from aimdalloc.costs import CostEnsemble, LoopEnsemble
 
-from _stand_ins import BlowUp, WeightedSquare, Wrapped, hand_world, reference_run, tiny_config
+from _stand_ins import (
+    BlowUp,
+    WeightedSquare,
+    Wrapped,
+    hand_world,
+    reference_device_sum,
+    reference_run,
+    reference_values,
+    sampled_functions,
+    tiny_config,
+)
 
 
 def config_world(cfg, mode=None):
@@ -385,3 +395,55 @@ class TestBlockRecorder:
 
         assert world().ensemble._cases is not None
         assert_same_trace(run(cfg, world=world()), reference_run(cfg, world=world()))
+
+
+class TestDeviceSum:
+    """One running sum over devices keeps the reduce's bits for both device totals."""
+
+    @pytest.mark.parametrize("lead", [(), (4,)])
+    @pytest.mark.parametrize("n", [1, 2, 60, 10_000])
+    def test_matches_reference_reduce(self, n, lead):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((*lead, n, 3)) * 10.0 ** rng.integers(-8, 8, (*lead, n, 3))
+        special = rng.random(a.shape) < 0.2
+        a[special] = rng.choice([0.0, -0.0, np.inf, np.nan], special.sum())
+        a[..., 0] = -0.0
+        with np.errstate(invalid="ignore"):
+            got, want = engine._device_sum(a), reference_device_sum(a)
+        # the one difference: an all -0.0 column, which engine state never holds
+        negative_zero = np.all((a == 0.0) & np.signbit(a), axis=-2)
+        assert got[~negative_zero].tobytes() == want[~negative_zero].tobytes()
+        assert np.all(np.signbit(got[negative_zero]))
+        assert not np.any(np.signbit(want[negative_zero]))
+
+    @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+    def test_engine_state_never_negative_zero(self, bundled_config, mode):
+        t = run(dataclasses.replace(bundled_config, steps=300), mode=mode)
+        for series in (t.x_snap, t.xbar_snap, t.totals_inst, t.totals_avg):
+            assert not np.any(np.signbit(series))
+
+    @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+    def test_wide_run_matches_reference(self, bundled_config, monkeypatch, mode):
+        # the bundled scenario at n = 10 000 for 40 rounds, capacities scaled with n
+        scale = 10_000 / bundled_config.n
+        cfg = dataclasses.replace(
+            bundled_config,
+            n=10_000,
+            steps=40,
+            trace_stride=20,
+            resources=tuple(
+                dataclasses.replace(p, capacity=p.capacity * scale)
+                for p in bundled_config.resources
+            ),
+        )
+
+        def world():
+            return build_world(sampled_functions(cfg.n), cfg.resources, mode, cfg.seed)
+
+        got = run(cfg, world=world())
+        snap_totals = reference_device_sum(got.x_snap)
+        assert got.totals_inst[got.snap_steps].tobytes() == snap_totals.tobytes()
+        # the reference steps and records with the reduces the running sums replaced
+        monkeypatch.setattr(engine, "_device_sum", reference_device_sum)
+        monkeypatch.setattr(CostEnsemble, "values", reference_values)
+        assert_same_trace(got, reference_run(cfg, world=world()))

@@ -11,9 +11,19 @@ from aimdalloc import (
     solve_projected_gradient,
     solve_separable,
 )
+from aimdalloc.costs import LoopEnsemble, make_ensemble
 from aimdalloc.engine import resolve_functions
 
-from _stand_ins import BlowUp, Coupled, WeightedSquare, Wiggly, Wrapped, plain_bisection_solve
+from _stand_ins import (
+    BlowUp,
+    Coupled,
+    WeightedSquare,
+    Wiggly,
+    Wrapped,
+    plain_bisection_solve,
+    reference_demand,
+    sampled_functions,
+)
 
 
 def random_feasible(rng, n, capacities):
@@ -148,6 +158,38 @@ class TestReplayedBisection:
         )
         assert opt.iterations == 156
         assert len(calls) <= opt.iterations / 2
+
+
+def inner_iters(n, tol=1e-8):
+    """``solve_separable``'s inner bisection length for n devices."""
+    return int(np.ceil(np.log2(max(n, 2) / tol))) + 5
+
+
+class TestDemandSelect:
+    """The branch-free bracket update keeps the ``np.where`` bisection's bits."""
+
+    @pytest.mark.parametrize("n", [1, 7, 60, 10_000])
+    def test_family_populations(self, n):
+        ens = make_ensemble(sampled_functions(n), 3)
+        for j, cap in enumerate((0.3, n / 10.0)):
+            at_cap = ens.partial_column(np.full(n, cap), j)
+            # none, about half and all of the devices saturate at cap
+            for mu in (0.5 * at_cap.min(), float(np.median(at_cap)), at_cap.max()):
+                want = reference_demand(ens, j, mu, cap, inner_iters(n))
+                assert oracle._demand(ens, j, mu, cap, inner_iters(n)).tobytes() == want.tobytes()
+
+    def test_row_loop_population(self):
+        fns = [Wrapped(f) for f in sample_cost_functions(47, 4)] + [
+            WeightedSquare(0.5),
+            Wiggly(2.0),
+            BlowUp(1.0, [0.4] * 3, np.nan),
+            BlowUp(3.0, [0.2] * 3, np.inf),
+        ]
+        ens = LoopEnsemble(fns, 3)
+        iters = inner_iters(len(fns))
+        for mu in (0.1, 1.0, 4.0):
+            got = oracle._demand(ens, 1, mu, 1.5, iters)
+            assert got.tobytes() == reference_demand(ens, 1, mu, 1.5, iters).tobytes()
 
 
 class TestProjection:
