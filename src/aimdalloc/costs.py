@@ -282,20 +282,30 @@ def estimate_gamma(
     return safety * best
 
 
-def _family_only(functions, m: int) -> bool:
-    """True when every function is a built-in family member on the family's resource count."""
-    return m == RESOURCE_COUNT and all(isinstance(f, CostFunction) for f in functions)
+#: the population ``_case_groups`` saw last and its groups, replaced as one pair
+#: so that a caller on another thread never reads one population's groups as another's
+_latest = [(None, None)]
 
 
-def _case_groups(functions: Sequence[CostFunction]) -> list[tuple]:
-    """``(case_id, rows, a, b, c, d)`` per case present, weights as float (len(rows),) arrays."""
-    case_ids = np.array([f.case_id for f in functions], dtype=int)
-    weights = np.array([(f.a, f.b, f.c, f.d) for f in functions], dtype=float)
-    return [
-        (case_id, rows, *weights[rows].T)
-        for case_id in CASE_IDS
-        if (rows := np.flatnonzero(case_ids == case_id)).size
-    ]
+def _case_groups(functions: tuple) -> list[tuple] | None:
+    """``(case_id, rows, a, b, c, d)`` per case present, weights as float (len(rows),) arrays.
+
+    None unless every function is a family member. Kept for the latest tuple by
+    identity, so a run groups its population once (hashing it costs as much).
+    """
+    seen, groups = _latest[0]
+    if seen is not functions:
+        groups = None
+        if all(isinstance(f, CostFunction) for f in functions):
+            case_ids = np.array([f.case_id for f in functions], dtype=int)
+            weights = np.array([(f.a, f.b, f.c, f.d) for f in functions], dtype=float)
+            groups = [
+                (case_id, rows, *weights[rows].T)
+                for case_id in CASE_IDS
+                if (rows := np.flatnonzero(case_ids == case_id)).size
+            ]
+        _latest[0] = functions, groups
+    return groups
 
 
 class CostEnsemble:
@@ -310,15 +320,14 @@ class CostEnsemble:
     def __init__(self, functions: Sequence[CostFunction]):
         if not functions:
             raise ValueError("need at least one cost function")
-        for f in functions:
-            if not isinstance(f, CostFunction):
-                raise TypeError("CostEnsemble requires built-in family members")
         self.functions = tuple(functions)
+        if (groups := _case_groups(self.functions)) is None:
+            raise TypeError("CostEnsemble requires built-in family members")
         # gradient tables g1, g3, g5, g7; the value table of degree 2k + 2 is
         # the gradient table of degree 2k + 1 over 2k + 2, the same bits as the
         # scalar formula for integer weights: 2a / 6 rounds the same real as a / 3
         tables = np.zeros((4, len(functions), RESOURCE_COUNT))
-        for case_id, rows, a, b, c, d in _case_groups(self.functions):
+        for case_id, rows, a, b, c, d in groups:
             z = np.zeros_like(a)
             if case_id == 1:
                 coeffs = ((2.0 * a, z, 2.0 * c), (2.0 * a, 8.0 * b, c), (z, 3.0 * b, z), (z, z, d))
@@ -403,7 +412,7 @@ class LoopEnsemble:
     def __init__(self, functions, m: int):
         self.functions = tuple(functions)
         self.m = m
-        self._cases = _case_groups(self.functions) if _family_only(self.functions, m) else None
+        self._cases = _case_groups(self.functions) if m == RESOURCE_COUNT else None
 
     def __len__(self) -> int:
         return len(self.functions)
@@ -450,6 +459,6 @@ def make_ensemble(functions, m: int):
     Built-in family members on the family's resource count get the vectorized
     ``CostEnsemble``; anything else gets the per-function ``LoopEnsemble``.
     """
-    if _family_only(functions, m):
+    if m == RESOURCE_COUNT and _case_groups(tuple(functions)) is not None:
         return CostEnsemble(functions)
     return LoopEnsemble(functions, m)

@@ -2,10 +2,10 @@
 
 Two independent routes to the same optimum: a dual bisection that exploits
 additive separability across resources (exact up to bisection tolerance),
-replayed from certified brackets so that most of its steps need no demand
-evaluation, and a projected-gradient method that only needs values and
-gradients. Either result carries a KKT-style residual so callers can
-certify it.
+replayed from brackets found on a Newton demand and certified by the exact
+one, so that most of its steps need no demand evaluation, and a
+projected-gradient method that only needs values and gradients. Either
+result carries a KKT-style residual so callers can certify it.
 
 Cost objects follow the same small protocol as elsewhere: ``value(x)`` and
 ``gradient(x)`` on length-m vectors, plus a truthy ``separable`` attribute
@@ -22,14 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import LoopEnsemble, _check_domain, make_ensemble
+from .costs import CostEnsemble, LoopEnsemble, _check_domain, make_ensemble
 
 
 #: devices holding at most this fraction of a capacity count as inactive
 #: in the KKT certificate and the consensus-derivative estimate
 ACTIVE_THRESHOLD = 1e-9
 
-#: evaluation cap of each Illinois search that certifies the dual brackets
+#: evaluation cap of each Illinois search that finds the dual brackets
 _SEARCH_EVALS = 40
 
 
@@ -124,6 +124,23 @@ def _demand(ensemble, j, mu, cap, iters):
     return np.where(sat, cap, 0.5 * (lo + hi))
 
 
+def _newton_demand(columns, mu, cap):
+    """Approximate ``_demand``: five Newton passes on one resource's coefficient columns.
+
+    The partial c1 t + c3 t^3 + c5 t^5 + c7 t^7 is increasing and convex for
+    t >= 0, so Newton descends to its root from where one term alone reaches
+    mu (a zero term never does). A wrong result only costs certification.
+    """
+    c1, c3, c5, c7 = columns
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.min((mu / columns) ** [[1.0], [1 / 3], [1 / 5], [1 / 7]], axis=0)
+        for _ in range(5):
+            t2 = t * t
+            excess = ((c7 * t2 + c5) * t2 + c3) * t2 * t + c1 * t - mu
+            t = t - excess / (((7.0 * c7 * t2 + 5.0 * c5) * t2 + 3.0 * c3) * t2 + c1)
+    return np.minimum(t, cap)
+
+
 def _illinois(gap_at, records, cap, target, width, max_evals):
     """Illinois search for a level whose gap is within ``width`` of ``target``.
 
@@ -167,20 +184,22 @@ def solve_separable(functions, capacities, tol: float = 1e-8) -> OptimalAllocati
     within ``tol * capacity``, by bisection on [0, mu_hi] with at most 200
     steps. Every supplied function must declare itself separable.
 
-    The bisection is replayed from certified brackets: an Illinois search
-    first records (level, gap) pairs on both sides of the accepted band, then
-    the bisection runs step by step, and a midpoint at or below a level whose
-    gap fell short by more than the band goes up, one at or above a level
-    that over-supplied by more than the band goes down, both unevaluated.
-    ``_demand`` is nondecreasing in mu for any deterministic ``partial_column``,
-    which outside the family means any deterministic ``gradient``: every
-    device's inner bisection visits the same midpoints and compares the same
-    partials against mu, and the pairwise sum over devices keeps
-    that order, so every skipped step takes the branch plain bisection would
-    have taken: ``x_star``, ``mu`` and ``iterations`` (the count of bisection
-    steps) are bit for bit those of plain bisection.
+    The bisection is replayed from exact records. Illinois searches find a
+    level just outside the accepted band on each side, on the Newton demand
+    where the population has coefficient columns; one exact ``_demand`` there
+    certifies it, and where it does not, or without columns, the search goes
+    on with exact gaps. Then a midpoint at or below an exact level that fell
+    short by more than the band goes up, one at or above an exact level that
+    over-supplied by more goes down, both unevaluated. ``_demand`` is
+    nondecreasing in mu for any deterministic ``partial_column`` (outside the
+    family, any deterministic ``gradient``): every device's inner bisection
+    visits the same midpoints and compares the same partials against mu, and
+    the pairwise sum keeps that order. So every skipped step takes the branch
+    plain bisection would have taken, whatever the Newton demand returned:
+    ``x_star``, ``mu`` and ``iterations`` (the count of bisection steps) are
+    bit for bit those of plain bisection.
     """
-    functions = list(functions)
+    functions = tuple(functions)
     if not functions:
         raise ValueError("need at least one cost function")
     for f in functions:
@@ -205,7 +224,7 @@ def solve_separable(functions, capacities, tol: float = 1e-8) -> OptimalAllocati
         if mu_hi <= 0.0:
             raise BracketError(f"resource {j}: all derivatives vanish up to capacity")
         band = tol * cap
-        records = []  # every evaluated (level, gap); no demand vectors are kept
+        records = []  # every exact (level, gap); no demand vectors are kept
 
         def gap_at(level):
             gap = _demand(ensemble, j, level, cap, inner_iters).sum() - cap
@@ -220,9 +239,19 @@ def solve_separable(functions, capacities, tol: float = 1e-8) -> OptimalAllocati
         else:
             raise BracketError(f"resource {j}: could not bracket capacity")
 
-        # certify levels just outside the band on both sides, then replay
-        _illinois(gap_at, records, cap, -1.5 * band, 0.5 * band, _SEARCH_EVALS)
-        _illinois(gap_at, records, cap, 1.5 * band, 0.5 * band, _SEARCH_EVALS)
+        approx = []  # every (level, gap) of the Newton demand, apart from records
+
+        def approx_gap_at(level):
+            approx.append((level, _newton_demand(ensemble._columns[j], level, cap).sum() - cap))
+            return approx[-1][1]
+
+        for side in (-1.0, 1.0):
+            target = 1.5 * side * band
+            if isinstance(ensemble, CostEnsemble):
+                _illinois(approx_gap_at, records + approx, cap, target, 0.5 * band, _SEARCH_EVALS)
+            beyond = sorted(lv for lv, g in approx if side * g > band)
+            if not beyond or side * gap_at(beyond[0 if side > 0 else -1]) <= band:
+                _illinois(gap_at, records, cap, target, 0.5 * band, _SEARCH_EVALS)
         short = max((lv for lv, g in records if g < -band), default=-np.inf)
         over = min((lv for lv, g in records if g > band), default=np.inf)
 
@@ -283,7 +312,7 @@ def solve_projected_gradient(
     step, so an optimal start returns at iteration 0). Hitting ``max_iters``
     returns the best iterate flagged ``converged=False``.
     """
-    functions = list(functions)
+    functions = tuple(functions)
     if not functions:
         raise ValueError("need at least one cost function")
     capacities = np.asarray(capacities, dtype=float)

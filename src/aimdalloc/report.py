@@ -55,8 +55,22 @@ def certified_optimum(config: Config, functions) -> OptimalAllocation:
 
 
 def write_json(path: Path, doc: dict) -> None:
-    """Write ``doc`` as JSON with sorted keys, two-space indent and a final newline."""
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    """Write ``doc`` as JSON with sorted keys, two-space indent and a final newline.
+
+    ``indent`` forces the pure-Python encoder, so top-level lists of flat int/str
+    records (``cost_functions``) go through the C encoder and are re-indented:
+    encoded strings hold no raw newline, so ``},<newline>{`` joins two records.
+    """
+    flat = [key for key, rows in doc.items() if type(key) is str and type(rows) is list and rows
+            and all(type(row) is dict and row for row in rows)
+            and {type(v) for row in rows for v in row.values()} <= {int, str}]
+    text = json.dumps({**doc, **dict.fromkeys(flat, 0)}, sort_keys=True, indent=2)
+    for key in flat:
+        rows = json.dumps(doc[key], sort_keys=True, separators=(",\n      ", ": "))
+        rows = rows[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+        slot = f"\n  {json.dumps(key)}: "
+        text = text.replace(slot + "0", f"{slot}[\n    {{\n      {rows}\n    }}\n  ]", 1)
+    path.write_text(text + "\n")
 
 
 @dataclass(frozen=True)

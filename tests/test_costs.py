@@ -1,4 +1,7 @@
+import dataclasses
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,13 +12,17 @@ from aimdalloc import (
     CostEnsemble,
     CostFunction,
     UnsupportedFamilyError,
+    collect_metrics,
     estimate_gamma,
     evaluate_cost,
     partial_derivative,
+    run,
     sample_cost_functions,
     verify_assumption1,
 )
 
+from aimdalloc import costs
+from aimdalloc.report import certified_optimum
 from aimdalloc.costs import CASE_IDS, FIELD_RANGES, LoopEnsemble, make_ensemble
 
 from _stand_ins import (
@@ -252,6 +259,58 @@ class TestEnsembleConsistency:
     def test_rejects_foreign_functions(self):
         with pytest.raises(TypeError):
             CostEnsemble([WeightedSquare(1.0)])
+
+    def test_run_groups_its_population_once(self, bundled_config, monkeypatch):
+        # the engine, the oracle, its certificate and the metrics all read the
+        # trajectory's one tuple of functions
+        passes = []
+
+        class CountedIds(tuple):
+            def __iter__(self):
+                passes.append(1)
+                return super().__iter__()
+
+        monkeypatch.setattr(costs, "CASE_IDS", CountedIds(CASE_IDS))
+        cfg = dataclasses.replace(bundled_config, steps=20)
+        trace = run(cfg, mode="deterministic")
+        collect_metrics(trace, certified_optimum(cfg, trace.functions).x_star)
+        assert len(passes) == 1
+
+    def test_grouping_across_threads(self):
+        # each thread evaluates its own population while the others replace
+        # the cached groups; every result must still be its own population's
+        pops = [sample_cost_functions(seed, 30) for seed in range(4)]
+        x = np.random.default_rng(0).random((30, 3))
+        want = [LoopEnsemble(p, 3).values(x).tobytes() for p in pops]
+        wrong = []
+
+        def work(k):
+            for _ in range(300):
+                if LoopEnsemble(pops[k], 3).values(x).tobytes() != want[k]:
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_grouping_follows_a_changed_list(self):
+        fns = list(sample_cost_functions(5, 6))
+        x = np.ones((6, 3))
+        before = LoopEnsemble(fns, 3).values(x)
+        fns[0] = CostFunction(3, 25, 20, 15, 10)
+        after = LoopEnsemble(fns, 3).values(x)
+        assert after[0] == fns[0].value(x[0])
+        assert after[1:].tobytes() == before[1:].tobytes()
+        assert CostEnsemble(fns).values(x)[0] == pytest.approx(after[0], rel=1e-15)
 
 
 def per_row(fns, x):

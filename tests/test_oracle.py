@@ -158,6 +158,26 @@ class TestReplayedBisection:
         )
         assert opt.iterations == 156
         assert len(calls) <= opt.iterations / 2
+        # the Newton searches leave about 4 exact demands per resource
+        assert len(calls) <= 5 * 3
+
+    @pytest.mark.parametrize("garbage", [0.0, "cap", np.nan], ids=["zeros", "cap", "nan"])
+    def test_exact_fallback_under_a_wrong_newton_demand(self, bundled_config, monkeypatch, garbage):
+        # the replay rests on exact records only: an approximate demand that
+        # is wrong everywhere costs evaluations, never bits
+        def wrong(columns, mu, cap):
+            return np.full(columns.shape[1], cap if garbage == "cap" else garbage)
+
+        monkeypatch.setattr(oracle, "_newton_demand", wrong)
+        fns = resolve_functions(bundled_config)
+        caps = [p.capacity for p in bundled_config.resources]
+        tol = bundled_config.solver_tol
+        assert_same_bits(solve_separable(fns, caps, tol=tol), plain_bisection_solve(fns, caps, tol=tol))
+
+    def test_family_population_n2000(self):
+        fns = sample_cost_functions(2000, 2000)
+        caps = 2000 / 60 * np.array([32.0, 20.0, 25.0])
+        assert_same_bits(solve_separable(fns, caps), plain_bisection_solve(fns, caps))
 
 
 def inner_iters(n, tol=1e-8):

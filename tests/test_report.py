@@ -19,11 +19,13 @@ from aimdalloc import (
     export_trace,
     parse_config,
     run,
+    sample_cost_functions,
     solve_separable,
 )
 
 from conftest import REPO_ROOT
 from _stand_ins import WeightedSquare, reference_export_csv
+from test_golden import golden_config
 
 
 @pytest.fixture(scope="module")
@@ -302,6 +304,55 @@ class TestSplitExport:
         assert len(forks) == 2
         assert_reaped(forks)
         assert os.listdir(tmp_path) == ["trace.csv"]
+
+
+def indented(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+class TestWriteJson:
+    """``write_json`` writes the bytes of ``json.dumps(doc, sort_keys=True, indent=2)``."""
+
+    @pytest.fixture
+    def written(self, monkeypatch):
+        docs = []
+        write_json = aimdalloc.report.write_json
+
+        def capture(path, doc):
+            docs.append((path, doc))
+            write_json(path, doc)
+
+        monkeypatch.setattr(aimdalloc.report, "write_json", capture)
+        return docs
+
+    def test_bundled_and_golden_summaries(self, exported, written, tmp_path):
+        cfg, trace, report, manifest = exported
+        export_trace(trace, report, tmp_path / "bundled")
+        cfg = golden_config()
+        trace = run(cfg)
+        opt = solve_separable(cfg.functions, [p.capacity for p in cfg.resources], tol=1e-10)
+        export_trace(trace, collect_metrics(trace, opt.x_star), tmp_path / "golden")
+        assert [len(doc["cost_functions"]) for _, doc in written] == [60, 2]
+        for path, doc in written:
+            assert path.read_text() == indented(doc)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [f.to_dict() for f in sample_cost_functions(3, 500)],
+            [{"repr": s} for s in ('say "hi"', "two\nlines", "},", '{"', "ünï", "},\n      {")],
+            [{"b": 1, "a": "x"}, {"c": True}],
+            [],
+            [{"a": 1}, {}],
+            [{"a": 1.5}],
+            [{"a": [1, 2]}],
+            [1, "a"],
+        ],
+    )
+    def test_record_lists(self, rows, tmp_path):
+        doc = {"a_first": [{"x": 1}], "cost_functions": rows, "z": {"nested": rows}, "zz": 0}
+        aimdalloc.report.write_json(tmp_path / "doc.json", doc)
+        assert (tmp_path / "doc.json").read_text() == indented(doc)
 
 
 class TestConvergenceStep:
