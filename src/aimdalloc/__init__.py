@@ -24,7 +24,6 @@ from .costs import (
     AssumptionReport,
     CostEnsemble,
     CostFunction,
-    UnsupportedFamilyError,
     estimate_gamma,
     evaluate_cost,
     partial_derivative,
@@ -81,7 +80,6 @@ __all__ = [
     "ResourceParams",
     "SimulationError",
     "Trace",
-    "UnsupportedFamilyError",
     "UnsupportedFunctionError",
     "WorldState",
     "additive_increase",

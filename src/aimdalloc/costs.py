@@ -21,10 +21,6 @@ FIELD_RANGES = {"case_id": (1, 3), "a": (1, 25), "b": (1, 20), "c": (1, 15), "d"
 CASE_IDS = tuple(range(1, FIELD_RANGES["case_id"][1] + 1))
 
 
-class UnsupportedFamilyError(ValueError):
-    """Raised when a sampler is asked for a resource count it does not cover."""
-
-
 def _case_value(case_id, x0, x1, x2, a, b, c, d):
     """Cost of family case ``case_id`` at (x0, x1, x2) with weights a, b, c, d.
 
@@ -137,7 +133,7 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def sample_cost_functions(rng, n: int, m: int = RESOURCE_COUNT) -> tuple[CostFunction, ...]:
+def sample_cost_functions(rng, n: int) -> tuple[CostFunction, ...]:
     """Draw ``n`` cost functions uniformly from the family in one batch.
 
     Each device's case tag and four coefficients come from the same stream in
@@ -145,10 +141,6 @@ def sample_cost_functions(rng, n: int, m: int = RESOURCE_COUNT) -> tuple[CostFun
     always yields the same functions. ``rng`` may be a seed or a
     ``numpy.random.Generator``.
     """
-    if m != RESOURCE_COUNT:
-        raise UnsupportedFamilyError(
-            f"the built-in family is defined for exactly {RESOURCE_COUNT} resources, got m={m}"
-        )
     low, high = np.array(list(FIELD_RANGES.values())).T
     rows = _as_rng(rng).integers(low, high + 1, size=(n, len(FIELD_RANGES))).tolist()
     return tuple(CostFunction(*row) for row in rows)
@@ -394,6 +386,23 @@ class CostEnsemble:
         c1, c3, c5, c7 = self._columns[j]
         t2 = t * t
         return ((c7 * t2 + c5) * t2 + c3) * t2 * t + c1 * t
+
+    def newton_demand(self, mu: float, j: int, cap: float) -> tuple[np.ndarray, np.ndarray]:
+        """Approximate inverse t of ``partial_column`` at ``mu``, clipped at ``cap``, and d t / d mu.
+
+        The partial p is increasing and convex for t >= 0, so five Newton passes
+        descend to its root from where one term alone reaches mu (a zero term
+        never does). The slope is 1 / p' at the last pass, and 0 for a device
+        saturated at ``cap``.
+        """
+        c1, c3, c5, c7 = columns = self._columns[j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.min((mu / columns) ** [[1.0], [1 / 3], [1 / 5], [1 / 7]], axis=0)
+            for _ in range(5):
+                t2 = t * t
+                dp = ((7.0 * c7 * t2 + 5.0 * c5) * t2 + 3.0 * c3) * t2 + c1
+                t = t - (((c7 * t2 + c5) * t2 + c3) * t2 * t + c1 * t - mu) / dp
+            return np.minimum(t, cap), np.where(t < cap, 1.0 / dp, 0.0)
 
 
 class LoopEnsemble:

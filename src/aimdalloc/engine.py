@@ -88,7 +88,7 @@ def resolve_functions(config: Config) -> tuple[CostFunction, ...]:
     if config.functions is not None:
         return config.functions
     stream = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
-    return sample_cost_functions(stream, config.n, config.m)
+    return sample_cost_functions(stream, config.n)
 
 
 def build_world(functions, params, mode: str, seed: int) -> WorldState:

@@ -2,7 +2,7 @@
 
 Two independent routes to the same optimum: a dual bisection that exploits
 additive separability across resources (exact up to bisection tolerance),
-replayed from brackets found on a Newton demand and certified by the exact
+replayed from exact demands at levels that Newton finds on an approximate
 one, so that most of its steps need no demand evaluation, and a
 projected-gradient method that only needs values and gradients. Either
 result carries a KKT-style residual so callers can certify it.
@@ -13,7 +13,7 @@ when cross-partials vanish. Populations are evaluated through
 ``costs.make_ensemble``; certificates, the dual bracket and the
 projected-gradient objective use the per-function ``LoopEnsemble`` so they
 carry each function's own arithmetic. Objects outside the built-in family are
-bracketed and inverted through rows of their ``gradient``.
+inverted through rows of their ``gradient`` and bisected without a replay.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ from .costs import CostEnsemble, LoopEnsemble, _check_domain, make_ensemble
 #: devices holding at most this fraction of a capacity count as inactive
 #: in the KKT certificate and the consensus-derivative estimate
 ACTIVE_THRESHOLD = 1e-9
-
-#: evaluation cap of each Illinois search that finds the dual brackets
-_SEARCH_EVALS = 40
 
 
 class UnsupportedFunctionError(ValueError):
@@ -124,56 +121,11 @@ def _demand(ensemble, j, mu, cap, iters):
     return np.where(sat, cap, 0.5 * (lo + hi))
 
 
-def _newton_demand(columns, mu, cap):
-    """Approximate ``_demand``: five Newton passes on one resource's coefficient columns.
-
-    The partial c1 t + c3 t^3 + c5 t^5 + c7 t^7 is increasing and convex for
-    t >= 0, so Newton descends to its root from where one term alone reaches
-    mu (a zero term never does). A wrong result only costs certification.
-    """
-    c1, c3, c5, c7 = columns
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.min((mu / columns) ** [[1.0], [1 / 3], [1 / 5], [1 / 7]], axis=0)
-        for _ in range(5):
-            t2 = t * t
-            excess = ((c7 * t2 + c5) * t2 + c3) * t2 * t + c1 * t - mu
-            t = t - excess / (((7.0 * c7 * t2 + 5.0 * c5) * t2 + 3.0 * c3) * t2 + c1)
-    return np.minimum(t, cap)
-
-
-def _illinois(gap_at, records, cap, target, width, max_evals):
-    """Illinois search for a level whose gap is within ``width`` of ``target``.
-
-    Starts from the tightest recorded (level, gap) pairs on either side of
-    ``target``; level 0, never evaluated, stands in with gap -cap. Stops at
-    the first evaluation inside the band, after ``max_evals`` evaluations, or
-    when the bracket cannot shrink further.
-    """
-    a, ga = max(((lv, g) for lv, g in records if g < target), default=(0.0, -cap))
-    above = [(lv, g) for lv, g in records if g > target]
-    if not above:
-        return
-    b, gb = min(above)
-    side = 0
-    for _ in range(max_evals):
-        c = b - (gb - target) * (b - a) / (gb - ga)
-        if not a < c < b:
-            c = 0.5 * (a + b)
-            if not a < c < b:
-                return
-        gc = gap_at(c)
-        if abs(gc - target) <= width:
-            return
-        if gc < target:
-            a, ga = c, gc
-            if side < 0:
-                gb = target + 0.5 * (gb - target)
-            side = -1
-        else:
-            b, gb = c, gc
-            if side > 0:
-                ga = target + 0.5 * (ga - target)
-            side = 1
+def _check_capacities(capacities) -> np.ndarray:
+    capacities = np.asarray(capacities, dtype=float)
+    if not np.all((capacities > 0.0) & (capacities < np.inf)):  # NaN fails both
+        raise ValueError("capacities must be positive and finite")
+    return capacities
 
 
 def solve_separable(functions, capacities, tol: float = 1e-8) -> OptimalAllocation:
@@ -184,20 +136,20 @@ def solve_separable(functions, capacities, tol: float = 1e-8) -> OptimalAllocati
     within ``tol * capacity``, by bisection on [0, mu_hi] with at most 200
     steps. Every supplied function must declare itself separable.
 
-    The bisection is replayed from exact records. Illinois searches find a
-    level just outside the accepted band on each side, on the Newton demand
-    where the population has coefficient columns; one exact ``_demand`` there
-    certifies it, and where it does not, or without columns, the search goes
-    on with exact gaps. Then a midpoint at or below an exact level that fell
-    short by more than the band goes up, one at or above an exact level that
-    over-supplied by more goes down, both unevaluated. ``_demand`` is
-    nondecreasing in mu for any deterministic ``partial_column`` (outside the
-    family, any deterministic ``gradient``): every device's inner bisection
-    visits the same midpoints and compares the same partials against mu, and
-    the pairwise sum keeps that order. So every skipped step takes the branch
-    plain bisection would have taken, whatever the Newton demand returned:
-    ``x_star``, ``mu`` and ``iterations`` (the count of bisection steps) are
-    bit for bit those of plain bisection.
+    The bisection is replayed from exact records. On each side of the
+    accepted band, Newton steps on ``CostEnsemble.newton_demand`` find a
+    level 1.1 to 1.3 bands out, and one exact ``_demand`` there makes a
+    record; populations without coefficient columns make none. A midpoint at
+    or below an exact level that fell short by more than the band then goes
+    up, one at or above an exact level that over-supplied by more goes down,
+    both unevaluated. ``_demand`` is nondecreasing in mu for any
+    deterministic ``partial_column`` (outside the family, any deterministic
+    ``gradient``): every device's inner bisection visits the same midpoints
+    and compares the same partials against mu, and the pairwise sum keeps
+    that order. So every skipped step takes the branch plain bisection would
+    have taken, whatever the Newton demand returned: ``x_star``, ``mu`` and
+    ``iterations`` (the count of bisection steps) are bit for bit those of
+    plain bisection.
     """
     functions = tuple(functions)
     if not functions:
@@ -208,9 +160,9 @@ def solve_separable(functions, capacities, tol: float = 1e-8) -> OptimalAllocati
                 "solve_separable needs additively separable costs; "
                 "use solve_projected_gradient instead"
             )
-    capacities = np.asarray(capacities, dtype=float)
-    if np.any(capacities <= 0):
-        raise ValueError("capacities must be positive")
+    capacities = _check_capacities(capacities)
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be in (0, 1), got {tol}")
     n, m = len(functions), len(capacities)
     inner_iters = int(np.ceil(np.log2(max(n, 2) / tol))) + 5
     x_star = np.zeros((n, m))
@@ -224,11 +176,16 @@ def solve_separable(functions, capacities, tol: float = 1e-8) -> OptimalAllocati
         if mu_hi <= 0.0:
             raise BracketError(f"resource {j}: all derivatives vanish up to capacity")
         band = tol * cap
-        records = []  # every exact (level, gap); no demand vectors are kept
+        # the largest exact level short by more than the band, the smallest over by more
+        short, over = -np.inf, np.inf
 
         def gap_at(level):
+            nonlocal short, over
             gap = _demand(ensemble, j, level, cap, inner_iters).sum() - cap
-            records.append((level, gap))
+            if gap < -band:
+                short = max(short, level)
+            elif gap > band:
+                over = min(over, level)
             return gap
 
         # make sure the upper end over-supplies; expand if numerically short
@@ -239,21 +196,22 @@ def solve_separable(functions, capacities, tol: float = 1e-8) -> OptimalAllocati
         else:
             raise BracketError(f"resource {j}: could not bracket capacity")
 
-        approx = []  # every (level, gap) of the Newton demand, apart from records
-
-        def approx_gap_at(level):
-            approx.append((level, _newton_demand(ensemble._columns[j], level, cap).sum() - cap))
-            return approx[-1][1]
-
-        for side in (-1.0, 1.0):
-            target = 1.5 * side * band
-            if isinstance(ensemble, CostEnsemble):
-                _illinois(approx_gap_at, records + approx, cap, target, 0.5 * band, _SEARCH_EVALS)
-            beyond = sorted(lv for lv, g in approx if side * g > band)
-            if not beyond or side * gap_at(beyond[0 if side > 0 else -1]) <= band:
-                _illinois(gap_at, records, cap, target, 0.5 * band, _SEARCH_EVALS)
-        short = max((lv for lv, g in records if g < -band), default=-np.inf)
-        over = min((lv for lv, g in records if g > band), default=np.inf)
+        # Newton on the approximate demand from min_i p_i(total / n), where no
+        # device demands more than total / n. Each demand min(p_i^-1(mu), cap) is
+        # concave in mu (p_i is convex and increasing), so the sum climbs to total
+        # without passing it. Aimed 1.2 bands past capacity and stopped within 0.1,
+        # it ends 1.1 to 1.3 bands out, where the exact demand misses the band too.
+        for side in (-1.0, 1.0) if isinstance(ensemble, CostEnsemble) else ():
+            total = cap + 1.2 * side * band
+            level = ensemble.partial_column(total / n, j).min()
+            for _ in range(40):
+                t, slope = ensemble.newton_demand(level, j, cap)
+                excess, rise = t.sum() - total, slope.sum()
+                if not (abs(excess) > 0.1 * band and rise > 0.0):
+                    break  # in the band, or no slope left to follow
+                level -= excess / rise
+            if 0.0 < level < mu_hi:
+                gap_at(level)
 
         mu_lo = 0.0
         xs = None
@@ -315,9 +273,7 @@ def solve_projected_gradient(
     functions = tuple(functions)
     if not functions:
         raise ValueError("need at least one cost function")
-    capacities = np.asarray(capacities, dtype=float)
-    if np.any(capacities <= 0):
-        raise ValueError("capacities must be positive")
+    capacities = _check_capacities(capacities)
     n, m = len(functions), len(capacities)
 
     if x0 is None:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from aimdalloc import (
     CostEnsemble,
     CostFunction,
-    UnsupportedFamilyError,
     collect_metrics,
     estimate_gamma,
     evaluate_cost,
@@ -78,10 +77,6 @@ class TestSampling:
         rng = np.random.default_rng(3)
         seen_a = {f.a for f in sample_cost_functions(rng, 5000)}
         assert seen_a == set(range(1, 26))
-
-    def test_resource_count_restriction(self):
-        with pytest.raises(UnsupportedFamilyError):
-            sample_cost_functions(0, 1, m=2)
 
     def test_batch_order_is_stream_order(self):
         fns = sample_cost_functions(99, 5)
@@ -249,6 +244,22 @@ class TestEnsembleConsistency:
         for j in range(3):
             want = reference_partial_column(ens, t, j)
             assert ens.partial_column(t, j).tobytes() == want.tobytes()
+
+    def test_newton_demand_inverts_partial_column(self):
+        ens = CostEnsemble(sampled_functions(60))
+        cap = 2.0
+        for j in range(3):
+            at_cap = ens.partial_column(np.full(60, cap), j)
+            # none, about half and all of the devices saturate at cap
+            for mu in (0.5 * at_cap.min(), float(np.median(at_cap)), at_cap.max()):
+                t, slope = ens.newton_demand(mu, j, cap)
+                sat = at_cap <= mu
+                assert np.all(t[sat] == cap) and np.all(slope[sat] == 0.0)
+                np.testing.assert_allclose(ens.partial_column(t, j)[~sat], mu, rtol=1e-9)
+                # d t / d mu is 1 / p'(t): a central difference of the inverse agrees
+                h = 1e-6 * mu
+                up, down = ens.newton_demand(mu + h, j, cap)[0], ens.newton_demand(mu - h, j, cap)[0]
+                np.testing.assert_allclose(slope[~sat], ((up - down) / (2 * h))[~sat], rtol=1e-4)
 
     def test_make_ensemble_choice(self):
         fns = sample_cost_functions(5, 4)

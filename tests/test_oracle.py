@@ -11,7 +11,7 @@ from aimdalloc import (
     solve_projected_gradient,
     solve_separable,
 )
-from aimdalloc.costs import LoopEnsemble, make_ensemble
+from aimdalloc.costs import CostEnsemble, LoopEnsemble, make_ensemble
 from aimdalloc.engine import resolve_functions
 
 from _stand_ins import (
@@ -91,12 +91,36 @@ class TestSeparableSolver:
         with pytest.raises(ValueError):
             solve_separable([WeightedSquare(1.0)], [0.0])
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("solver", [solve_separable, solve_projected_gradient])
+    def test_capacity_must_be_positive_and_finite(self, solver, bad):
+        with pytest.raises(ValueError, match="capacities must be positive and finite"):
+            solver(sample_cost_functions(0, 4), [bad, 20.0, 25.0])
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, 1.0, 2.0, np.nan])
+    def test_tol_must_lie_in_unit_interval(self, tol):
+        with pytest.raises(ValueError, match=r"tol must be in \(0, 1\)"):
+            solve_separable(sample_cost_functions(0, 4), [32.0, 20.0, 25.0], tol=tol)
+
     def test_feasibility_of_solution(self):
         fns = sample_cost_functions(7, 12)
         caps = np.array([32.0, 20.0, 25.0])
         opt = solve_separable(fns, caps, tol=1e-8)
         np.testing.assert_allclose(opt.x_star.sum(axis=0), caps, rtol=1e-7)
         assert opt.kkt_residual <= 1e-6
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so that each call appends its arguments to the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def assert_same_bits(new, ref):
@@ -144,35 +168,54 @@ class TestReplayedBisection:
             assert_same_bits(solve_separable(fns, [cap]), plain_bisection_solve(fns, [cap]))
 
     def test_skips_most_demand_evaluations(self, bundled_config, monkeypatch):
-        calls = []
-        demand = oracle._demand
-
-        def counted(*args):
-            calls.append(args[2])
-            return demand(*args)
-
-        monkeypatch.setattr(oracle, "_demand", counted)
+        exact = count_calls(monkeypatch, oracle, "_demand")
+        newton = count_calls(monkeypatch, CostEnsemble, "newton_demand")
         fns = resolve_functions(bundled_config)
         opt = solve_separable(
             fns, [p.capacity for p in bundled_config.resources], tol=bundled_config.solver_tol
         )
         assert opt.iterations == 156
-        assert len(calls) <= opt.iterations / 2
-        # the Newton searches leave about 4 exact demands per resource
-        assert len(calls) <= 5 * 3
+        # one exact demand at mu_hi, one per side and about one in the replay, per resource
+        assert len(exact) == 12
+        # the bracket searches the Newton iteration replaced took 40
+        assert len(newton) <= 40
 
-    @pytest.mark.parametrize("garbage", [0.0, "cap", np.nan], ids=["zeros", "cap", "nan"])
+    @pytest.mark.parametrize(
+        "n, caps",
+        [
+            (1, [0.3, 5.0, 40.0]),
+            # one device takes nearly all of resources 0 and 2
+            (7, [1e-3, 1e-3, 1e-3]),
+            (60, 60 * np.array([1e-4, 1e3, 0.5])),
+        ],
+        ids=["single-device", "one-device-takes-most", "mixed-scales"],
+    )
+    def test_edge_capacities(self, n, caps, monkeypatch):
+        fns = sample_cost_functions(1729, n)
+        want = plain_bisection_solve(fns, caps)
+        exact = count_calls(monkeypatch, oracle, "_demand")
+        assert_same_bits(solve_separable(fns, caps), want)
+        assert len(exact) <= 15
+
+    @pytest.mark.parametrize(
+        "garbage", [0.0, "cap", np.nan, np.inf], ids=["zeros", "cap", "nan", "inf"]
+    )
     def test_exact_fallback_under_a_wrong_newton_demand(self, bundled_config, monkeypatch, garbage):
-        # the replay rests on exact records only: an approximate demand that
-        # is wrong everywhere costs evaluations, never bits
-        def wrong(columns, mu, cap):
-            return np.full(columns.shape[1], cap if garbage == "cap" else garbage)
+        # the replay rests on exact records only: an approximate demand and
+        # slope that are wrong everywhere cost evaluations, never bits
+        def wrong(self, mu, j, cap):
+            value = cap if garbage == "cap" else garbage
+            return np.full(len(self), value), np.full(len(self), value)
 
-        monkeypatch.setattr(oracle, "_newton_demand", wrong)
+        monkeypatch.setattr(CostEnsemble, "newton_demand", wrong)
         fns = resolve_functions(bundled_config)
         caps = [p.capacity for p in bundled_config.resources]
         tol = bundled_config.solver_tol
-        assert_same_bits(solve_separable(fns, caps, tol=tol), plain_bisection_solve(fns, caps, tol=tol))
+        want = plain_bisection_solve(fns, caps, tol=tol)
+        exact = count_calls(monkeypatch, oracle, "_demand")
+        with np.errstate(invalid="ignore"):  # an inf demand steps by inf / inf
+            assert_same_bits(solve_separable(fns, caps, tol=tol), want)
+        assert len(exact) > 12
 
     def test_family_population_n2000(self):
         fns = sample_cost_functions(2000, 2000)
