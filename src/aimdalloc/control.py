@@ -17,4 +17,4 @@ def capacity_event_bits(totals: np.ndarray, capacities: np.ndarray, gamma_caps: 
     Strict inequality: a total exactly at gamma_cap * capacity does not fire.
     Resources are independent.
     """
-    return (np.asarray(totals, dtype=float) > gamma_caps * capacities).astype(np.uint8)
+    return np.greater(totals, np.multiply(gamma_caps, capacities)).view(np.uint8)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,11 +41,37 @@ TRACE_BUDGET_BYTES = 4 * 2**30
 #: bytes of one (rounds, n, m) block the recorder buffers between series fills;
 #: small enough that the block and the cost evaluation's temporaries stay in
 #: cache (a 1 MiB block made a 10 000-device run about 40% slower per round)
-_BLOCK_BYTES = 256 * 2**10
+_BLOCK_BYTES = 128 * 2**10
 
 
 class SimulationError(RuntimeError):
     """A run aborted; the message carries the cause (and the step, if a round failed)."""
+
+
+class _Pattern(NamedTuple):
+    """What a round needs to know about one event pattern, built on its first round.
+
+    ``events`` and ``idle`` index the event and idle columns (basic slices
+    where the columns are evenly spaced, so indexing makes views); ``add``
+    is alpha tiled to (n, m) with the event columns zeroed; stochastic
+    worlds draw into ``draws``, row slices of a resource-major (m, n) buffer
+    whose idle rows stay at 1.0 so their factor is 1.
+    """
+
+    cols: np.ndarray
+    events: object
+    idle: object
+    add: np.ndarray
+    uniform: np.ndarray
+    draws: tuple
+
+
+def _as_index(cols: np.ndarray):
+    """Ascending column numbers as a slice when evenly spaced, else as the array."""
+    if cols.size == 1 or (cols.size > 1 and np.all(np.diff(cols) == cols[1] - cols[0])):
+        step = int(cols[1] - cols[0]) if cols.size > 1 else 1
+        return slice(int(cols[0]), int(cols[-1]) + 1, step)
+    return cols
 
 
 @dataclass
@@ -53,8 +80,11 @@ class WorldState:
 
     ``grads`` caches each device's cost gradient at its current averages; it
     is what the back-off scaling rule reads this round. ``totals`` is the
-    per-resource sum of ``x`` that produced ``events``. The stochastic stream
-    ``rng`` advances on event steps; ``clamp`` counts scaling-factor clips.
+    per-resource sum of ``x`` that produced ``events``; it views a buffer
+    the next round refills. The stochastic stream ``rng`` advances on event
+    steps; ``clamp`` counts scaling-factor clips. The per-resource constants
+    are also kept tiled to (n, m), and the round's scratch arrays are kept
+    with them, so a round neither broadcasts nor allocates (n, m) arrays.
     """
 
     mode: str
@@ -74,6 +104,15 @@ class WorldState:
     events: np.ndarray
     k: int = 0
 
+    def __post_init__(self):
+        n, m = self.x.shape
+        self._beta = np.tile(self.beta, (n, 1))
+        self._gamma_norm = np.tile(self.gamma_norm, (n, 1))
+        self._lam = np.empty((n, m))
+        self._factor = np.empty((n, m))
+        self._sums = np.empty((n, m))
+        self._patterns: dict[bytes, _Pattern] = {}
+
     @property
     def n(self) -> int:
         return self.x.shape[0]
@@ -81,6 +120,26 @@ class WorldState:
     @property
     def m(self) -> int:
         return self.x.shape[1]
+
+    def pattern(self) -> _Pattern:
+        """The current event pattern's column indices, additive term and draw buffers."""
+        key = self.events.tobytes()
+        pat = self._patterns.get(key)
+        if pat is None:
+            if len(self._patterns) >= 64:
+                self._patterns.clear()
+            n, m = self.x.shape
+            cols = np.flatnonzero(self.events)
+            add = np.tile(self.alpha, (n, 1))
+            add[:, cols] = 0.0
+            uniform = np.ones((m, n)) if self.mode == "stochastic" else np.empty((0, n))
+            # one draw call per run of adjacent event columns, in column order
+            runs = np.split(cols, np.flatnonzero(np.diff(cols) != 1) + 1) if cols.size else []
+            pat = self._patterns[key] = _Pattern(
+                cols, _as_index(cols), _as_index(np.flatnonzero(self.events == 0)), add,
+                uniform, tuple(uniform[r[0]:r[-1] + 1] for r in runs),
+            )
+        return pat
 
 
 def resolve_functions(config: Config) -> tuple[CostFunction, ...]:
@@ -130,7 +189,7 @@ def build_world(functions, params, mode: str, seed: int) -> WorldState:
     )
 
 
-def _device_sum(a: np.ndarray) -> np.ndarray:
+def _device_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Per-resource totals of an (..., n, m) array, the devices added one after another.
 
     A running sum along the device axis adds them in the order numpy's reduce
@@ -139,11 +198,12 @@ def _device_sum(a: np.ndarray) -> np.ndarray:
     would change the last bits. Unlike the reduce, it leaves an all -0.0
     column at -0.0, which engine state never holds: allocations and averages
     start at +0.0 and are only added to or scaled by nonnegative factors.
+    ``out``, shaped like ``a``, takes the running sums; the totals view it.
     """
-    return np.add.accumulate(a, axis=-2)[..., -1, :]
+    return np.add.accumulate(a, -2, None, out)[..., -1, :]
 
 
-def step_world(w: WorldState) -> None:
+def step_world(w: WorldState, x_bar_out=None, grads_out=None) -> None:
     """Advance ``w`` by one synchronous round, in place.
 
     All event columns back off together (deterministically or stochastically
@@ -151,28 +211,38 @@ def step_world(w: WorldState) -> None:
     before this update); all other columns grow additively. Stochastic draws
     fill one event column after another, in ascending column order. A
     degenerate average under an event aborts the run, naming the step and
-    the first event column at fault.
+    the first event column at fault. The new averages and gradients go to
+    ``x_bar_out`` and ``grads_out`` when given, else over the old ones; the
+    world holds them afterwards.
+
+    Every resource column takes the same passes: the scaling factor and the
+    back-off factor F are computed on all of them, F is set to 1 on the idle
+    columns, and x * F + A, with A the additive step zeroed on the event
+    columns, is the new allocation. That is x * f on an event column and
+    x + alpha on an idle one, bit for bit.
     """
-    x_next = aimd.additive_increase(w.x, w.alpha)
-    cols = w.events.nonzero()[0]
-    if cols.size:
+    pat = w.pattern()
+    x = w.x
+    if pat.cols.size:
         try:
             lam = aimd.scaling_factor(
-                w.gamma_norm[cols], w.grads[:, cols], w.x_bar[:, cols], w.clamp
+                w._gamma_norm, w.grads, w.x_bar, w.clamp, out=w._lam, cols=pat.events
             )
         except DegenerateAverageError as e:
-            j = cols[np.any(w.x_bar[:, cols] <= AVERAGE_FLOOR, axis=0)][0]
+            j = pat.cols[np.any(w.x_bar[:, pat.cols] <= AVERAGE_FLOOR, axis=0)][0]
             raise SimulationError(f"step {w.k}, resource {j}: {e}") from e
         if w.mode == "deterministic":
-            x_next[:, cols] = aimd.md_deterministic(w.x[:, cols], lam, w.beta[cols])
+            factor = aimd.deterministic_factor(lam, w._beta, w._factor)
+            factor[:, pat.idle] = 1.0
         else:
-            x_next[:, cols] = aimd.md_stochastic(
-                w.x[:, cols].T, lam.T, w.beta[cols, None], w.rng
-            ).T
-    w.x_bar = aimd.update_average(w.x_bar, x_next, w.k)
-    w.x = x_next
-    w.grads = w.ensemble.gradients(w.x_bar)
-    w.totals = _device_sum(x_next)
+            for rows in pat.draws:
+                w.rng.random(out=rows)
+            factor = aimd.stochastic_factor(pat.uniform.T, lam, w._beta, w._factor)
+        np.multiply(x, factor, x)
+    aimd.additive_increase(x, pat.add, x)
+    w.x_bar = aimd.update_average(w.x_bar, x, w.k, w.x_bar if x_bar_out is None else x_bar_out)
+    w.grads = w.ensemble.gradients(w.x_bar, w.grads if grads_out is None else grads_out)
+    w.totals = _device_sum(x, w._sums)
     w.events = capacity_event_bits(w.totals, w.capacity, w.gamma_cap)
     w.k += 1
 
@@ -239,23 +309,25 @@ class Trace:
         return np.cumsum(self.events.astype(np.int64), axis=0)
 
 
-def _check_finite(totals_inst, spread, cost_sum_avg) -> None:
+def _check_finite(totals_inst, spread, cost_sum_avg, first_step: int = 0) -> None:
     """Raise SimulationError at the first step whose recorded series are not all finite.
 
-    A gradient that overflows to inf or turns NaN shows up in the derivative
-    spread at once and, through the back-off, in the totals and the cost.
+    The series may be a block of rows starting at ``first_step``. A gradient
+    that overflows to inf or turns NaN shows up in the derivative spread at
+    once and, through the back-off, in the totals and the cost.
     """
     per_resource = np.isfinite(totals_inst) & np.isfinite(spread)
     ok = per_resource.all(axis=1) & np.isfinite(cost_sum_avg)
     if ok.all():
         return
-    k = int(np.argmin(ok))
-    if per_resource[k].all():
-        raise SimulationError(f"step {k}: population cost {cost_sum_avg[k]} is not finite")
-    j = int(np.argmin(per_resource[k]))
+    i = int(np.argmin(ok))
+    k = first_step + i
+    if per_resource[i].all():
+        raise SimulationError(f"step {k}: population cost {cost_sum_avg[i]} is not finite")
+    j = int(np.argmin(per_resource[i]))
     raise SimulationError(
-        f"step {k}, resource {j}: total {totals_inst[k, j]} or derivative spread "
-        f"{spread[k, j]} is not finite"
+        f"step {k}, resource {j}: total {totals_inst[i, j]} or derivative spread "
+        f"{spread[i, j]} is not finite"
     )
 
 
@@ -268,9 +340,9 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
     hand-built cost functions get full traces; its shape must match the
     config, and the run advances it in place. A trace (snapshots plus
     full-rate series) estimated above ``TRACE_BUDGET_BYTES`` raises ValueError
-    before anything is sampled or allocated. After the last round, a total,
-    derivative spread or population cost that is inf or NaN raises
-    SimulationError naming the first step (and resource) where it appeared.
+    before anything is sampled or allocated. A total, derivative spread or
+    population cost that is inf or NaN raises SimulationError naming the
+    first step (and resource) where it appeared, once its block is filled.
     """
     if config.steps < 1:
         raise ValueError("need at least one step")
@@ -304,6 +376,7 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
 
     snap_mask = np.zeros(total + 1, dtype=bool)
     snap_mask[snaps] = True
+    snap_flags = snap_mask.tolist()
 
     events = np.zeros((total + 1, m), dtype=np.uint8)
     totals_inst = np.zeros((total + 1, m))
@@ -317,17 +390,19 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
     rounds = max(1, min(total + 1, _BLOCK_BYTES // (8 * n * m)))
     xbar_block = np.empty((rounds, n, m))
     grad_block = np.empty((rounds, n, m))
+    # each round's averages and gradients are stepped straight into the block
+    rows = list(zip(xbar_block, grad_block))
+    xbar_block[0] = w.x_bar
+    grad_block[0] = w.grads
     snap_row = 0
     for start in range(0, total + 1, rounds):
         stop = min(start + rounds, total + 1)
-        for i, k in enumerate(range(start, stop)):
-            if k > 0:
-                step_world(w)
-            xbar_block[i] = w.x_bar
-            grad_block[i] = w.grads
+        for k, (xbar_row, grad_row) in zip(range(start, stop), rows):
+            if k:
+                step_world(w, xbar_row, grad_row)
             events[k] = w.events
             totals_inst[k] = w.totals
-            if snap_mask[k]:
+            if snap_flags[k]:
                 x_snap[snap_row] = w.x
                 xbar_snap[snap_row] = w.x_bar
                 grad_snap[snap_row] = w.grads
@@ -338,7 +413,8 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
         g = np.ascontiguousarray(grad_block[: stop - start].transpose(0, 2, 1))
         spread[start:stop] = g.max(axis=-1) - g.min(axis=-1)
         cost_sum_avg[start:stop] = w.ensemble.values(xb).sum(axis=-1)
-    _check_finite(totals_inst, spread, cost_sum_avg)
+        # a blown-up block stops the run before the next one is simulated
+        _check_finite(totals_inst[start:stop], spread[start:stop], cost_sum_avg[start:stop], start)
 
     return Trace(
         config=config,

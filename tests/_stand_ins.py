@@ -5,7 +5,8 @@ import time
 
 import numpy as np
 
-from aimdalloc import Config, ResourceParams, build_world
+from aimdalloc import Config, ResourceParams, build_world, engine
+from aimdalloc import aimd
 from aimdalloc.aimd import AVERAGE_FLOOR, LAMBDA_MARGIN, DegenerateAverageError
 from aimdalloc.config import config_hash
 from aimdalloc.costs import (
@@ -16,7 +17,8 @@ from aimdalloc.costs import (
     make_ensemble,
     sample_cost_functions,
 )
-from aimdalloc.engine import Trace, resolve_functions, snapshot_steps, step_world
+from aimdalloc.control import capacity_event_bits
+from aimdalloc.engine import SimulationError, Trace, resolve_functions, snapshot_steps
 from aimdalloc.oracle import (
     BracketError,
     OptimalAllocation,
@@ -467,13 +469,46 @@ def reference_scaling_factor(gamma_norm, grad, x_bar_j, stats=None):
     return float(lam) if lam.ndim == 0 else lam
 
 
+def reference_step_world(w):
+    """Reference round: gathers the event columns, backs them off, scatters them back.
+
+    This is ``engine.step_world`` before every resource column took the same
+    passes over reused buffers, kept verbatim so tests can require the same
+    bits, counts, draws and errors. It rebinds ``w.x``, ``w.x_bar``,
+    ``w.grads``, ``w.totals`` and ``w.events`` to new arrays.
+    """
+    x_next = aimd.additive_increase(w.x, w.alpha)
+    cols = w.events.nonzero()[0]
+    if cols.size:
+        try:
+            lam = aimd.scaling_factor(
+                w.gamma_norm[cols], w.grads[:, cols], w.x_bar[:, cols], w.clamp
+            )
+        except DegenerateAverageError as e:
+            j = cols[np.any(w.x_bar[:, cols] <= AVERAGE_FLOOR, axis=0)][0]
+            raise SimulationError(f"step {w.k}, resource {j}: {e}") from e
+        if w.mode == "deterministic":
+            x_next[:, cols] = aimd.md_deterministic(w.x[:, cols], lam, w.beta[cols])
+        else:
+            x_next[:, cols] = aimd.md_stochastic(
+                w.x[:, cols].T, lam.T, w.beta[cols, None], w.rng
+            ).T
+    w.x_bar = aimd.update_average(w.x_bar, x_next, w.k)
+    w.x = x_next
+    w.grads = w.ensemble.gradients(w.x_bar)
+    w.totals = engine._device_sum(x_next)
+    w.events = capacity_event_bits(w.totals, w.capacity, w.gamma_cap)
+    w.k += 1
+
+
 def reference_run(config, mode=None, world=None):
     """Reference recorder: every full-rate series filled one round at a time.
 
     This is ``engine.run``'s per-round recording loop before the recorder
     filled the averages' series once per block of rounds, kept verbatim so
-    tests can require the same bits. The trace budget and world checks are
-    left out; ``world``, when given, must be freshly built for ``config``.
+    tests can require the same bits; its rounds are ``reference_step_world``.
+    The trace budget and world checks are left out; ``world``, when given,
+    must be freshly built for ``config``.
     """
     total, n, m = config.steps, config.n, config.m
     snaps = snapshot_steps(total, config.trace_stride)
@@ -500,7 +535,7 @@ def reference_run(config, mode=None, world=None):
     snap_row = 0
     for k in range(total + 1):
         if k > 0:
-            step_world(w)
+            reference_step_world(w)
         events[k] = w.events
         totals_inst[k] = w.totals
         totals_avg[k] = w.x_bar.sum(axis=0)

@@ -1,10 +1,15 @@
 import dataclasses
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aimdalloc import (
     ResourceParams,
+    aimd,
     SimulationError,
     build_world,
     engine,
@@ -16,7 +21,7 @@ from aimdalloc import (
     step_world,
 )
 
-from aimdalloc.costs import CostEnsemble, LoopEnsemble
+from aimdalloc.costs import CostEnsemble, LoopEnsemble, sample_cost_functions
 
 from _stand_ins import (
     BlowUp,
@@ -25,6 +30,7 @@ from _stand_ins import (
     hand_world,
     reference_device_sum,
     reference_run,
+    reference_step_world,
     reference_values,
     sampled_functions,
     tiny_config,
@@ -177,6 +183,92 @@ class TestStepWorld:
             step_world(w)
 
 
+def small_world(data, mode):
+    """A hypothesis-drawn world: 1 to 8 devices on 1 to 3 resources, family or hand-built costs.
+
+    Normalizations span 1e-9 to 1e6, so both clamp counters fire; beta = 0
+    is among the back-off fractions.
+    """
+    m = data.draw(st.integers(1, 3), label="m")
+    n = data.draw(st.integers(1, 8), label="n")
+    resources = [
+        ResourceParams(
+            capacity=1.0,
+            alpha=data.draw(st.sampled_from([0.02, 0.3, 1.0])),
+            beta=data.draw(st.sampled_from([0.0, 0.5, 0.85])),
+            gamma_norm=data.draw(st.sampled_from([1e-9, 1e-3, 0.1, 1e6])),
+        )
+        for _ in range(m)
+    ]
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    if m == 3 and data.draw(st.booleans(), label="family"):
+        functions = sample_cost_functions(seed, n)
+    else:
+        functions = [WeightedSquare(w) for w in data.draw(
+            st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n), label="weights")]
+    return [build_world(functions, resources, mode, seed) for _ in range(2)]
+
+
+class TestRoundKernel:
+    """The same-shape round kernel keeps the gathering round's bits, counts, draws and errors."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), mode=st.sampled_from(["deterministic", "stochastic"]))
+    def test_matches_reference_round(self, data, mode):
+        got, want = small_world(data, mode)
+        m = got.m
+        patterns = data.draw(st.lists(st.integers(0, 2**m - 1), min_size=30, max_size=30),
+                             label="event patterns")
+        patterns[0] = 0  # the averages are still zero at step 0
+        for k, pattern in enumerate(patterns):
+            bits = [(pattern >> j) & 1 for j in range(m)]
+            got.events = np.array(bits, dtype=np.uint8)
+            want.events = np.array(bits, dtype=np.uint8)
+            if k % 2:
+                step_world(got, np.empty((got.n, m)), np.empty((got.n, m)))
+            else:
+                step_world(got)
+            reference_step_world(want)
+            for name in ("x", "x_bar", "grads", "totals", "events"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (k, name)
+            assert (got.clamp.low, got.clamp.high) == (want.clamp.low, want.clamp.high)
+            assert got.rng.bit_generator.state == want.rng.bit_generator.state
+            assert got.k == want.k
+
+
+class TestDeviceReplay:
+    """A device's trajectory follows from its own cost, the resource constants and the event bits."""
+
+    def test_replay_from_broadcast_bits(self, reference_comparison):
+        start = time.perf_counter()
+        trace = reference_comparison.traces[0]
+        assert trace.mode == "deterministic"
+        resources = trace.config.resources
+        alpha = np.array([p.alpha for p in resources])
+        beta = np.array([p.beta for p in resources])
+        gamma = np.array([p.gamma_norm for p in resources])
+        rows = {int(s): r for r, s in enumerate(trace.snap_steps) if s <= 3000}
+        bits = trace.events.astype(bool)
+        for i in (0, 7, 33, 59):
+            own = CostEnsemble([trace.functions[i]])
+            x = np.zeros((1, trace.m))
+            x_bar = np.zeros((1, trace.m))
+            grad = own.gradients(x_bar)
+            for k in range(3000):
+                x_next = aimd.additive_increase(x, alpha)
+                ev = bits[k]
+                if ev.any():
+                    lam = aimd.scaling_factor(gamma[ev], grad[:, ev], x_bar[:, ev])
+                    x_next[:, ev] = aimd.md_deterministic(x[:, ev], lam, beta[ev])
+                x_bar = aimd.update_average(x_bar, x_next, k)
+                x = x_next
+                grad = own.gradients(x_bar)
+                if k + 1 in rows:
+                    assert x.tobytes() == trace.x_snap[rows[k + 1], i].tobytes(), (i, k + 1)
+                    assert x_bar.tobytes() == trace.xbar_snap[rows[k + 1], i].tobytes(), (i, k + 1)
+        assert time.perf_counter() - start < 1.0
+
+
 def two_resource_config():
     resource = ResourceParams(capacity=1.0, alpha=0.1, beta=0.5, gamma_norm=0.1)
     return tiny_config(m=2, steps=40, resources=(resource, resource))
@@ -201,6 +293,30 @@ class TestNonFiniteGuard:
         )
         with pytest.raises(SimulationError, match=rf"^step {first}, resource 1: "):
             run(cfg, world=world)
+
+    def test_blown_up_block_stops_the_run(self, monkeypatch):
+        # 50 blocks of 8 rounds; the gradient turns NaN in the first two blocks
+        cfg = dataclasses.replace(two_resource_config(), steps=400)
+        rounds = 8
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", 8 * rounds * cfg.n * cfg.m)
+
+        def world(threshold):
+            return build_world(
+                [BlowUp(1.0, [np.inf, threshold], np.nan),
+                 BlowUp(2.0, [np.inf, threshold], np.nan)],
+                cfg.resources, "deterministic", 1,
+            )
+
+        clean = run(cfg, world=world(np.inf))
+        threshold = 0.2
+        first = int(np.argmax(clean.xbar_snap[:, :, 1].max(axis=1) > threshold))
+        assert 0 < first < 2 * rounds
+        calls = []
+        step = engine.step_world
+        monkeypatch.setattr(engine, "step_world", lambda *a: calls.append(1) or step(*a))
+        with pytest.raises(SimulationError, match=rf"^step {first}, resource 1: "):
+            run(cfg, world=world(threshold))
+        assert len(calls) <= 2 * rounds
 
     def test_finite_run_passes(self):
         cfg = two_resource_config()
