@@ -88,9 +88,8 @@ def scaling_factor(gamma_norm, grad, x_bar_j, stats: ClampStats | None = None, o
     """
     x_bar_arr = np.asarray(x_bar_j, dtype=float)
     # the whole-array count is the cheap test; the guarded columns decide
-    if np.count_nonzero(np.less_equal(x_bar_arr, _FLOOR)) and (
-        cols is None or np.count_nonzero(x_bar_arr[..., cols] <= AVERAGE_FLOOR)
-    ):
+    low = np.count_nonzero(np.less_equal(x_bar_arr, _FLOOR))
+    if low and (cols is None or np.count_nonzero(x_bar_arr[..., cols] <= AVERAGE_FLOOR)):
         raise DegenerateAverageError(
             f"average allocation <= {AVERAGE_FLOOR} in scaling factor"
         )
@@ -121,10 +120,9 @@ def md_deterministic(x, lam, beta):
 
 
 def stochastic_factor(u, lam, beta, out=None):
-    """Multiplier of the randomized back-off for uniform draws ``u``: beta where u < lam, else 1.
+    """Randomized back-off multiplier for draws ``u``: beta where u < lam, else 1.
 
-    Written as max(beta, 1 - [u < lam]), exact for beta in [0, 1), so a
-    float ``out`` takes every pass without the temporaries of ``np.where``.
+    As max(beta, 1 - [u < lam]), exact for beta in [0, 1), every pass can write to ``out``.
     """
     miss = np.subtract(_ONE, np.less(u, lam, out=out), out=out)
     return np.maximum(beta, miss, out=out)

@@ -332,23 +332,23 @@ class CostEnsemble:
         self._v = tuple(g / (2 * k + 2) for k, g in enumerate(self._g))
         # (m, 4, n): resource j's g1, g3, g5, g7 columns, contiguous for partial_column
         self._columns = np.ascontiguousarray(tables.transpose(2, 0, 1))
-        self._work: dict[tuple, list[np.ndarray]] = {}
+        self._flat, self._work = [np.empty(0)] * 4, {}
 
     def __len__(self) -> int:
         return len(self.functions)
 
     def _powers(self, shape: tuple) -> list[np.ndarray]:
-        """Four arrays of ``shape`` for the power terms, kept for the next call of that shape.
+        """Four scratch arrays of ``shape`` for the power terms, views of four kept buffers.
 
-        At 10 000 devices four fresh (n, m) temporaries per call cost more in
-        page faults than the arithmetic (about 510 against 150 us a call).
+        At 10 000 devices fresh ones cost more in page faults than the
+        arithmetic: about 510 against 150 us a ``gradients`` call.
         """
-        work = self._work.get(shape)
-        if work is None:
-            if len(self._work) >= 4:
-                self._work.clear()
-            work = self._work[shape] = [np.empty(shape) for _ in range(4)]
-        return work
+        if shape not in self._work:
+            size = int(np.prod(shape))
+            if size > self._flat[0].size:
+                self._flat, self._work = [np.empty(size) for _ in range(4)], {}
+            self._work[shape] = [b[:size].reshape(shape) for b in self._flat]
+        return self._work[shape]
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """Per-device cost at the (..., n, m) allocation ``x``, shape (..., n).
@@ -442,19 +442,6 @@ class LoopEnsemble:
     def __len__(self) -> int:
         return len(self.functions)
 
-    def _powers(self, shape: tuple) -> list[np.ndarray]:
-        """Four arrays of ``shape`` for the power terms, kept for the next call of that shape.
-
-        At 10 000 devices four fresh (n, m) temporaries per call cost more in
-        page faults than the arithmetic (about 510 against 150 us a call).
-        """
-        work = self._work.get(shape)
-        if work is None:
-            if len(self._work) >= 4:
-                self._work.clear()
-            work = self._work[shape] = [np.empty(shape) for _ in range(4)]
-        return work
-
     def values(self, x: np.ndarray) -> np.ndarray:
         """Per-device cost at the (..., n, m) allocation ``x``, shape (..., n)."""
         x = np.asarray(x, dtype=float)
@@ -470,10 +457,9 @@ class LoopEnsemble:
         x = np.asarray(x, dtype=float)
         if self._cases is None:
             grads = self._row_loop(lambda f, xi: f.gradient(xi), x).reshape(*x.shape[:-1], -1)
-            if out is None:
-                return grads
-            out[...] = grads
-            return out
+            if out is not None:
+                out[...] = grads
+            return grads if out is None else out
         out = np.empty(x.shape) if out is None else out
         for case_id, rows, *weights in self._cases:
             out[..., rows, :] = np.stack(

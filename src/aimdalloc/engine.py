@@ -7,16 +7,23 @@ round. Demand measured at a step is therefore acted on exactly one step
 later, which bounds the instantaneous overshoot by n * alpha per resource.
 
 Every device hears the same broadcast, so one round is a single matrix step
-over the whole population, x(k+1) = A(k) x(k) + alpha: ``step_world``
-advances one mutable ``WorldState`` in place, backing off all event columns
-with one scaling-factor call and one back-off call.
+over the whole population, x(k+1) = A(k) x(k) + alpha. ``step_world`` makes
+it in same-shape passes over all m resource columns, into buffers the
+``WorldState`` keeps: the scaling factor and back-off factor F on every
+column (beta and gamma_norm kept tiled to (n, m)), F = 1 on the idle
+columns, then x * F + A, with A alpha tiled and zeroed on the event columns.
+That is x * f on an event column and x + alpha on an idle one, bit for bit.
+At 60 devices a pass costs about 0.5 us, against 1.6 us for an (m,)
+broadcast; at 10 000 a masked copy costs 144 us against 22 us for a
+multiply, and fresh (n, m) temporaries cost page faults. So a round
+gathers, broadcasts, copies under a mask and allocates no (n, m) array.
 
-``run`` pairs that kernel with a recorder. Each round it keeps the event
-bits, the instantaneous totals and any snapshot, and copies the averages and
-their gradients into a (rounds, n, m) block of about ``_BLOCK_BYTES``; once
+``run`` pairs that kernel with a recorder. Each round steps the averages and
+their gradients straight into a row of a (rounds, n, m) block of about
+``_BLOCK_BYTES`` and keeps the event bits, the totals and any snapshot; once
 per block it fills the block's rows of the series read off the averages
 (their totals, the derivative spread and the population cost) with one
-ensemble call on the whole block.
+ensemble call on the whole block, and stops at the first that is not finite.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,29 +54,11 @@ class SimulationError(RuntimeError):
     """A run aborted; the message carries the cause (and the step, if a round failed)."""
 
 
-class _Pattern(NamedTuple):
-    """What a round needs to know about one event pattern, built on its first round.
-
-    ``events`` and ``idle`` index the event and idle columns (basic slices
-    where the columns are evenly spaced, so indexing makes views); ``add``
-    is alpha tiled to (n, m) with the event columns zeroed; stochastic
-    worlds draw into ``draws``, row slices of a resource-major (m, n) buffer
-    whose idle rows stay at 1.0 so their factor is 1.
-    """
-
-    cols: np.ndarray
-    events: object
-    idle: object
-    add: np.ndarray
-    uniform: np.ndarray
-    draws: tuple
-
-
 def _as_index(cols: np.ndarray):
-    """Ascending column numbers as a slice when evenly spaced, else as the array."""
-    if cols.size == 1 or (cols.size > 1 and np.all(np.diff(cols) == cols[1] - cols[0])):
-        step = int(cols[1] - cols[0]) if cols.size > 1 else 1
-        return slice(int(cols[0]), int(cols[-1]) + 1, step)
+    """Ascending column numbers as a basic slice when evenly spaced, so indexing makes a view."""
+    steps = np.unique(np.diff(cols))
+    if cols.size and steps.size <= 1:
+        return slice(int(cols[0]), int(cols[-1]) + 1, int(steps[0]) if steps.size else 1)
     return cols
 
 
@@ -82,9 +70,7 @@ class WorldState:
     is what the back-off scaling rule reads this round. ``totals`` is the
     per-resource sum of ``x`` that produced ``events``; it views a buffer
     the next round refills. The stochastic stream ``rng`` advances on event
-    steps; ``clamp`` counts scaling-factor clips. The per-resource constants
-    are also kept tiled to (n, m), and the round's scratch arrays are kept
-    with them, so a round neither broadcasts nor allocates (n, m) arrays.
+    steps; ``clamp`` counts scaling-factor clips.
     """
 
     mode: str
@@ -108,10 +94,10 @@ class WorldState:
         n, m = self.x.shape
         self._beta = np.tile(self.beta, (n, 1))
         self._gamma_norm = np.tile(self.gamma_norm, (n, 1))
-        self._lam = np.empty((n, m))
+        # the scaling factor, then the running sums the totals view
+        self._work = np.empty((n, m))
         self._factor = np.empty((n, m))
-        self._sums = np.empty((n, m))
-        self._patterns: dict[bytes, _Pattern] = {}
+        self._patterns: dict[bytes, tuple] = {}
 
     @property
     def n(self) -> int:
@@ -121,25 +107,24 @@ class WorldState:
     def m(self) -> int:
         return self.x.shape[1]
 
-    def pattern(self) -> _Pattern:
-        """The current event pattern's column indices, additive term and draw buffers."""
+    def pattern(self) -> tuple:
+        """Event and idle column indices (None without events), A, and a stochastic world's
+        resource-major (m, n) draw buffer, idle rows at 1.0, with one slice per run of event rows.
+        """
         key = self.events.tobytes()
-        pat = self._patterns.get(key)
-        if pat is None:
+        if key not in self._patterns:
             if len(self._patterns) >= 64:
                 self._patterns.clear()
-            n, m = self.x.shape
             cols = np.flatnonzero(self.events)
-            add = np.tile(self.alpha, (n, 1))
+            add = np.tile(self.alpha, (self.n, 1))
             add[:, cols] = 0.0
-            uniform = np.ones((m, n)) if self.mode == "stochastic" else np.empty((0, n))
-            # one draw call per run of adjacent event columns, in column order
+            uniform = np.ones((self.m if self.mode == "stochastic" else 0, self.n))
             runs = np.split(cols, np.flatnonzero(np.diff(cols) != 1) + 1) if cols.size else []
-            pat = self._patterns[key] = _Pattern(
-                cols, _as_index(cols), _as_index(np.flatnonzero(self.events == 0)), add,
-                uniform, tuple(uniform[r[0]:r[-1] + 1] for r in runs),
+            self._patterns[key] = (
+                _as_index(cols) if cols.size else None, _as_index(np.flatnonzero(self.events == 0)),
+                add, uniform, [uniform[r[0]:r[-1] + 1] for r in runs],
             )
-        return pat
+        return self._patterns[key]
 
 
 def resolve_functions(config: Config) -> tuple[CostFunction, ...]:
@@ -214,35 +199,30 @@ def step_world(w: WorldState, x_bar_out=None, grads_out=None) -> None:
     the first event column at fault. The new averages and gradients go to
     ``x_bar_out`` and ``grads_out`` when given, else over the old ones; the
     world holds them afterwards.
-
-    Every resource column takes the same passes: the scaling factor and the
-    back-off factor F are computed on all of them, F is set to 1 on the idle
-    columns, and x * F + A, with A the additive step zeroed on the event
-    columns, is the new allocation. That is x * f on an event column and
-    x + alpha on an idle one, bit for bit.
     """
-    pat = w.pattern()
+    events, idle, add, uniform, draws = w.pattern()
     x = w.x
-    if pat.cols.size:
+    if events is not None:
         try:
             lam = aimd.scaling_factor(
-                w._gamma_norm, w.grads, w.x_bar, w.clamp, out=w._lam, cols=pat.events
+                w._gamma_norm, w.grads, w.x_bar, w.clamp, out=w._work, cols=events
             )
         except DegenerateAverageError as e:
-            j = pat.cols[np.any(w.x_bar[:, pat.cols] <= AVERAGE_FLOOR, axis=0)][0]
+            cols = np.flatnonzero(w.events)
+            j = cols[np.any(w.x_bar[:, cols] <= AVERAGE_FLOOR, axis=0)][0]
             raise SimulationError(f"step {w.k}, resource {j}: {e}") from e
         if w.mode == "deterministic":
             factor = aimd.deterministic_factor(lam, w._beta, w._factor)
-            factor[:, pat.idle] = 1.0
+            factor[:, idle] = 1.0
         else:
-            for rows in pat.draws:
+            for rows in draws:
                 w.rng.random(out=rows)
-            factor = aimd.stochastic_factor(pat.uniform.T, lam, w._beta, w._factor)
+            factor = aimd.stochastic_factor(uniform.T, lam, w._beta, w._factor)
         np.multiply(x, factor, x)
-    aimd.additive_increase(x, pat.add, x)
+    aimd.additive_increase(x, add, x)
     w.x_bar = aimd.update_average(w.x_bar, x, w.k, w.x_bar if x_bar_out is None else x_bar_out)
     w.grads = w.ensemble.gradients(w.x_bar, w.grads if grads_out is None else grads_out)
-    w.totals = _device_sum(x, w._sums)
+    w.totals = _device_sum(x, w._work)
     w.events = capacity_event_bits(w.totals, w.capacity, w.gamma_cap)
     w.k += 1
 
