@@ -360,9 +360,7 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
         if w.k != 0:
             raise ValueError("pass a freshly built world (k = 0); traces start at step 0")
 
-    snap_mask = np.zeros(total + 1, dtype=bool)
-    snap_mask[snaps] = True
-    snap_flags = snap_mask.tolist()
+    snap_flags = np.isin(np.arange(total + 1), snaps).tolist()
 
     events = np.zeros((total + 1, m), dtype=np.uint8)
     totals_inst = np.zeros((total + 1, m))
