@@ -211,7 +211,7 @@ def small_world(data, mode):
 
 
 class TestRoundKernel:
-    """The same-shape round kernel keeps the gathering round's bits, counts, draws and errors."""
+    """The same-shape round kernel keeps the gathering round's bits, clip counts and draws."""
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), mode=st.sampled_from(["deterministic", "stochastic"]))
