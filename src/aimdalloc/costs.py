@@ -1,14 +1,18 @@
 """Private device cost functions: a three-case family of convex polynomials.
 
-Each device owns one sampled member of the family. Values and partial
-derivatives are exact closed forms (no autodiff), so they can be checked
-against finite differences. The family covers three resources: RAM, CPU
-cycles and scaled disk storage, in that axis order.
+Each device owns one sampled member of the family. The family is written
+once, as the coefficients of x, x^3, x^5 and x^7 in each resource's partial
+(``_gradient_coefficients``). A member and a whole population evaluate them
+with the same code, so a scalar call gives that device's ensemble row bit
+for bit. Values and partials are exact closed forms (no autodiff), so they
+can be checked against finite differences. The family covers three
+resources: RAM, CPU cycles and scaled disk storage, in that axis order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,50 +22,45 @@ RESOURCE_COUNT = 3
 #: inclusive integer range of every field of a ``CostFunction``, in field order
 FIELD_RANGES = {"case_id": (1, 3), "a": (1, 25), "b": (1, 20), "c": (1, 15), "d": (1, 10)}
 
-CASE_IDS = tuple(range(1, FIELD_RANGES["case_id"][1] + 1))
 
+def _gradient_coefficients(case_id, a, b, c, d) -> np.ndarray:
+    """(4, ..., 3) coefficients of x, x^3, x^5 and x^7 in each resource's partial.
 
-def _case_value(case_id, x0, x1, x2, a, b, c, d):
-    """Cost of family case ``case_id`` at (x0, x1, x2) with weights a, b, c, d.
+    The arguments are scalars or arrays that broadcast; their shape is the
+    middle axes of the result. The cases' costs, in closed form:
 
-    Coordinates and weights broadcast, so one call evaluates a single point or
-    every row of a same-case block; both give the same bits per entry.
+    1. a (x0^2 + x0^4 / 2) + b (2 x1^4 + x1^6 / 2) + c (x2^2 + x2^4 / 4) + d x2^8 / 8
+    2. a x0^2 + b (x1^2 + x1^4 / 2) + 3 c x2^4 / 2
+    3. a x0^6 / 3 + b x1^2 + c x2^2 + d (x1^6 / 6 + x2^4 / 8)
+
+    Each coefficient is an integer weight times 0.5, 1, 2, 3, 6 or 8, exact in
+    floating point, so a scalar and an array call give the same bits.
     """
-    if case_id == 1:
-        return (
-            a * (x0**2 + 0.5 * x0**4)
-            + b * (2.0 * x1**4 + 0.5 * x1**6)
-            + c * (x2**2 + 0.25 * x2**4)
-            + 0.125 * d * x2**8
-        )
-    if case_id == 2:
-        return a * x0**2 + b * (x1**2 + 0.5 * x1**4) + 1.5 * c * x2**4
-    return (
-        a * x0**6 / 3.0
-        + b * x1**2
-        + c * x2**2
-        + d * (x1**6 / 6.0 + 0.125 * x2**4)
-    )
+    a, b, c, d = np.broadcast_arrays(*(np.asarray(w, dtype=float) for w in (a, b, c, d)))
+    z = np.zeros_like(a)
+    by_case = np.array((
+        ((2.0 * a, z, 2.0 * c), (2.0 * a, 8.0 * b, c), (z, 3.0 * b, z), (z, z, d)),
+        ((2.0 * a, 2.0 * b, z), (z, 2.0 * b, 6.0 * c), (z, z, z), (z, z, z)),
+        ((z, 2.0 * b, 2.0 * c), (z, z, 0.5 * d), (2.0 * a, d, z), (z, z, z)),
+    ))  # (case, degree, resource, ...)
+    pick = np.expand_dims(np.asarray(case_id, dtype=int) - 1, (0, 1, 2))
+    tables = np.take_along_axis(by_case, pick, axis=0)[0]
+    return np.ascontiguousarray(np.moveaxis(tables, 1, -1))
 
 
-def _case_gradient(case_id, x0, x1, x2, a, b, c, d):
-    """The three partials of family case ``case_id``; broadcasts like ``_case_value``.
+def _value_coefficients(g: tuple) -> tuple:
+    """Coefficients of x^2, x^4, x^6 and x^8 in the value, from the gradient's ``g``.
 
-    Partial k reads only x_k (the cases are separable).
+    For integer weights these are the closed forms' own: 2a / 6 rounds the same real as a / 3.
     """
-    if case_id == 1:
-        g0 = a * (2.0 * x0 + 2.0 * x0**3)
-        g1 = b * (8.0 * x1**3 + 3.0 * x1**5)
-        g2 = c * (2.0 * x2 + x2**3) + d * x2**7
-    elif case_id == 2:
-        g0 = 2.0 * a * x0
-        g1 = b * (2.0 * x1 + 2.0 * x1**3)
-        g2 = 6.0 * c * x2**3
-    else:
-        g0 = 2.0 * a * x0**5
-        g1 = 2.0 * b * x1 + d * x1**5
-        g2 = 2.0 * c * x2 + 0.5 * d * x2**3
-    return g0, g1, g2
+    return tuple(gk / (2 * k + 2) for k, gk in enumerate(g))
+
+
+def _family_point(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (RESOURCE_COUNT,):
+        raise ValueError(f"family members take allocations of length {RESOURCE_COUNT}, got shape {x.shape}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,9 @@ class CostFunction:
     partial derivatives in each coordinate for x > 0, which is what the
     back-off scaling rule relies on. ``value``/``gradient``/``partial``
     broadcast over leading axes, so a (P, 3) batch of points evaluates in one
-    call.
+    call; a last axis that is not 3 long raises ``ValueError``. ``value``
+    and ``gradient`` run ``CostEnsemble.values`` and ``gradients`` on the
+    member's own coefficient row (``_v``, ``_g``, built on first use).
     """
 
     case_id: int
@@ -94,17 +95,23 @@ class CostFunction:
             if not lo <= v <= hi:
                 raise ValueError(f"{name}={v} outside [{lo}, {hi}]")
 
+    @cached_property
+    def _g(self) -> tuple:
+        return tuple(_gradient_coefficients(self.case_id, self.a, self.b, self.c, self.d))
+
+    @cached_property
+    def _v(self) -> tuple:
+        return _value_coefficients(self._g)
+
+    def _powers(self, shape: tuple) -> list[np.ndarray]:
+        return [np.empty(shape) for _ in range(4)]
+
     def value(self, x) -> float | np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = _case_value(self.case_id, x[..., 0], x[..., 1], x[..., 2], self.a, self.b, self.c, self.d)
+        out = CostEnsemble.values(self, _family_point(x))
         return out if out.ndim else float(out)
 
     def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.stack(
-            _case_gradient(self.case_id, x[..., 0], x[..., 1], x[..., 2], self.a, self.b, self.c, self.d),
-            axis=-1,
-        )
+        return CostEnsemble.gradients(self, _family_point(x))
 
     def partial(self, x, j: int) -> float | np.ndarray:
         if not 0 <= j < RESOURCE_COUNT:
@@ -204,7 +211,7 @@ def verify_assumption1(f, box: Sequence[tuple[float, float]], samples: int, rng=
     bumped = np.repeat(pts[None], m, axis=0)
     axes = np.arange(m)
     bumped[axes, :, axes] = (pts + (highs - pts) * rng.random((samples, m))).T
-    ens = LoopEnsemble([f], m)
+    ens = make_ensemble([f], m)
     g = ens.gradients(pts[:, None, :])[:, 0, :]
     g_up = ens.gradients(bumped[..., None, :])[axes, :, 0, axes].T
     not_positive = ~(g > 0.0)
@@ -255,7 +262,7 @@ def estimate_gamma(
     m = len(box)
     axes = [np.linspace(lo, hi, grid) for lo, hi in box]
     mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    ens = LoopEnsemble(functions, m)
+    ens = make_ensemble(functions, m)
     # per (function, axis) minimum over the lattice in point order, then the
     # first function holding each axis' minimum: the same pick, signed zeros
     # included, as a scan over functions, then points
@@ -274,30 +281,27 @@ def estimate_gamma(
     return safety * best
 
 
-#: the population ``_case_groups`` saw last and its groups, replaced as one pair
-#: so that a caller on another thread never reads one population's groups as another's
+#: the population ``_family_tables`` saw last and its tables, replaced as one pair
+#: so that a caller on another thread never reads one population's tables as another's
 _latest = [(None, None)]
 
 
-def _case_groups(functions: tuple) -> list[tuple] | None:
-    """``(case_id, rows, a, b, c, d)`` per case present, weights as float (len(rows),) arrays.
+def _family_tables(functions: tuple) -> np.ndarray | None:
+    """Read-only (4, n, 3) ``_gradient_coefficients`` of every function, device after device.
 
-    None unless every function is a family member. Kept for the latest tuple by
-    identity, so a run groups its population once (hashing it costs as much).
+    None unless every function is a family member. Kept for the latest tuple
+    by identity, so the ensembles a trajectory's engine, oracle, certificate
+    and metrics build share one table build.
     """
-    seen, groups = _latest[0]
+    seen, tables = _latest[0]
     if seen is not functions:
-        groups = None
+        tables = None
         if all(isinstance(f, CostFunction) for f in functions):
-            case_ids = np.array([f.case_id for f in functions], dtype=int)
-            weights = np.array([(f.a, f.b, f.c, f.d) for f in functions], dtype=float)
-            groups = [
-                (case_id, rows, *weights[rows].T)
-                for case_id in CASE_IDS
-                if (rows := np.flatnonzero(case_ids == case_id)).size
-            ]
-        _latest[0] = functions, groups
-    return groups
+            fields = np.array([(f.case_id, f.a, f.b, f.c, f.d) for f in functions], dtype=float)
+            tables = _gradient_coefficients(*fields.reshape(-1, len(FIELD_RANGES)).T)
+            tables.flags.writeable = False
+        _latest[0] = functions, tables
+    return tables
 
 
 class CostEnsemble:
@@ -305,31 +309,19 @@ class CostEnsemble:
 
     Every case is a polynomial with even-degree value terms and odd-degree
     gradient terms, so one (n, m) coefficient matrix per degree evaluates the
-    whole device population in a handful of elementwise products. Results
-    agree with the scalar API to floating-point roundoff.
+    whole device population in a handful of elementwise products. Row i is
+    bit for bit what device i's own ``value`` and ``gradient`` return: they
+    run ``values`` and ``gradients`` on that row.
     """
 
     def __init__(self, functions: Sequence[CostFunction]):
         if not functions:
             raise ValueError("need at least one cost function")
         self.functions = tuple(functions)
-        if (groups := _case_groups(self.functions)) is None:
+        if (tables := _family_tables(self.functions)) is None:
             raise TypeError("CostEnsemble requires built-in family members")
-        # gradient tables g1, g3, g5, g7; the value table of degree 2k + 2 is
-        # the gradient table of degree 2k + 1 over 2k + 2, the same bits as the
-        # scalar formula for integer weights: 2a / 6 rounds the same real as a / 3
-        tables = np.zeros((4, len(functions), RESOURCE_COUNT))
-        for case_id, rows, a, b, c, d in groups:
-            z = np.zeros_like(a)
-            if case_id == 1:
-                coeffs = ((2.0 * a, z, 2.0 * c), (2.0 * a, 8.0 * b, c), (z, 3.0 * b, z), (z, z, d))
-            elif case_id == 2:
-                coeffs = ((2.0 * a, 2.0 * b, z), (z, 2.0 * b, 6.0 * c), (z, z, z), (z, z, z))
-            else:
-                coeffs = ((z, 2.0 * b, 2.0 * c), (z, z, 0.5 * d), (2.0 * a, d, z), (z, z, z))
-            tables[:, rows] = np.array(coeffs).transpose(0, 2, 1)
         self._g = tuple(tables)
-        self._v = tuple(g / (2 * k + 2) for k, g in enumerate(self._g))
+        self._v = _value_coefficients(self._g)
         # (m, 4, n): resource j's g1, g3, g5, g7 columns, contiguous for partial_column
         self._columns = np.ascontiguousarray(tables.transpose(2, 0, 1))
         self._flat, self._work = [np.empty(0)] * 4, {}
@@ -422,22 +414,19 @@ class CostEnsemble:
 
 
 class LoopEnsemble:
-    """Population evaluation with each function's own arithmetic, bit for bit.
+    """Population evaluation row by row, through each function's own methods.
 
     Anything exposing ``value(x)`` and ``gradient(x)`` on length-m vectors
     works; this keeps small hand-built worlds (single-resource quadratics and
-    the like) runnable through the same engine and oracle.
-    Each entry is exactly what the function's own method returns. Family
-    members on the family's resource count are grouped by case once, and each
-    case's formula evaluates all its rows in one expression; any other
-    population is evaluated row by row. ``values`` and ``gradients`` also take
-    leading block axes, (..., n, m), like ``CostEnsemble``'s.
+    the like) runnable through the same engine and oracle. Each entry is
+    exactly what the function's own method returns. ``values`` and
+    ``gradients`` also take leading block axes, (..., n, m), like
+    ``CostEnsemble``'s.
     """
 
     def __init__(self, functions, m: int):
         self.functions = tuple(functions)
         self.m = m
-        self._cases = _case_groups(self.functions) if m == RESOURCE_COUNT else None
 
     def __len__(self) -> int:
         return len(self.functions)
@@ -445,26 +434,15 @@ class LoopEnsemble:
     def values(self, x: np.ndarray) -> np.ndarray:
         """Per-device cost at the (..., n, m) allocation ``x``, shape (..., n)."""
         x = np.asarray(x, dtype=float)
-        if self._cases is None:
-            return self._row_loop(lambda f, xi: float(f.value(xi)), x).reshape(x.shape[:-1])
-        out = np.empty(x.shape[:-1])
-        for case_id, rows, *weights in self._cases:
-            out[..., rows] = _case_value(case_id, *np.moveaxis(x[..., rows, :], -1, 0), *weights)
-        return out
+        return self._row_loop(lambda f, xi: float(f.value(xi)), x).reshape(x.shape[:-1])
 
     def gradients(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(..., n, m) partials at ``x``, written to ``out`` when given; row i of each matrix is device i's gradient."""
         x = np.asarray(x, dtype=float)
-        if self._cases is None:
-            grads = self._row_loop(lambda f, xi: f.gradient(xi), x).reshape(*x.shape[:-1], -1)
-            if out is not None:
-                out[...] = grads
-            return grads if out is None else out
-        out = np.empty(x.shape) if out is None else out
-        for case_id, rows, *weights in self._cases:
-            out[..., rows, :] = np.stack(
-                _case_gradient(case_id, *np.moveaxis(x[..., rows, :], -1, 0), *weights), axis=-1
-            )
+        grads = self._row_loop(lambda f, xi: f.gradient(xi), x).reshape(*x.shape[:-1], -1)
+        if out is None:
+            return grads
+        out[...] = grads
         return out
 
     def _row_loop(self, method, x):
@@ -485,8 +463,10 @@ def make_ensemble(functions, m: int):
     """Population evaluator for ``functions`` on m resources.
 
     Built-in family members on the family's resource count get the vectorized
-    ``CostEnsemble``; anything else gets the per-function ``LoopEnsemble``.
+    ``CostEnsemble``; anything else gets the per-function ``LoopEnsemble``,
+    whose rows raise ``ValueError`` for family members on another count.
     """
-    if m == RESOURCE_COUNT and _case_groups(tuple(functions)) is not None:
+    functions = tuple(functions)
+    if m == RESOURCE_COUNT and _family_tables(functions) is not None:
         return CostEnsemble(functions)
     return LoopEnsemble(functions, m)

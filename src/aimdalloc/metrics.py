@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import LoopEnsemble, _check_domain
+from .costs import _check_domain, make_ensemble
 from .engine import Trace
 
 
@@ -46,8 +46,8 @@ def collect_metrics(trace: Trace, optimum: np.ndarray) -> MetricsReport:
         raise ValueError(
             f"optimum shape {optimum.shape} does not match trace ({trace.n}, {trace.m})"
         )
-    # each function's own value, summed left to right as the scalar API would
-    per_device = LoopEnsemble(trace.functions, trace.m).values(_check_domain(optimum))
+    # each device's value, summed left to right as the scalar API would
+    per_device = make_ensemble(trace.functions, trace.m).values(_check_domain(optimum))
     optimum_cost = float(sum(per_device.tolist()))
     cost_ratio = (
         trace.cost_sum_avg / optimum_cost if optimum_cost > 0 else np.full_like(trace.cost_sum_avg, np.nan)

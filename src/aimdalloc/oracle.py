@@ -9,10 +9,10 @@ result carries a KKT-style residual so callers can certify it.
 
 Cost objects follow the same small protocol as elsewhere: ``value(x)`` and
 ``gradient(x)`` on length-m vectors, plus a truthy ``separable`` attribute
-when cross-partials vanish. Populations are evaluated through
-``costs.make_ensemble``; certificates, the dual bracket and the
-projected-gradient objective use the per-function ``LoopEnsemble`` so they
-carry each function's own arithmetic. Objects outside the built-in family are
+when cross-partials vanish. Every population evaluation (demands,
+certificates, the dual bracket and the projected-gradient objective) goes
+through ``costs.make_ensemble``, whose entries for a family member have the
+bits of its own scalar methods. Objects outside the built-in family are
 inverted through rows of their ``gradient`` and bisected without a replay.
 """
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostEnsemble, LoopEnsemble, _check_domain, make_ensemble
+from .costs import CostEnsemble, _check_domain, make_ensemble
 
 
 #: devices holding at most this fraction of a capacity count as inactive
@@ -95,7 +95,7 @@ def kkt_residual(functions, x, capacities) -> float:
             f"allocation shape {x.shape} does not match "
             f"({len(functions)}, {len(capacities)})"
         )
-    grads = LoopEnsemble(functions, len(capacities)).gradients(x)
+    grads = make_ensemble(functions, len(capacities)).gradients(x)
     return _residual_from_grads(x, grads, capacities)
 
 
@@ -169,10 +169,12 @@ def solve_separable(functions, capacities, tol: float = 1e-8) -> OptimalAllocati
     mu = np.zeros(m)
     outer_total = 0
     ensemble = make_ensemble(functions, m)
-    per_function = LoopEnsemble(functions, m)
 
     for j, cap in enumerate(capacities):
-        mu_hi = float(per_function.partial_column(np.full(n, cap), j).max())
+        # the functions' own partials; partial_column's Horner form rounds differently
+        at_cap = np.zeros((n, m))
+        at_cap[:, j] = cap
+        mu_hi = float(ensemble.gradients(at_cap)[:, j].max())
         if mu_hi <= 0.0:
             raise BracketError(f"resource {j}: all derivatives vanish up to capacity")
         band = tol * cap
@@ -285,14 +287,14 @@ def solve_projected_gradient(
         for j in range(m):
             x[:, j] = project_capacity_simplex(x[:, j], capacities[j])
 
-    per_function = LoopEnsemble(functions, m)
+    ensemble = make_ensemble(functions, m)
 
     def total_cost(mat):
         # sequential sum, as the scalar API would accumulate it
-        return float(sum(per_function.values(mat)))
+        return float(sum(ensemble.values(mat)))
 
     fx = total_cost(x)
-    grads = per_function.gradients(x)
+    grads = ensemble.gradients(x)
     step = 1.0
     for it in range(max_iters + 1):
         residual = _residual_from_grads(x, grads, capacities)
@@ -316,7 +318,7 @@ def solve_projected_gradient(
             if step < 1e-18:
                 break
         x, fx = cand, f_cand
-        grads = per_function.gradients(x)
+        grads = ensemble.gradients(x)
         step *= 1.25
 
     residual = _residual_from_grads(x, grads, capacities)

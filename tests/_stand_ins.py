@@ -352,6 +352,50 @@ def reference_export_csv(trace, report, out) -> None:
     (out / "metrics.csv").write_text("\n".join(lines) + "\n")
 
 
+def closed_form_value(case_id, x0, x1, x2, a, b, c, d):
+    """Cost of family case ``case_id`` at (x0, x1, x2) with weights a, b, c, d, in closed form.
+
+    The paper's three cases as ``costs`` wrote them before its coefficient
+    tables became the one formula, kept verbatim as the tables' reference.
+    Coordinates and weights broadcast.
+    """
+    if case_id == 1:
+        return (
+            a * (x0**2 + 0.5 * x0**4)
+            + b * (2.0 * x1**4 + 0.5 * x1**6)
+            + c * (x2**2 + 0.25 * x2**4)
+            + 0.125 * d * x2**8
+        )
+    if case_id == 2:
+        return a * x0**2 + b * (x1**2 + 0.5 * x1**4) + 1.5 * c * x2**4
+    return (
+        a * x0**6 / 3.0
+        + b * x1**2
+        + c * x2**2
+        + d * (x1**6 / 6.0 + 0.125 * x2**4)
+    )
+
+
+def closed_form_gradient(case_id, x0, x1, x2, a, b, c, d):
+    """The three partials of family case ``case_id``; kept and broadcast like ``closed_form_value``.
+
+    Partial k reads only x_k (the cases are separable).
+    """
+    if case_id == 1:
+        g0 = a * (2.0 * x0 + 2.0 * x0**3)
+        g1 = b * (8.0 * x1**3 + 3.0 * x1**5)
+        g2 = c * (2.0 * x2 + x2**3) + d * x2**7
+    elif case_id == 2:
+        g0 = 2.0 * a * x0
+        g1 = b * (2.0 * x1 + 2.0 * x1**3)
+        g2 = 6.0 * c * x2**3
+    else:
+        g0 = 2.0 * a * x0**5
+        g1 = 2.0 * b * x1 + d * x1**5
+        g2 = 2.0 * c * x2 + 0.5 * d * x2**3
+    return g0, g1, g2
+
+
 def per_row_cost_tables(functions):
     """Reference ``CostEnsemble`` tables, filled one function at a time.
 
@@ -573,7 +617,7 @@ def reference_verify_assumption1(f, box, samples, rng=0):
     """Reference Assumption 1 check: one ``partial`` call per point, axis and bump.
 
     This is ``costs.verify_assumption1`` before it drew every bump at once
-    and evaluated the points through ``LoopEnsemble``, kept verbatim (input
+    and evaluated the points through a population ensemble, kept verbatim (input
     checks left out) so tests can require the same report. A bump is drawn
     only after its cell's positivity check passed, so on a failing function
     ``rng`` stops earlier than in the batched check.
@@ -620,7 +664,7 @@ def reference_estimate_gamma(functions, box, grid, safety=1.0):
     """Reference normalization bound: one ``partial`` call per function, point and axis.
 
     This is ``costs.estimate_gamma`` before it evaluated each lattice point
-    through ``LoopEnsemble``, kept verbatim (input checks left out) so tests
+    through a population ensemble, kept verbatim (input checks left out) so tests
     can require the same bits.
     """
     functions = list(functions)

@@ -14,15 +14,17 @@ from aimdalloc import (
     collect_metrics,
     estimate_gamma,
     evaluate_cost,
+    kkt_residual,
     partial_derivative,
     run,
     sample_cost_functions,
+    solve_projected_gradient,
     verify_assumption1,
 )
 
 from aimdalloc import costs
 from aimdalloc.report import certified_optimum
-from aimdalloc.costs import CASE_IDS, FIELD_RANGES, LoopEnsemble, make_ensemble
+from aimdalloc.costs import FIELD_RANGES, LoopEnsemble, make_ensemble
 
 from _stand_ins import (
     BlowUp,
@@ -33,6 +35,8 @@ from _stand_ins import (
     WeightedSquare,
     Wiggly,
     Wrapped,
+    closed_form_gradient,
+    closed_form_value,
     per_row_cost_tables,
     reference_estimate_gamma,
     reference_gradients,
@@ -43,6 +47,7 @@ from _stand_ins import (
 )
 
 WEIGHT_RANGES = [FIELD_RANGES[name] for name in "abcd"]
+CASE_IDS = range(FIELD_RANGES["case_id"][0], FIELD_RANGES["case_id"][1] + 1)
 
 
 def central_difference(f, x, j, h=1e-5):
@@ -271,33 +276,28 @@ class TestEnsembleConsistency:
         with pytest.raises(TypeError):
             CostEnsemble([WeightedSquare(1.0)])
 
-    def test_run_groups_its_population_once(self, bundled_config, monkeypatch):
+    def test_run_builds_its_tables_once(self, bundled_config, monkeypatch):
         # the engine, the oracle, its certificate and the metrics all read the
         # trajectory's one tuple of functions
-        passes = []
-
-        class CountedIds(tuple):
-            def __iter__(self):
-                passes.append(1)
-                return super().__iter__()
-
-        monkeypatch.setattr(costs, "CASE_IDS", CountedIds(CASE_IDS))
+        builds = []
+        build = costs._gradient_coefficients
+        monkeypatch.setattr(costs, "_gradient_coefficients", lambda *a: builds.append(1) or build(*a))
         cfg = dataclasses.replace(bundled_config, steps=20)
         trace = run(cfg, mode="deterministic")
         collect_metrics(trace, certified_optimum(cfg, trace.functions).x_star)
-        assert len(passes) == 1
+        assert len(builds) == 1
 
-    def test_grouping_across_threads(self):
+    def test_table_cache_across_threads(self):
         # each thread evaluates its own population while the others replace
-        # the cached groups; every result must still be its own population's
+        # the cached tables; every result must still be its own population's
         pops = [sample_cost_functions(seed, 30) for seed in range(4)]
         x = np.random.default_rng(0).random((30, 3))
-        want = [LoopEnsemble(p, 3).values(x).tobytes() for p in pops]
+        want = [make_ensemble(p, 3).values(x).tobytes() for p in pops]
         wrong = []
 
         def work(k):
             for _ in range(300):
-                if LoopEnsemble(pops[k], 3).values(x).tobytes() != want[k]:
+                if make_ensemble(pops[k], 3).values(x).tobytes() != want[k]:
                     wrong.append(k)
 
         interval = sys.getswitchinterval()
@@ -313,15 +313,14 @@ class TestEnsembleConsistency:
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
 
-    def test_grouping_follows_a_changed_list(self):
+    def test_table_cache_follows_a_changed_list(self):
         fns = list(sample_cost_functions(5, 6))
         x = np.ones((6, 3))
-        before = LoopEnsemble(fns, 3).values(x)
+        before = make_ensemble(fns, 3).values(x)
         fns[0] = CostFunction(3, 25, 20, 15, 10)
-        after = LoopEnsemble(fns, 3).values(x)
+        after = make_ensemble(fns, 3).values(x)
         assert after[0] == fns[0].value(x[0])
         assert after[1:].tobytes() == before[1:].tobytes()
-        assert CostEnsemble(fns).values(x)[0] == pytest.approx(after[0], rel=1e-15)
 
 
 def per_row(fns, x):
@@ -356,24 +355,55 @@ extreme_rows = [
 ]
 
 
-class TestBatchedLoopEnsemble:
-    """Family members evaluated per case in one expression keep the scalar methods' bits."""
+class TestOneFormula:
+    """The coefficient tables are the family's one formula; scalar calls are their rows."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(family_rows)
     @example(extreme_rows)
-    def test_matches_scalar_methods_bit_for_bit(self, rows):
+    def test_tables_match_closed_forms(self, rows):
         fns = [f for f, _ in rows]
         x = np.array([p for _, p in rows], dtype=float)
-        ens = LoopEnsemble(fns, 3)
-        values, grads, partials = per_row(fns, x)
+        ens = CostEnsemble(fns)
+        args = [(f.case_id, *xi, f.a, f.b, f.c, f.d) for f, xi in zip(fns, x)]
+        # a result below the normal range keeps no relative precision
+        tiny = np.finfo(float).tiny
+        np.testing.assert_allclose(
+            ens.values(x), [closed_form_value(*a) for a in args], rtol=1e-13, atol=tiny
+        )
+        np.testing.assert_allclose(
+            ens.gradients(x), [closed_form_gradient(*a) for a in args], rtol=1e-13, atol=tiny
+        )
+        values, grads, _ = per_row(fns, x)
         assert same_bits(ens.values(x), values)
         assert same_bits(ens.gradients(x), grads)
-        for j in range(3):
-            assert same_bits(ens.partial_column(x[:, j], j), partials[j])
 
-    @pytest.mark.parametrize("mixed, m", [(True, 3), (False, 4)])
-    def test_other_populations_use_the_row_loop(self, monkeypatch, mixed, m):
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+    def test_scalar_methods_are_ensemble_rows(self, lead):
+        fns = [f for f, _ in extreme_rows] + list(sample_cost_functions(51, 40))
+        rng = np.random.default_rng(52)
+        x = rng.random((*lead, len(fns), 3)) * 3.0
+        special = rng.random(x.shape) < 0.2
+        x[special] = rng.choice([0.0, 1e-300, 1e4], special.sum())
+        ens = CostEnsemble(fns)
+        values, grads = ens.values(x), ens.gradients(x)
+        for i, f in enumerate(fns):
+            assert same_bits(f.value(x[..., i, :]), values[..., i])
+            assert same_bits(f.gradient(x[..., i, :]), grads[..., i, :])
+            for j in range(3):
+                assert same_bits(f.partial(x[..., i, :], j), grads[..., i, j])
+
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_other_lengths_raise(self, length):
+        f = CostFunction(1, 2, 3, 4, 5)
+        message = rf"length 3, got shape \({length},\)"
+        for call in (f.value, f.gradient, lambda x: f.partial(x, 0), lambda x: evaluate_cost(f, x)):
+            with pytest.raises(ValueError, match=message):
+                call([1.0] * (length - 1) + [7.0])
+        with pytest.raises(ValueError, match=rf"got shape \({length},\)"):
+            make_ensemble([f, f], length).gradients(np.ones((2, length)))
+
+    def test_other_populations_use_the_row_loop(self, monkeypatch):
         calls = []
         for name in ("value", "gradient", "partial"):
             method = getattr(CostFunction, name)
@@ -381,9 +411,9 @@ class TestBatchedLoopEnsemble:
                 CostFunction, name,
                 lambda self, *a, _method=method, _name=name: calls.append(_name) or _method(self, *a),
             )
-        fns = list(sample_cost_functions(8, 5)) + ([WeightedSquare(2.0)] if mixed else [])
-        x = np.random.default_rng(8).random((len(fns), m)) * 3.0
-        ens = LoopEnsemble(fns, m)
+        fns = [*sample_cost_functions(8, 5), WeightedSquare(2.0)]
+        x = np.random.default_rng(8).random((len(fns), 3)) * 3.0
+        ens = make_ensemble(fns, 3)
         values, grads, partials = per_row(fns, x)
         calls.clear()
         got = (ens.values(x), ens.gradients(x), [ens.partial_column(x[:, j], j) for j in range(3)])
@@ -395,23 +425,33 @@ class TestBatchedLoopEnsemble:
         assert same_bits(got[1], grads)
         assert all(same_bits(a, b) for a, b in zip(got[2], partials))
 
-    def test_family_population_skips_the_scalar_methods(self, monkeypatch):
+    def test_family_population_skips_the_scalar_methods(self, bundled_config, monkeypatch):
+        # every population evaluation of family members reads the tables
         calls = []
-        monkeypatch.setattr(CostFunction, "value", lambda *a: calls.append(a))
-        monkeypatch.setattr(CostFunction, "gradient", lambda *a: calls.append(a))
-        ens = LoopEnsemble(sample_cost_functions(8, 5), 3)
-        x = np.ones((5, 3))
-        ens.values(x), ens.gradients(x), ens.partial_column(x[:, 0], 0)
+        for name in ("value", "gradient", "partial"):
+            method = getattr(CostFunction, name)
+            monkeypatch.setattr(
+                CostFunction, name,
+                lambda self, *a, _method=method, _name=name: calls.append(_name) or _method(self, *a),
+            )
+        cfg = dataclasses.replace(bundled_config, steps=20)
+        trace = run(cfg, mode="deterministic")
+        optimum = certified_optimum(cfg, trace.functions)
+        collect_metrics(trace, optimum.x_star)
+        caps = [p.capacity for p in cfg.resources]
+        kkt_residual(trace.functions, optimum.x_star, caps)
+        solve_projected_gradient(trace.functions, caps, max_iters=3)
+        box = [(0.1, 2.0)] * 3
+        verify_assumption1(trace.functions[0], box, samples=10)
+        estimate_gamma(trace.functions[:5], box, grid=3)
         assert calls == []
 
-
     @pytest.mark.parametrize("lead", [(1,), (4,), (2, 3)])
-    @pytest.mark.parametrize("kind", ["vectorized", "case-grouped", "row loop"])
+    @pytest.mark.parametrize("kind", ["vectorized", "row loop"])
     def test_leading_block_axes_match_per_matrix_calls(self, kind, lead):
         fns = sample_cost_functions(31, 9)
         ens = {
             "vectorized": lambda: CostEnsemble(fns),
-            "case-grouped": lambda: LoopEnsemble(fns, 3),
             "row loop": lambda: LoopEnsemble([Wrapped(f) for f in fns], 3),
         }[kind]()
         x = np.random.default_rng(32).random((*lead, 9, 3)) * 3.0

@@ -80,6 +80,13 @@ class TestInitWorld:
         with pytest.raises(ValueError):
             config_world(bundled_config)
 
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_family_on_other_resource_counts_rejected(self, m):
+        # the family has three resources: the world fails before any step
+        resource = ResourceParams(capacity=1.0, alpha=0.3, beta=0.5, gamma_norm=0.1)
+        with pytest.raises(ValueError, match=rf"got shape \({m},\)"):
+            build_world(sample_cost_functions(3, 4), [resource] * m, "deterministic", seed=0)
+
 
 class TestStepWorld:
     def test_additive_phase_from_init(self, bundled_config):
@@ -499,19 +506,8 @@ class TestBlockRecorder:
             return build_world(fns, cfg.resources, "stochastic", cfg.seed)
 
         w = world()
-        assert isinstance(w.ensemble, LoopEnsemble) and w.ensemble._cases is None
+        assert isinstance(w.ensemble, LoopEnsemble)
         assert_same_trace(run(cfg, world=w), reference_run(cfg, world=world()))
-
-    def test_case_grouped_loop_world(self, bundled_config):
-        cfg = dataclasses.replace(bundled_config, steps=300)
-
-        def world():
-            w = config_world(cfg, mode="stochastic")
-            w.ensemble = LoopEnsemble(w.functions, cfg.m)
-            return w
-
-        assert world().ensemble._cases is not None
-        assert_same_trace(run(cfg, world=world()), reference_run(cfg, world=world()))
 
 
 class TestDeviceSum:
