@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .aimd import RUN_MODES, ResourceParams
-from .costs import CostFunction
+from .costs import CostFunction, Population, as_population
 
 MODES = (*RUN_MODES, "both")
 
@@ -41,11 +41,15 @@ class Config:
     mode: str
     resources: tuple[ResourceParams, ...]
     seed: int
-    functions: tuple[CostFunction, ...] | None = None  # None = sampled from the seed
+    functions: Population | None = None  # None = sampled from the seed
     trace_stride: int | None = None  # None = dense early, strided later
     out_dir: str | None = None
     solver_tol: float = DEFAULT_SOLVER_TOL
     kkt_tol: float = DEFAULT_KKT_TOL
+
+    def __post_init__(self):
+        if self.functions is not None:
+            object.__setattr__(self, "functions", as_population(self.functions))
 
     def with_overrides(self, seed=None, trace_stride=None, out_dir=None) -> "Config":
         """This config with the given fields replaced, checked like a config file."""
@@ -175,7 +179,6 @@ def config_from_dict(doc: dict) -> Config:
                 functions.append(CostFunction.from_dict(fd))
             except ValueError as e:
                 problems.append(f"cost_spec.functions[{i}]: {e}")
-        functions = tuple(functions)
     else:
         problems.append("cost_spec.kind: must be 'sample' or 'explicit'")
 
@@ -207,7 +210,7 @@ def serialize_config(cfg: Config) -> dict:
     doc["cost_spec"] = (
         {"kind": "sample"}
         if cfg.functions is None
-        else {"kind": "explicit", "functions": [f.to_dict() for f in cfg.functions]}
+        else {"kind": "explicit", "functions": cfg.functions.to_dicts()}
     )
     return doc
 

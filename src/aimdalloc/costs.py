@@ -140,7 +140,77 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def sample_cost_functions(rng, n: int) -> tuple[CostFunction, ...]:
+#: each field's inclusive low and high, as two rows in ``FIELD_RANGES`` order
+_LOW, _HIGH = np.array(list(FIELD_RANGES.values())).T
+
+
+class Population(Sequence):
+    """Family members held as one read-only (n, 5) integer matrix ``fields``, columns in ``FIELD_RANGES`` order.
+
+    An immutable sequence of ``CostFunction``: a member is built only when it
+    is indexed, and a slice is the population of its rows. It equals, and
+    hashes like, a population or a tuple of the same members. The matrix is
+    range-checked once, as a whole. ``_tables`` are the coefficient tables
+    every population evaluation reads, built from the matrix on first use.
+    """
+
+    def __init__(self, fields):
+        fields = np.asarray(fields)
+        if fields.dtype.kind not in "iu" or fields.ndim != 2 or fields.shape[1] != len(FIELD_RANGES):
+            raise ValueError(f"a population is an (n, 5) integer matrix, got {fields.dtype} {fields.shape}")
+        if (outside := (fields < _LOW) | (fields > _HIGH)).any():
+            i, k = divmod(int(outside.argmax()), len(FIELD_RANGES))
+            name, (lo, hi) = list(FIELD_RANGES.items())[k]
+            raise ValueError(f"member {i}: {name}={fields[i, k]} outside [{lo}, {hi}]")
+        # every range fits a byte, so a device's row takes 5 bytes
+        self.fields = fields.astype(np.int8)
+        self.fields.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.fields)
+
+    def __getitem__(self, i):
+        return Population(self.fields[i]) if isinstance(i, slice) else CostFunction(*self.fields[i].tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Population):
+            return np.array_equal(self.fields, other.fields)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        # a member hashes as its field tuple, so this is the hash of the tuple of members
+        return hash(tuple(map(tuple, self.fields.tolist())))
+
+    def to_dicts(self) -> list[dict]:
+        """Every member's ``to_dict``, read off the matrix."""
+        return [dict(zip(FIELD_RANGES, row)) for row in self.fields.tolist()]
+
+    @cached_property
+    def _tables(self) -> tuple:
+        """The ``_g`` and ``_v`` tables and (m, 4, n) ``_columns`` of ``CostEnsemble``, built once."""
+        tables = _gradient_coefficients(*self.fields.T)
+        tables.flags.writeable = False
+        g = tuple(tables)
+        # resource j's g1, g3, g5, g7 columns, contiguous for partial_column
+        return g, _value_coefficients(g), np.ascontiguousarray(tables.transpose(2, 0, 1))
+
+
+def as_population(functions):
+    """``functions`` as one ``Population`` when every one is a family member, else as a tuple.
+
+    The one conversion of explicit members (config files, ``Config(functions=...)``,
+    hand-built lists); a population passes through, so nothing walks its members.
+    """
+    if isinstance(functions, Population):
+        return functions
+    functions = tuple(functions)
+    if not all(isinstance(f, CostFunction) for f in functions):
+        return functions
+    rows = [[getattr(f, name) for name in FIELD_RANGES] for f in functions]
+    return Population(np.array(rows, dtype=np.int64).reshape(-1, len(FIELD_RANGES)))
+
+
+def sample_cost_functions(rng, n: int) -> Population:
     """Draw ``n`` cost functions uniformly from the family in one batch.
 
     Each device's case tag and four coefficients come from the same stream in
@@ -148,9 +218,7 @@ def sample_cost_functions(rng, n: int) -> tuple[CostFunction, ...]:
     always yields the same functions. ``rng`` may be a seed or a
     ``numpy.random.Generator``.
     """
-    low, high = np.array(list(FIELD_RANGES.values())).T
-    rows = _as_rng(rng).integers(low, high + 1, size=(n, len(FIELD_RANGES))).tolist()
-    return tuple(CostFunction(*row) for row in rows)
+    return Population(_as_rng(rng).integers(_LOW, _HIGH + 1, size=(n, len(FIELD_RANGES))))
 
 
 def _check_domain(x) -> np.ndarray:
@@ -248,7 +316,7 @@ def estimate_gamma(
     diagnostic over concrete functions on a bounded box; the run
     configuration owns the value actually used.
     """
-    functions = list(functions)
+    functions = as_population(functions)
     if not functions:
         raise ValueError("need at least one cost function")
     if grid < 2:
@@ -281,29 +349,6 @@ def estimate_gamma(
     return safety * best
 
 
-#: the population ``_family_tables`` saw last and its tables, replaced as one pair
-#: so that a caller on another thread never reads one population's tables as another's
-_latest = [(None, None)]
-
-
-def _family_tables(functions: tuple) -> np.ndarray | None:
-    """Read-only (4, n, 3) ``_gradient_coefficients`` of every function, device after device.
-
-    None unless every function is a family member. Kept for the latest tuple
-    by identity, so the ensembles a trajectory's engine, oracle, certificate
-    and metrics build share one table build.
-    """
-    seen, tables = _latest[0]
-    if seen is not functions:
-        tables = None
-        if all(isinstance(f, CostFunction) for f in functions):
-            fields = np.array([(f.case_id, f.a, f.b, f.c, f.d) for f in functions], dtype=float)
-            tables = _gradient_coefficients(*fields.reshape(-1, len(FIELD_RANGES)).T)
-            tables.flags.writeable = False
-        _latest[0] = functions, tables
-    return tables
-
-
 class CostEnsemble:
     """Vectorized values and gradients for a fixed list of family members.
 
@@ -317,13 +362,10 @@ class CostEnsemble:
     def __init__(self, functions: Sequence[CostFunction]):
         if not functions:
             raise ValueError("need at least one cost function")
-        self.functions = tuple(functions)
-        if (tables := _family_tables(self.functions)) is None:
+        self.functions = pop = as_population(functions)
+        if not isinstance(pop, Population):
             raise TypeError("CostEnsemble requires built-in family members")
-        self._g = tuple(tables)
-        self._v = _value_coefficients(self._g)
-        # (m, 4, n): resource j's g1, g3, g5, g7 columns, contiguous for partial_column
-        self._columns = np.ascontiguousarray(tables.transpose(2, 0, 1))
+        self._g, self._v, self._columns = pop._tables
         self._flat, self._work = [np.empty(0)] * 4, {}
 
     def __len__(self) -> int:
@@ -395,17 +437,19 @@ class CostEnsemble:
         t2 = t * t
         return ((c7 * t2 + c5) * t2 + c3) * t2 * t + c1 * t
 
-    def newton_demand(self, mu: float, j: int, cap: float) -> tuple[np.ndarray, np.ndarray]:
+    def newton_demand(self, mu: float, j: int, cap: float, t=None) -> tuple[np.ndarray, np.ndarray]:
         """Approximate inverse t of ``partial_column`` at ``mu``, clipped at ``cap``, and d t / d mu.
 
         The partial p is increasing and convex for t >= 0, so five Newton passes
         descend to its root from where one term alone reaches mu (a zero term
-        never does). The slope is 1 / p' at the last pass, and 0 for a device
-        saturated at ``cap``.
+        never does). A ``t`` given (the last call's, at a lower mu) is below the
+        root instead: the first pass lands above it, and the rest descend. The
+        slope is 1 / p' at the last pass, and 0 for a device saturated at ``cap``.
         """
         c1, c3, c5, c7 = columns = self._columns[j]
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.min((mu / columns) ** [[1.0], [1 / 3], [1 / 5], [1 / 7]], axis=0)
+            if t is None:
+                t = np.min((mu / columns) ** [[1.0], [1 / 3], [1 / 5], [1 / 7]], axis=0)
             for _ in range(5):
                 t2 = t * t
                 dp = ((7.0 * c7 * t2 + 5.0 * c5) * t2 + 3.0 * c3) * t2 + c1
@@ -466,7 +510,7 @@ def make_ensemble(functions, m: int):
     ``CostEnsemble``; anything else gets the per-function ``LoopEnsemble``,
     whose rows raise ``ValueError`` for family members on another count.
     """
-    functions = tuple(functions)
-    if m == RESOURCE_COUNT and _family_tables(functions) is not None:
+    functions = as_population(functions)
+    if m == RESOURCE_COUNT and isinstance(functions, Population):
         return CostEnsemble(functions)
     return LoopEnsemble(functions, m)

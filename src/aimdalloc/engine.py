@@ -41,11 +41,17 @@ from . import aimd
 from .aimd import AVERAGE_FLOOR, ClampStats, DegenerateAverageError
 from .config import Config, config_hash
 from .control import capacity_event_bits
-from .costs import CostFunction, make_ensemble, sample_cost_functions
+from .costs import Population, as_population, make_ensemble, sample_cost_functions
 
 
-#: largest trace ``run`` will allocate, in bytes; a bigger one is refused before sampling
+#: most bytes a trace plus the devices' arrays may take; more is refused before sampling
 TRACE_BUDGET_BYTES = 4 * 2**30
+
+#: bytes a device takes besides the trace at m = 3, read off the code: 293 for its rows of the
+#: population and its tables, and up to about 1 000 more in one phase (the world's rows and
+#: pattern tiles, the oracle's rows, or the exported records); tracemalloc peaks at
+#: n = 200 000 were 900 besides the trace for a run and 1 310 for a solve
+DEVICE_BYTES = 1_400
 
 #: bytes of one (rounds, n, m) block the recorder buffers between series fills;
 #: small enough that the block and the cost evaluation's temporaries stay in
@@ -77,7 +83,7 @@ class WorldState:
     """
 
     mode: str
-    functions: tuple
+    functions: Population | tuple
     ensemble: object
     capacity: np.ndarray
     alpha: np.ndarray
@@ -133,7 +139,7 @@ class WorldState:
         return self._patterns[key]
 
 
-def resolve_functions(config: Config) -> tuple[CostFunction, ...]:
+def resolve_functions(config: Config) -> Population:
     """The device cost functions a config denotes (sampling from the seed)."""
     if config.functions is not None:
         return config.functions
@@ -152,7 +158,7 @@ def build_world(functions, params, mode: str, seed: int) -> WorldState:
     """
     if mode not in aimd.RUN_MODES:
         raise ValueError(f"world mode must be one of {aimd.RUN_MODES}, got {mode!r}")
-    functions = tuple(functions)
+    functions = as_population(functions)
     params = tuple(params)
     if not functions:
         raise ValueError("need at least one device")
@@ -178,6 +184,16 @@ def build_world(functions, params, mode: str, seed: int) -> WorldState:
         totals=np.zeros(m),
         events=np.zeros(m, dtype=np.uint8),
     )
+
+
+def check_footprint(n: int, trace_bytes: int = 0) -> None:
+    """Raise ValueError if n devices and a trace of ``trace_bytes`` would pass the budget; call it before sampling."""
+    if (need := n * DEVICE_BYTES + trace_bytes) > TRACE_BUDGET_BYTES:
+        trace = f" and a {trace_bytes / 2**30:.1f} GiB trace" if trace_bytes else ""
+        raise ValueError(
+            f"{n} devices would take about {need / 2**30:.1f} GiB ({DEVICE_BYTES} bytes each{trace}), "
+            f"above the {TRACE_BUDGET_BYTES / 2**30:g} GiB budget; use fewer devices"
+        )
 
 
 def _device_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -276,7 +292,7 @@ class Trace:
     x_snap: np.ndarray            # (S, n, m)
     xbar_snap: np.ndarray         # (S, n, m)
     grad_snap: np.ndarray         # (S, n, m)
-    functions: tuple[CostFunction, ...]
+    functions: Population | tuple
     clamp_low: int
     clamp_high: int
     wall_time_s: float
@@ -325,8 +341,9 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
     ``build_world``) substitutes for the config's population, which is how
     hand-built cost functions get full traces; its shape must match the
     config, and the run advances it in place. A trace (snapshots plus
-    full-rate series) estimated above ``TRACE_BUDGET_BYTES`` raises ValueError
-    before anything is sampled or allocated. A total, derivative spread or
+    full-rate series) estimated above ``TRACE_BUDGET_BYTES``, or above it
+    together with ``DEVICE_BYTES`` per device, raises ValueError before
+    anything is sampled or allocated. A total, derivative spread or
     population cost that is inf or NaN raises SimulationError naming the
     first step (and resource) where it appeared, once its block is filled.
     """
@@ -343,6 +360,7 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
             f"{n} x {m}), above the {TRACE_BUDGET_BYTES / 2**30:g} GiB budget; "
             "keep fewer snapshots with a larger --stride (trace_stride)"
         )
+    check_footprint(n, need)
     t0 = time.perf_counter()
     if world is None:
         w = build_world(

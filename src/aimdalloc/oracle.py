@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostEnsemble, _check_domain, make_ensemble
+from .costs import CostEnsemble, Population, _check_domain, as_population, make_ensemble
 
 
 #: devices holding at most this fraction of a capacity count as inactive
@@ -134,7 +134,7 @@ def solve_separable(functions, capacities, tol: float = 1e-8) -> OptimalAllocati
     For each resource, drives the common derivative level mu so that the sum
     of the per-device inverse derivatives (``_demand``) hits the capacity
     within ``tol * capacity``, by bisection on [0, mu_hi] with at most 200
-    steps. Every supplied function must declare itself separable.
+    steps. Any function outside the family must declare itself separable.
 
     The bisection is replayed from exact records. On each side of the
     accepted band, Newton steps on ``CostEnsemble.newton_demand`` find a
@@ -151,15 +151,13 @@ def solve_separable(functions, capacities, tol: float = 1e-8) -> OptimalAllocati
     ``iterations`` (the count of bisection steps) are bit for bit those of
     plain bisection.
     """
-    functions = tuple(functions)
+    functions = as_population(functions)
     if not functions:
         raise ValueError("need at least one cost function")
-    for f in functions:
-        if not getattr(f, "separable", False):
-            raise UnsupportedFunctionError(
-                "solve_separable needs additively separable costs; "
-                "use solve_projected_gradient instead"
-            )
+    if not isinstance(functions, Population) and not all(getattr(f, "separable", False) for f in functions):
+        raise UnsupportedFunctionError(
+            "solve_separable needs additively separable costs; use solve_projected_gradient instead"
+        )
     capacities = _check_capacities(capacities)
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
@@ -205,9 +203,9 @@ def solve_separable(functions, capacities, tol: float = 1e-8) -> OptimalAllocati
         # it ends 1.1 to 1.3 bands out, where the exact demand misses the band too.
         for side in (-1.0, 1.0) if isinstance(ensemble, CostEnsemble) else ():
             total = cap + 1.2 * side * band
-            level = ensemble.partial_column(total / n, j).min()
+            level, t = ensemble.partial_column(total / n, j).min(), None
             for _ in range(40):
-                t, slope = ensemble.newton_demand(level, j, cap)
+                t, slope = ensemble.newton_demand(level, j, cap, t)
                 excess, rise = t.sum() - total, slope.sum()
                 if not (abs(excess) > 0.1 * band and rise > 0.0):
                     break  # in the band, or no slope left to follow
@@ -272,7 +270,7 @@ def solve_projected_gradient(
     step, so an optimal start returns at iteration 0). Hitting ``max_iters``
     returns the best iterate flagged ``converged=False``.
     """
-    functions = tuple(functions)
+    functions = as_population(functions)
     if not functions:
         raise ValueError("need at least one cost function")
     capacities = _check_capacities(capacities)
@@ -298,12 +296,7 @@ def solve_projected_gradient(
     step = 1.0
     for it in range(max_iters + 1):
         residual = _residual_from_grads(x, grads, capacities)
-        if residual <= tol:
-            return OptimalAllocation(
-                x_star=x, mu=_mean_active_gradient(x, grads, capacities),
-                kkt_residual=residual, iterations=it, converged=True,
-            )
-        if it == max_iters:
+        if residual <= tol or it == max_iters:
             break
         while True:
             cand = np.empty_like(x)
@@ -320,11 +313,9 @@ def solve_projected_gradient(
         x, fx = cand, f_cand
         grads = ensemble.gradients(x)
         step *= 1.25
-
-    residual = _residual_from_grads(x, grads, capacities)
     return OptimalAllocation(
         x_star=x, mu=_mean_active_gradient(x, grads, capacities),
-        kkt_residual=residual, iterations=max_iters, converged=False,
+        kkt_residual=residual, iterations=it, converged=bool(residual <= tol),
     )
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from . import engine
 from .aimd import RUN_MODES
 from .config import Config, ConfigError, serialize_config
+from .costs import Population
 from .engine import SimulationError, Trace
 from .metrics import MetricsReport, collect_metrics
 from .oracle import OptimalAllocation, solve_separable
@@ -258,10 +259,8 @@ def _write_full_rate(trace: Trace, report: MetricsReport, out: Path, rows: dict[
         "config_hash": trace.config_hash,
         "mode": trace.mode,
         "seed": trace.seed,
-        "cost_functions": [
-            f.to_dict() if hasattr(f, "to_dict") else {"repr": repr(f)}
-            for f in trace.functions
-        ],
+        "cost_functions": trace.functions.to_dicts() if isinstance(trace.functions, Population)
+        else [f.to_dict() if hasattr(f, "to_dict") else {"repr": repr(f)} for f in trace.functions],
         "clamp_low": trace.clamp_low,
         "clamp_high": trace.clamp_high,
         "summary": asdict(report.summary),

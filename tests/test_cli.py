@@ -200,6 +200,42 @@ class TestTraceBudget:
         assert not out.exists()
 
 
+class TestDeviceBudget:
+    """Many devices are refused, before sampling, by their arrays as well as their trace."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_sampling(self, monkeypatch):
+        def refuse(cfg):
+            raise AssertionError("functions sampled before the device budget check")
+
+        monkeypatch.setattr(engine, "resolve_functions", refuse)
+
+    def test_run_with_a_small_trace(self, tmp_path, capsys):
+        # a 0.7 GiB trace fits the budget; with 5 000 000 devices' arrays the run does not
+        cfg = write_doc(tmp_path, small_doc(n=5_000_000, steps=10, trace_stride=10))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--mode", "deterministic", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: 5000000 devices would take about 7.2 GiB "
+            f"({engine.DEVICE_BYTES} bytes each and a 0.7 GiB trace), above the 4 GiB budget"
+        )
+        assert not out.exists()
+
+    def test_solve(self, tmp_path, capsys):
+        cfg = write_doc(tmp_path, small_doc(n=50_000_000))
+        out = tmp_path / "out"
+        assert main(["solve", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: 50000000 devices would take about 65.2 GiB")
+        assert not out.exists()
+
+    def test_solve_within_the_budget_is_sampled(self, tmp_path, capsys):
+        cfg = write_doc(tmp_path, small_doc(n=1_000_000))
+        assert main(["solve", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "functions sampled before" in capsys.readouterr().err
+
+
 class TestOutBlockedByFile:
     @pytest.fixture(autouse=True)
     def refuse_simulating(self, monkeypatch):

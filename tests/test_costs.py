@@ -14,6 +14,7 @@ from aimdalloc import (
     collect_metrics,
     estimate_gamma,
     evaluate_cost,
+    export_trace,
     kkt_residual,
     partial_derivative,
     run,
@@ -23,8 +24,9 @@ from aimdalloc import (
 )
 
 from aimdalloc import costs
-from aimdalloc.report import certified_optimum
-from aimdalloc.costs import FIELD_RANGES, LoopEnsemble, make_ensemble
+from aimdalloc.config import serialize_config
+from aimdalloc.report import certified_optimum, compare_modes
+from aimdalloc.costs import FIELD_RANGES, LoopEnsemble, Population, make_ensemble
 
 from _stand_ins import (
     BlowUp,
@@ -101,6 +103,91 @@ class TestSampling:
         rows = [[int(scalar_rng.integers(lo, hi + 1)) for lo, hi in bounds] for _ in range(n)]
         assert [list(f.to_dict().values()) for f in fns] == rows
         assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+class TestPopulation:
+    """A family population is one integer matrix; members are built only when indexed."""
+
+    @pytest.mark.parametrize("seed", [0, 1729])
+    @pytest.mark.parametrize("n", [0, 1, 60, 10_000])
+    def test_members_are_the_draws_rows(self, seed, n):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        pop = sample_cost_functions(rng, n)
+        lows, highs = zip(*FIELD_RANGES.values())
+        rows = ref.integers(lows, np.add(highs, 1), size=(n, len(FIELD_RANGES))).tolist()
+        assert isinstance(pop, Population) and len(pop) == n
+        assert list(pop) == [CostFunction(*row) for row in rows]
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_tables_are_the_members_rows(self):
+        pop = sample_cost_functions(3, 500)
+        g, v, columns = pop._tables
+        for i, f in enumerate(pop):
+            assert np.array([gk[i] for gk in g]).tobytes() == np.array(f._g).tobytes()
+            assert np.array([vk[i] for vk in v]).tobytes() == np.array(f._v).tobytes()
+            assert columns[:, :, i].T.tobytes() == np.array(f._g).tobytes()
+
+    def test_equality_hash_and_sequence_protocol(self):
+        pop = sample_cost_functions(5, 6)
+        members = tuple(CostFunction(*row) for row in pop.fields.tolist())
+        assert pop == members and members == pop
+        assert pop == sample_cost_functions(5, 6) and hash(pop) == hash(sample_cost_functions(5, 6))
+        assert hash(pop) == hash(members)
+        assert pop != sample_cost_functions(6, 6) and pop != members[:-1] and pop != list(members)
+        assert pop[-1] == members[-1] and pop[2] == members[2]
+        assert isinstance(pop[1:4], Population) and pop[1:4] == members[1:4] and pop[::-2] == members[::-2]
+        assert list(iter(pop)) == list(members)
+        first, *_, last = pop
+        assert (first, last) == (members[0], members[-1])
+        assert members[3] in pop and pop.index(members[3]) == members.index(members[3])
+        with pytest.raises(IndexError):
+            pop[6]
+        with pytest.raises(ValueError):
+            pop.fields[0, 0] = 1
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ([[1, 1, 1, 1, 1], [3, 25, 20, 15, 11]], r"^member 1: d=11 outside \[1, 10\]$"),
+            ([[0, 1, 1, 1, 1]], r"^member 0: case_id=0 outside \[1, 3\]$"),
+            ([[1, 26, 1, 1, 1]], r"^member 0: a=26 outside"),
+            ([[1.0, 1, 1, 1, 1]], "integer matrix"),
+            ([[True] * 5], "integer matrix"),
+            ([1, 1, 1, 1, 1], "integer matrix"),
+            ([[1, 1, 1, 1]], "integer matrix"),
+        ],
+    )
+    def test_bad_matrix_raises(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            Population(np.array(fields))
+
+    def test_explicit_members_are_converted_once(self, bundled_config):
+        members = [CostFunction(1, 2, 3, 4, 5), CostFunction(3, 25, 20, 15, 10)]
+        cfg = dataclasses.replace(bundled_config, n=2, functions=members)
+        assert isinstance(cfg.functions, Population) and cfg.functions == tuple(members)
+        assert serialize_config(cfg)["cost_spec"]["functions"] == [f.to_dict() for f in members]
+        assert cfg.functions.to_dicts() == [f.to_dict() for f in members]
+
+    def test_mixed_list_gets_the_row_loop(self):
+        pop = sample_cost_functions(4, 3)
+        assert isinstance(make_ensemble([*pop, WeightedSquare(1.0)], 3), LoopEnsemble)
+        assert isinstance(make_ensemble(pop, 3), CostEnsemble)
+
+    def test_no_member_built_from_seed_to_export(self, bundled_config, tmp_path, monkeypatch):
+        built = []
+        check = CostFunction.__post_init__
+        monkeypatch.setattr(CostFunction, "__post_init__", lambda self: built.append(1) or check(self))
+        cfg = dataclasses.replace(bundled_config, steps=20)
+        trace = run(cfg, mode="deterministic")
+        export_trace(trace, collect_metrics(trace, certified_optimum(cfg, trace.functions).x_star), tmp_path)
+        assert built == []
+
+    def test_compare_builds_tables_once_per_run(self, bundled_config, monkeypatch):
+        builds = []
+        build = costs._gradient_coefficients
+        monkeypatch.setattr(costs, "_gradient_coefficients", lambda *a: builds.append(1) or build(*a))
+        compare_modes(dataclasses.replace(bundled_config, steps=50))
+        assert len(builds) == 2
 
 
 class TestEvaluation:
@@ -265,6 +352,18 @@ class TestEnsembleConsistency:
                 h = 1e-6 * mu
                 up, down = ens.newton_demand(mu + h, j, cap)[0], ens.newton_demand(mu - h, j, cap)[0]
                 np.testing.assert_allclose(slope[~sat], ((up - down) / (2 * h))[~sat], rtol=1e-4)
+
+    def test_newton_demand_from_a_lower_level(self):
+        # a start below the root (the last call's t, at a lower mu) reaches it too
+        ens = CostEnsemble(sampled_functions(60))
+        cap = 2.0
+        for j in range(3):
+            at_cap = ens.partial_column(np.full(60, cap), j)
+            for mu in (0.5 * at_cap.min(), float(np.median(at_cap)), at_cap.max()):
+                t, slope = ens.newton_demand(mu, j, cap, ens.newton_demand(mu / 1.5, j, cap)[0])
+                sat = at_cap <= mu
+                assert np.all(t[sat] == cap) and np.all(slope[sat] == 0.0)
+                np.testing.assert_allclose(ens.partial_column(t, j)[~sat], mu, rtol=1e-12)
 
     def test_make_ensemble_choice(self):
         fns = sample_cost_functions(5, 4)

@@ -529,6 +529,33 @@ class TestDeviceSum:
         assert np.all(np.signbit(got[negative_zero]))
         assert not np.any(np.signbit(want[negative_zero]))
 
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 60, 8_191, 8_192, 8_193, 20_000])
+    def test_is_a_sequential_python_sum(self, n, lead):
+        # the contract a faster device sum must keep: each column added device
+        # after device in Python floats, on signed zeros, infinities, NaN of both
+        # signs and magnitudes that cancel, such as (1e16, 1, -1e16)
+        rng = np.random.default_rng(n + len(lead))
+        a = rng.standard_normal((*lead, n, 3)) * 10.0 ** rng.integers(-300, 300, (*lead, n, 3))
+        special = rng.random(a.shape) < 0.3
+        a[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan], special.sum())
+        a[..., 1] = np.where(rng.random(a.shape[:-1]) < 0.9, -0.0, a[..., 1])
+        cancelling = rng.choice([1e16, 1.0, -1e16, 2.0**-1074, -(2.0**53)], a.shape[:-1])
+        a[..., 2] = np.where(rng.random(a.shape[:-1]) < 0.8, cancelling, a[..., 2])
+        # no column of only -0.0, where a running sum from the first device keeps -0.0
+        k = rng.integers(n)
+        a[..., k, :] = np.where(np.all((a == 0.0) & np.signbit(a), axis=-2), 0.0, a[..., k, :])
+        want = np.zeros((*lead, 3))
+        for idx in np.ndindex(*lead):
+            totals = [0.0, 0.0, 0.0]
+            for row in a[idx].tolist():
+                for j, v in enumerate(row):
+                    totals[j] += v
+            want[idx] = totals
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = engine._device_sum(a)
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
     def test_engine_state_never_negative_zero(self, bundled_config, mode):
         t = run(dataclasses.replace(bundled_config, steps=300), mode=mode)

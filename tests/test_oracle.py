@@ -180,6 +180,20 @@ class TestReplayedBisection:
         # the bracket searches the Newton iteration replaced took 40
         assert len(newton) <= 40
 
+    @pytest.mark.parametrize("n", [60, 2000])
+    def test_warm_started_newton_keeps_bits_and_counts(self, bundled_config, monkeypatch, n):
+        # each Newton call after a side's first starts from the last call's t
+        fns = sample_cost_functions(bundled_config.seed, n)
+        caps = n / 60 * np.array([p.capacity for p in bundled_config.resources])
+        exact = count_calls(monkeypatch, oracle, "_demand")
+        warm = solve_separable(fns, caps)
+        warm_count = len(exact)
+        exact.clear()
+        newton = CostEnsemble.newton_demand
+        monkeypatch.setattr(CostEnsemble, "newton_demand", lambda self, mu, j, cap, t=None: newton(self, mu, j, cap))
+        assert_same_bits(warm, solve_separable(fns, caps))
+        assert warm_count <= len(exact)
+
     @pytest.mark.parametrize(
         "n, caps",
         [
@@ -203,7 +217,7 @@ class TestReplayedBisection:
     def test_exact_fallback_under_a_wrong_newton_demand(self, bundled_config, monkeypatch, garbage):
         # the replay rests on exact records only: an approximate demand and
         # slope that are wrong everywhere cost evaluations, never bits
-        def wrong(self, mu, j, cap):
+        def wrong(self, mu, j, cap, t=None):
             value = cap if garbage == "cap" else garbage
             return np.full(len(self), value), np.full(len(self), value)
 
