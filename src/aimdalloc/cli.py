@@ -11,7 +11,8 @@ trace plus the devices' arrays, over engine.TRACE_BUDGET_BYTES, refused before
 sampling, and an output directory blocked by a file, refused before
 simulating), 3 run/solver failure (including a non-finite total, derivative
 spread or cost, and an oracle KKT residual above the config's kkt_tol, both
-checked before anything is exported), 1 unexpected error.
+checked before anything is exported, and running out of memory), 1
+unexpected error.
 """
 
 from __future__ import annotations
@@ -207,6 +208,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as e:  # numpy's says what it could not allocate; a bare one says nothing
+        print(f"run error: out of memory{f': {e}' if str(e) else ''}", file=sys.stderr)
+        return EXIT_RUN
     except Exception as e:  # pragma: no cover - defensive
         print(f"unexpected error: {e}", file=sys.stderr)
         return EXIT_UNEXPECTED

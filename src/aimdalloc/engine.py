@@ -351,9 +351,9 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
         raise ValueError("need at least one step")
     total, n, m = config.steps, config.n, config.m
     snaps = snapshot_steps(total, config.trace_stride)
-    # three (S, n, m) float snapshot stacks; per step: three (m,) float series,
-    # the cost and the step index, and m event bytes
-    need = 8 * (3 * len(snaps) * n * m + (total + 1) * (3 * m + 2)) + (total + 1) * m
+    # three (S, n, m) float snapshot stacks; per step: three (m,) float series, the cost,
+    # the step index, m event bytes, and for the export m cumulative bit counts and the cost ratio
+    need = 8 * (3 * len(snaps) * n * m + (total + 1) * (4 * m + 3)) + (total + 1) * m
     if need > TRACE_BUDGET_BYTES:
         raise ValueError(
             f"trace would take about {need / 2**30:.1f} GiB ({len(snaps)} snapshots of "

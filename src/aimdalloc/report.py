@@ -2,7 +2,8 @@
 
 Exports are byte-stable: floats carry 9 significant digits, column and JSON
 key order is fixed, and every file ends in a newline, so identical runs
-produce identical files and golden-file tests are possible.
+produce identical files and golden-file tests are possible. Every CSV is
+written by ``_write_blocks``, one ``%`` per block of rows, never whole.
 """
 
 from __future__ import annotations
@@ -29,16 +30,13 @@ from .oracle import OptimalAllocation, solve_separable
 #: convergence threshold per resource, as a fraction of the larger peak spread
 SPREAD_FRACTION = 0.05
 
-#: trace.csv rows formatted and written per block; sized in rows, not
+#: CSV rows formatted and written per block; sized in rows, not trace.csv
 #: snapshots, because one snapshot of a wide run is n * m rows
 _BLOCK_ROWS = 8192
 
 #: fewest trace.csv rows worth a process of their own; a trace with fewer
 #: than two of these is formatted in-process (see BENCH_export_fork.json)
 _FORK_ROWS = 4500
-
-_FLOAT = "%.9g".__mod__
-_TRACE_ROW = "%s%.9g,%.9g,%.9g\n"
 
 
 def certified_optimum(config: Config, functions) -> OptimalAllocation:
@@ -88,8 +86,8 @@ def export_trace(trace: Trace, report: MetricsReport, out_dir: str | Path) -> Ex
     trace.csv holds the per-device snapshots; events.csv and metrics.csv are
     full rate. Floats are written with ``"%.9g" % v``, which is the same
     string as ``format(v, ".9g")`` for every double (signed zeros,
-    subnormals, infinities and NaN included). trace.csv is streamed in blocks
-    of ``_BLOCK_ROWS`` rows, so its text never has to fit in memory at once.
+    subnormals, infinities and NaN included), and ints with ``"%d" % v``,
+    which is ``str(v)`` for a Python int.
 
     A large trace.csv is split into contiguous row ranges, up to one per
     available CPU (see ``_row_bounds``). Each range after the first is
@@ -191,68 +189,64 @@ def _worker(tmp, trace: Trace, lo: int, hi: int):
         os._exit(status)
 
 
-def _write_rows(fh, trace: Trace, lo: int, hi: int) -> None:
-    """Write trace.csv data rows [lo, hi) to ``fh`` in blocks of ``_BLOCK_ROWS`` rows.
+def _write_blocks(fh, row: str, lo: int, hi: int, columns) -> None:
+    """Write CSV data rows [lo, hi) to ``fh`` in blocks of ``_BLOCK_ROWS`` rows.
 
-    Row r is snapshot r // (n * m), device (r // m) % n, resource r % m. Each
-    block is one ``%`` of the row template repeated once per row over one
-    list in which the ``step,device,resource,`` prefixes and the three float
-    columns are interleaved; an extended-slice assignment raises if a column's
-    length differs from the block's.
+    Each block is one ``%`` of the row template ``row`` repeated once per row
+    over the block's ``columns(start, stop)`` (one sequence per field),
+    interleaved; an extended-slice assignment raises if a column's length
+    differs from the block's.
+    """
+    for start in range(lo, hi, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, hi)
+        cols = columns(start, stop)
+        flat = [None] * (len(cols) * (stop - start))
+        for c, col in enumerate(cols):
+            flat[c :: len(cols)] = col
+        fh.write(row * (stop - start) % tuple(flat))
+
+
+def _write_rows(fh, trace: Trace, lo: int, hi: int) -> None:
+    """Write trace.csv data rows [lo, hi) to ``fh`` through ``_write_blocks``.
+
+    Row r is snapshot r // (n * m), device (r // m) % n, resource r % m; its
+    ``step,device,resource,`` prefix is one string, followed by three floats.
     """
     n, m = trace.n, trace.m
     per_snap = n * m
     steps = [f"{step}," for step in trace.snap_steps.tolist()]
     cells = [f"{i},{j}," for i in range(n) for j in range(m)]
     x, xbar, grad = (a.reshape(-1) for a in (trace.x_snap, trace.xbar_snap, trace.grad_snap))
-    full = _TRACE_ROW * _BLOCK_ROWS
-    for start in range(lo, hi, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, hi)
+
+    def columns(start, stop):
         prefixes = []
         for s in range(start // per_snap, (stop - 1) // per_snap + 1):
-            base = s * per_snap
-            cut = cells[max(start - base, 0) : min(stop - base, per_snap)]
-            prefixes += map(steps[s].__add__, cut)
-        flat = [None] * (4 * (stop - start))
-        flat[0::4] = prefixes
-        flat[1::4] = x[start:stop].tolist()
-        flat[2::4] = xbar[start:stop].tolist()
-        flat[3::4] = grad[start:stop].tolist()
-        template = full if stop - start == _BLOCK_ROWS else _TRACE_ROW * (stop - start)
-        fh.write(template % tuple(flat))
+            prefixes += map(steps[s].__add__, cells[max(start - s * per_snap, 0) : stop - s * per_snap])
+        return [prefixes, x[start:stop].tolist(), xbar[start:stop].tolist(), grad[start:stop].tolist()]
+
+    _write_blocks(fh, "%s%.9g,%.9g,%.9g\n", lo, hi, columns)
 
 
 def _write_full_rate(trace: Trace, report: MetricsReport, out: Path, rows: dict[str, int]):
     """Write events.csv, metrics.csv and summary.json, adding their row counts to ``rows``."""
     m = trace.m
-    lines = ["step,resource,event"]
-    lines += [
-        f"{k},{j},{e}" for k, row in enumerate(trace.events.tolist()) for j, e in enumerate(row)
-    ]
-    rows["events.csv"] = len(lines) - 1
-    (out / "events.csv").write_text("\n".join(lines) + "\n")
-
-    cols = (
-        ["step"]
-        + [f"spread_r{j}" for j in range(m)]
-        + ["cost_ratio"]
-        + [f"sum_avg_r{j}" for j in range(m)]
-        + [f"sum_inst_r{j}" for j in range(m)]
-        + [f"cum_bits_r{j}" for j in range(m)]
-    )
-    floats = [
-        *trace.spread.T.tolist(),
-        report.cost_ratio.tolist(),
-        *trace.totals_avg.T.tolist(),
-        *trace.totals_inst.T.tolist(),
-    ]
-    columns = [map(str, trace.steps.tolist())]
-    columns += [map(_FLOAT, col) for col in floats]
-    columns += [map(str, col) for col in trace.cumulative_event_bits.T.tolist()]
-    lines = [",".join(cols)]
-    lines += map(",".join, zip(*columns, strict=True))
-    rows["metrics.csv"] = len(lines) - 1
-    (out / "metrics.csv").write_text("\n".join(lines) + "\n")
+    events = trace.events.reshape(-1)
+    series = [trace.steps, *trace.spread.T, report.cost_ratio, *trace.totals_avg.T,
+              *trace.totals_inst.T, *trace.cumulative_event_bits.T]
+    (steps,) = {len(s) for s in series}  # ValueError unless every series has one value per step
+    header = ["step", *[f"spread_r{j}" for j in range(m)], "cost_ratio"]
+    header += [f"{name}_r{j}" for name in ("sum_avg", "sum_inst", "cum_bits") for j in range(m)]
+    files = {
+        "events.csv": ("step,resource,event", "%d,%d,%d\n", events.size, lambda a, b: [
+            *map(np.ndarray.tolist, divmod(np.arange(a, b), m)), events[a:b].tolist()]),
+        "metrics.csv": (",".join(header), "%d" + ",%.9g" * (3 * m + 1) + ",%d" * m + "\n",
+                        steps, lambda a, b: [s[a:b].tolist() for s in series]),
+    }
+    for name, (head, row, count, columns) in files.items():
+        with open(out / name, "w") as fh:
+            fh.write(head + "\n")
+            _write_blocks(fh, row, 0, count, columns)
+        rows[name] = count
 
     summary = {
         "config": serialize_config(trace.config),

@@ -200,6 +200,28 @@ class TestTraceBudget:
         assert not out.exists()
 
 
+class TestOutOfMemory:
+    @pytest.mark.parametrize("kind", ["numpy", "bare"])
+    def test_exits_3_with_the_reason(self, tmp_path, capsys, monkeypatch, kind):
+        if kind == "numpy":
+            with pytest.raises(MemoryError) as raised:
+                np.empty(2**62, dtype=np.uint8)  # beyond any address space: refused unallocated
+            error, expected = raised.value, f"run error: out of memory: {raised.value}\n"
+            assert str(error).startswith("Unable to allocate")
+        else:
+            error, expected = MemoryError(), "run error: out of memory\n"
+
+        def run(cfg, mode=None):
+            raise error
+
+        monkeypatch.setattr(engine, "run", run)
+        cfg = write_doc(tmp_path, small_doc())
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--mode", "deterministic", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
+
 class TestDeviceBudget:
     """Many devices are refused, before sampling, by their arrays as well as their trace."""
 

@@ -350,6 +350,19 @@ class TestTraceBudget:
         with pytest.raises(ValueError, match=r"about 15\.7 GiB .* 4 GiB budget; .*--stride"):
             run(cfg)
 
+    def test_estimate_counts_the_export_series(self, bundled_config, monkeypatch):
+        monkeypatch.setattr(engine, "resolve_functions", refuse_sampling)
+        # 3 901 snapshots of 60 x 3 and 30 001 steps of 3 resources, with the devices'
+        # arrays: the budget that fitted without the export's (30 001, 3) int64 cumulative
+        # bits and (30 001,) float cost ratio is 8 * 30 001 * 4 bytes short of fitting with them
+        without = 8 * (3 * 3901 * 60 * 3 + 30_001 * 11) + 30_001 * 3 + 60 * engine.DEVICE_BYTES
+        monkeypatch.setattr(engine, "TRACE_BUDGET_BYTES", without)
+        with pytest.raises(ValueError, match="trace would take about"):
+            run(bundled_config)
+        monkeypatch.setattr(engine, "TRACE_BUDGET_BYTES", without + 8 * 30_001 * 4)
+        with pytest.raises(AssertionError, match="sampled before"):
+            run(bundled_config)
+
     def test_larger_stride_passes_the_check(self, bundled_config, monkeypatch):
         monkeypatch.setattr(engine, "resolve_functions", refuse_sampling)
         cfg = dataclasses.replace(bundled_config, n=60_000, trace_stride=30_000)

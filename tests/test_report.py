@@ -2,6 +2,8 @@ import dataclasses
 import json
 import os
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,15 +177,48 @@ class TestExportMatchesReference:
         assert_matches_reference(*spiked_export(trace, report), tmp_path)
 
     def test_blocks_end_mid_snapshot(self, long_runs, tmp_path, monkeypatch):
+        """Blocks of 7 rows split trace.csv snapshots of n * m rows, and every CSV ends in a partial block."""
         trace, report, reference_dir = long_runs["deterministic"]
-        rows = trace.x_snap.size
-        # blocks of 7 split snapshots of n * m rows, and the last block is partial
-        assert (trace.n * trace.m) % 7 and rows % 7
+        assert (trace.n * trace.m) % 7 and trace.x_snap.size % 7
+        assert (trace.events.size, trace.steps.size) == (3603, 1201)
+        assert trace.events.size % 7 and trace.steps.size % 7
         monkeypatch.setattr(aimdalloc.report, "_BLOCK_ROWS", 7)
         assert_matches_reference(trace, report, tmp_path, reference_dir)
 
     def test_one_device_one_resource_one_step(self, tmp_path):
         assert_matches_reference(*one_device_export(), tmp_path)
+
+
+class TestFullRateMemory:
+    def test_peak_stays_below_the_series(self, tmp_path, monkeypatch):
+        """events.csv and metrics.csv are formatted a block at a time, never as whole-file text."""
+        trace, report = one_device_export()
+        rng = np.random.default_rng(7)
+        steps = 6001
+        trace = dataclasses.replace(
+            trace,
+            steps=np.arange(steps),
+            events=rng.integers(0, 2, (steps, 1), dtype=np.uint8),
+            totals_inst=rng.random((steps, 1)),
+            totals_avg=rng.random((steps, 1)),
+            spread=rng.random((steps, 1)),
+            cost_sum_avg=rng.random(steps),
+        )
+        report = dataclasses.replace(report, cost_ratio=rng.random(steps))
+        series = [trace.steps, trace.events, trace.cumulative_event_bits, trace.spread,
+                  report.cost_ratio, trace.totals_avg, trace.totals_inst]
+        monkeypatch.setattr(aimdalloc.report, "_BLOCK_ROWS", 40)
+        rows = {}
+        t0 = time.perf_counter()
+        tracemalloc.start()
+        try:
+            aimdalloc.report._write_full_rate(trace, report, tmp_path, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 1.0
+        assert rows == {"events.csv": steps, "metrics.csv": steps, "summary.json": 1}
+        assert peak < sum(a.nbytes for a in series)
 
 
 @pytest.fixture
