@@ -272,10 +272,10 @@ class Trace:
     """Time-indexed record of one run.
 
     Scalar-per-resource series (events, totals, derivative spread) and the
-    population cost at the averages are kept at every step; full (n, m)
-    matrices are kept at ``snapshot_steps``. Config and mode replay the run
-    bit for bit unless ``run`` was given a prebuilt world, whose functions
-    and ensemble the config does not hold.
+    population cost at the averages are kept at every step; x and x_bar as
+    (n, m) matrices at ``snapshot_steps`` (``functions`` give the gradients
+    there again). Config and mode replay the run bit for bit unless ``run``
+    was given a prebuilt world, whose functions the config does not hold.
     """
 
     config: Config
@@ -291,7 +291,6 @@ class Trace:
     snap_steps: np.ndarray        # (S,)
     x_snap: np.ndarray            # (S, n, m)
     xbar_snap: np.ndarray         # (S, n, m)
-    grad_snap: np.ndarray         # (S, n, m)
     functions: Population | tuple
     clamp_low: int
     clamp_high: int
@@ -351,9 +350,9 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
         raise ValueError("need at least one step")
     total, n, m = config.steps, config.n, config.m
     snaps = snapshot_steps(total, config.trace_stride)
-    # three (S, n, m) float snapshot stacks; per step: three (m,) float series, the cost,
-    # the step index, m event bytes, and for the export m cumulative bit counts and the cost ratio
-    need = 8 * (3 * len(snaps) * n * m + (total + 1) * (4 * m + 3)) + (total + 1) * m
+    # two (S, n, m) float snapshot stacks and their (S,) steps; per step: three (m,) float series,
+    # the cost, the step index, m event bytes, and for the export m cumulative bits and the cost ratio
+    need = 8 * (len(snaps) * (2 * n * m + 1) + (total + 1) * (4 * m + 3)) + (total + 1) * m
     if need > TRACE_BUDGET_BYTES:
         raise ValueError(
             f"trace would take about {need / 2**30:.1f} GiB ({len(snaps)} snapshots of "
@@ -368,11 +367,8 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
         )
     else:
         w = world
-        if (w.n, w.m) != (config.n, config.m):
-            raise ValueError(
-                f"world shape ({w.n}, {w.m}) does not match config "
-                f"({config.n}, {config.m})"
-            )
+        if (w.n, w.m) != (n, m):
+            raise ValueError(f"world shape ({w.n}, {w.m}) does not match config ({n}, {m})")
         if mode is not None and mode != w.mode:
             raise ValueError(f"world was built for mode {w.mode!r}, not {mode!r}")
         if w.k != 0:
@@ -387,7 +383,6 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
     cost_sum_avg = np.zeros(total + 1)
     x_snap = np.zeros((len(snaps), n, m))
     xbar_snap = np.zeros((len(snaps), n, m))
-    grad_snap = np.zeros((len(snaps), n, m))
 
     rounds = max(1, min(total + 1, _BLOCK_BYTES // (8 * n * m)))
     xbar_block = np.empty((rounds, n, m))
@@ -407,7 +402,6 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
             if snap_flags[k]:
                 x_snap[snap_row] = w.x
                 xbar_snap[snap_row] = w.x_bar
-                grad_snap[snap_row] = w.grads
                 snap_row += 1
         xb = xbar_block[: stop - start]
         totals_avg[start:stop] = _device_sum(xb)
@@ -432,7 +426,6 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
         snap_steps=snaps,
         x_snap=x_snap,
         xbar_snap=xbar_snap,
-        grad_snap=grad_snap,
         functions=w.functions,
         clamp_low=w.clamp.low,
         clamp_high=w.clamp.high,

@@ -21,7 +21,7 @@ import numpy as np
 from . import engine
 from .aimd import RUN_MODES
 from .config import Config, ConfigError, serialize_config
-from .costs import Population
+from .costs import Population, make_ensemble
 from .engine import SimulationError, Trace
 from .metrics import MetricsReport, collect_metrics
 from .oracle import OptimalAllocation, solve_separable
@@ -172,9 +172,9 @@ def _worker(tmp, trace: Trace, lo: int, hi: int):
 
     It never returns, so the child cannot run its parent's code after the
     fork, and ``os._exit`` flushes none of the parent's buffers it inherited.
-    The child only formats floats; it calls no BLAS and takes no lock. That
-    is what makes the fork safe even where native threads, such as an
-    OpenBLAS pool, exist (Python 3.12 and later warn on ``fork()`` then).
+    The child formats floats and evaluates gradients with elementwise numpy
+    ufuncs; it calls no BLAS and takes no lock, so the fork is safe even where
+    native threads, such as an OpenBLAS pool, exist (Python 3.12+ warns then).
     """
     status = 1
     try:
@@ -209,20 +209,26 @@ def _write_blocks(fh, row: str, lo: int, hi: int, columns) -> None:
 def _write_rows(fh, trace: Trace, lo: int, hi: int) -> None:
     """Write trace.csv data rows [lo, hi) to ``fh`` through ``_write_blocks``.
 
-    Row r is snapshot r // (n * m), device (r // m) % n, resource r % m; its
-    ``step,device,resource,`` prefix is one string, followed by three floats.
+    Row r is snapshot r // (n * m), device (r // m) % n, resource r % m: a
+    ``step,device,resource,`` prefix string, x, x_bar and the gradient at x_bar.
     """
     n, m = trace.n, trace.m
     per_snap = n * m
     steps = [f"{step}," for step in trace.snap_steps.tolist()]
     cells = [f"{i},{j}," for i in range(n) for j in range(m)]
-    x, xbar, grad = (a.reshape(-1) for a in (trace.x_snap, trace.xbar_snap, trace.grad_snap))
+    x, xbar = trace.x_snap.reshape(-1), trace.xbar_snap.reshape(-1)
+    gradients, last_range = make_ensemble(trace.functions, m).gradients, [None, None]
 
     def columns(start, stop):
+        first, last = start // per_snap, (stop - 1) // per_snap + 1
         prefixes = []
-        for s in range(start // per_snap, (stop - 1) // per_snap + 1):
+        for s in range(first, last):
             prefixes += map(steps[s].__add__, cells[max(start - s * per_snap, 0) : stop - s * per_snap])
-        return [prefixes, x[start:stop].tolist(), xbar[start:stop].tolist(), grad[start:stop].tolist()]
+        # gradients of the whole snapshots the block touches, kept for the next blocks of a wide one
+        if last_range[0] != (first, last):
+            last_range[:] = (first, last), gradients(trace.xbar_snap[first:last]).reshape(-1)
+        grad = last_range[1][start - first * per_snap :]
+        return [prefixes, x[start:stop].tolist(), xbar[start:stop].tolist(), grad[: stop - start].tolist()]
 
     _write_blocks(fh, "%s%.9g,%.9g,%.9g\n", lo, hi, columns)
 

@@ -27,6 +27,16 @@ from aimdalloc.oracle import (
 )
 
 
+class Echo:
+    """Cost stand-in whose gradient returns its argument unchanged, so grad_at_xbar repeats x_bar."""
+
+    def value(self, x) -> float:
+        return 0.0
+
+    def gradient(self, x) -> np.ndarray:
+        return x
+
+
 class WeightedSquare:
     """f(x) = w * sum(x_j^2); the simplest strictly convex increasing cost."""
 
@@ -309,19 +319,23 @@ def reference_export_csv(trace, report, out) -> None:
 
     These are ``export_trace``'s trace.csv, events.csv and metrics.csv loops
     before it streamed ``%``-formatted row blocks, kept verbatim so tests can
-    require the same bytes. ``out`` must be an existing directory.
+    require the same bytes, except that trace.csv's gradients come from one
+    ensemble evaluation per snapshot, since a ``Trace`` no longer keeps them.
+    ``out`` must be an existing directory.
     """
     m = trace.m
+    ensemble = make_ensemble(trace.functions, m)
 
     lines = ["step,device,resource,x,x_bar,grad_at_xbar"]
     for s, step in enumerate(trace.snap_steps):
+        grad = ensemble.gradients(trace.xbar_snap[s])
         for i in range(trace.n):
             for j in range(m):
                 lines.append(
                     f"{int(step)},{i},{j},"
                     f"{_fmt(trace.x_snap[s, i, j])},"
                     f"{_fmt(trace.xbar_snap[s, i, j])},"
-                    f"{_fmt(trace.grad_snap[s, i, j])}"
+                    f"{_fmt(grad[i, j])}"
                 )
     (out / "trace.csv").write_text("\n".join(lines) + "\n")
 
@@ -552,7 +566,8 @@ def reference_run(config, mode=None, world=None):
     filled the averages' series once per block of rounds, kept verbatim so
     tests can require the same bits; its rounds are ``reference_step_world``.
     The trace budget and world checks are left out; ``world``, when given,
-    must be freshly built for ``config``.
+    must be freshly built for ``config``. Returns the ``Trace`` and, beside
+    it, the (S, n, m) gradients the rounds computed at the snapshot steps.
     """
     total, n, m = config.steps, config.n, config.m
     snaps = snapshot_steps(total, config.trace_stride)
@@ -574,7 +589,7 @@ def reference_run(config, mode=None, world=None):
     cost_sum_avg = np.zeros(total + 1)
     x_snap = np.zeros((len(snaps), n, m))
     xbar_snap = np.zeros((len(snaps), n, m))
-    grad_snap = np.zeros((len(snaps), n, m))
+    grads_at_snaps = np.zeros((len(snaps), n, m))
 
     snap_row = 0
     for k in range(total + 1):
@@ -588,10 +603,10 @@ def reference_run(config, mode=None, world=None):
         if snap_mask[k]:
             x_snap[snap_row] = w.x
             xbar_snap[snap_row] = w.x_bar
-            grad_snap[snap_row] = w.grads
+            grads_at_snaps[snap_row] = w.grads
             snap_row += 1
 
-    return Trace(
+    trace = Trace(
         config=config,
         config_hash=config_hash(config),
         mode=w.mode,
@@ -605,12 +620,12 @@ def reference_run(config, mode=None, world=None):
         snap_steps=snaps,
         x_snap=x_snap,
         xbar_snap=xbar_snap,
-        grad_snap=grad_snap,
         functions=w.functions,
         clamp_low=w.clamp.low,
         clamp_high=w.clamp.high,
         wall_time_s=time.perf_counter() - t0,
     )
+    return trace, grads_at_snaps
 
 
 def reference_verify_assumption1(f, box, samples, rng=0):

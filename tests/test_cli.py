@@ -195,7 +195,7 @@ class TestTraceBudget:
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: trace would take about 15.7 GiB")
+        assert err.startswith("config error: trace would take about 10.5 GiB")
         assert "--stride" in err
         assert not out.exists()
 
@@ -233,14 +233,15 @@ class TestDeviceBudget:
         monkeypatch.setattr(engine, "resolve_functions", refuse)
 
     def test_run_with_a_small_trace(self, tmp_path, capsys):
-        # a 0.7 GiB trace fits the budget; with 5 000 000 devices' arrays the run does not
+        # a 0.4 GiB trace (two snapshots of 5 000 000 x 3 for x and x_bar) fits the budget;
+        # with 5 000 000 devices' arrays the run does not
         cfg = write_doc(tmp_path, small_doc(n=5_000_000, steps=10, trace_stride=10))
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--mode", "deterministic", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(
-            f"config error: 5000000 devices would take about 7.2 GiB "
-            f"({engine.DEVICE_BYTES} bytes each and a 0.7 GiB trace), above the 4 GiB budget"
+            f"config error: 5000000 devices would take about 7.0 GiB "
+            f"({engine.DEVICE_BYTES} bytes each and a 0.4 GiB trace), above the 4 GiB budget"
         )
         assert not out.exists()
 

@@ -12,16 +12,18 @@ from aimdalloc import (
     aimd,
     SimulationError,
     build_world,
+    collect_metrics,
     engine,
     md_stochastic,
     resolve_functions,
     run,
     scaling_factor,
     snapshot_steps,
+    solve_separable,
     step_world,
 )
 
-from aimdalloc.costs import CostEnsemble, LoopEnsemble, sample_cost_functions
+from aimdalloc.costs import CostEnsemble, LoopEnsemble, make_ensemble, sample_cost_functions
 
 from _stand_ins import (
     BlowUp,
@@ -346,8 +348,8 @@ class TestTraceBudget:
         monkeypatch.setattr(engine, "resolve_functions", refuse_sampling)
         cfg = dataclasses.replace(bundled_config, n=60_000)
         assert (cfg.steps, cfg.trace_stride) == (30_000, None)
-        # 3 snapshot stacks of 3 901 x 60 000 x 3 doubles: about 15.7 GiB
-        with pytest.raises(ValueError, match=r"about 15\.7 GiB .* 4 GiB budget; .*--stride"):
+        # 2 snapshot stacks of 3 901 x 60 000 x 3 doubles: about 10.5 GiB
+        with pytest.raises(ValueError, match=r"about 10\.5 GiB .* 4 GiB budget; .*--stride"):
             run(cfg)
 
     def test_estimate_counts_the_export_series(self, bundled_config, monkeypatch):
@@ -355,13 +357,30 @@ class TestTraceBudget:
         # 3 901 snapshots of 60 x 3 and 30 001 steps of 3 resources, with the devices'
         # arrays: the budget that fitted without the export's (30 001, 3) int64 cumulative
         # bits and (30 001,) float cost ratio is 8 * 30 001 * 4 bytes short of fitting with them
-        without = 8 * (3 * 3901 * 60 * 3 + 30_001 * 11) + 30_001 * 3 + 60 * engine.DEVICE_BYTES
+        without = (8 * (3901 * (2 * 60 * 3 + 1) + 30_001 * 11) + 30_001 * 3
+                   + 60 * engine.DEVICE_BYTES)
         monkeypatch.setattr(engine, "TRACE_BUDGET_BYTES", without)
         with pytest.raises(ValueError, match="trace would take about"):
             run(bundled_config)
         monkeypatch.setattr(engine, "TRACE_BUDGET_BYTES", without + 8 * 30_001 * 4)
         with pytest.raises(AssertionError, match="sampled before"):
             run(bundled_config)
+
+    @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+    def test_estimate_covers_the_trace(self, bundled_config, monkeypatch, mode):
+        """Every array of the returned trace, and the export's two series, are in the estimate."""
+        cfg = dataclasses.replace(bundled_config, steps=1200)
+        estimates = []
+        check = engine.check_footprint
+        monkeypatch.setattr(
+            engine, "check_footprint", lambda n, need: estimates.append(need) or check(n, need)
+        )
+        trace = run(cfg, mode=mode)
+        held = sum(a.nbytes for a in vars(trace).values() if isinstance(a, np.ndarray))
+        optimum = solve_separable(trace.functions, [p.capacity for p in cfg.resources])
+        report = collect_metrics(trace, optimum.x_star)
+        (estimate,) = estimates
+        assert estimate >= held + trace.cumulative_event_bits.nbytes + report.cost_ratio.nbytes
 
     def test_larger_stride_passes_the_check(self, bundled_config, monkeypatch):
         monkeypatch.setattr(engine, "resolve_functions", refuse_sampling)
@@ -485,7 +504,7 @@ class TestBlockRecorder:
     @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
     def test_bundled_config_matches_reference(self, bundled_config, mode):
         cfg = dataclasses.replace(bundled_config, steps=1200)
-        assert_same_trace(run(cfg, mode=mode), reference_run(cfg, mode=mode))
+        assert_same_trace(run(cfg, mode=mode), reference_run(cfg, mode=mode)[0])
 
     @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
     def test_seven_round_blocks_straddle_snapshots(self, bundled_config, monkeypatch, mode):
@@ -500,7 +519,7 @@ class TestBlockRecorder:
         # 1201 rounds: 171 full blocks and a last block of 4
         assert calls == [(7, cfg.n, cfg.m)] * 171 + [(4, cfg.n, cfg.m)]
         monkeypatch.undo()
-        assert_same_trace(got, reference_run(cfg, mode=mode))
+        assert_same_trace(got, reference_run(cfg, mode=mode)[0])
 
     def test_single_device_resource_and_step(self):
         resource = ResourceParams(capacity=1.0, alpha=0.3, beta=0.5, gamma_norm=0.1)
@@ -509,7 +528,7 @@ class TestBlockRecorder:
         def world():
             return build_world([WeightedSquare(1.5)], cfg.resources, cfg.mode, cfg.seed)
 
-        assert_same_trace(run(cfg, world=world()), reference_run(cfg, world=world()))
+        assert_same_trace(run(cfg, world=world()), reference_run(cfg, world=world())[0])
 
     def test_row_loop_world(self, bundled_config):
         cfg = dataclasses.replace(bundled_config, steps=200)
@@ -520,7 +539,20 @@ class TestBlockRecorder:
 
         w = world()
         assert isinstance(w.ensemble, LoopEnsemble)
-        assert_same_trace(run(cfg, world=w), reference_run(cfg, world=world()))
+        assert_same_trace(run(cfg, world=w), reference_run(cfg, world=world())[0])
+
+    @pytest.mark.parametrize("population", ["family", "wrapped"])
+    @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+    def test_recomputed_gradients_are_the_runs(self, bundled_config, mode, population):
+        """The gradients the rounds computed at the snapshots are the ensemble's at x_bar, bit for bit."""
+        cfg = dataclasses.replace(bundled_config, steps=1200 if population == "family" else 200)
+        fns = resolve_functions(cfg)
+        if population == "wrapped":
+            fns = [Wrapped(f) if i % 2 else f for i, f in enumerate(fns)]
+        trace, grads = reference_run(cfg, world=build_world(fns, cfg.resources, mode, cfg.seed))
+        ensemble = make_ensemble(trace.functions, cfg.m)
+        assert type(ensemble) is (CostEnsemble if population == "family" else LoopEnsemble)
+        assert ensemble.gradients(trace.xbar_snap).tobytes() == grads.tobytes()
 
 
 class TestDeviceSum:
@@ -599,4 +631,4 @@ class TestDeviceSum:
         # the reference steps and records with the reduces the running sums replaced
         monkeypatch.setattr(engine, "_device_sum", reference_device_sum)
         monkeypatch.setattr(CostEnsemble, "values", reference_values)
-        assert_same_trace(got, reference_run(cfg, world=world()))
+        assert_same_trace(got, reference_run(cfg, world=world())[0])

@@ -26,7 +26,7 @@ from aimdalloc import (
 )
 
 from conftest import REPO_ROOT
-from _stand_ins import WeightedSquare, reference_export_csv
+from _stand_ins import Echo, WeightedSquare, reference_export_csv
 from test_golden import golden_config
 
 
@@ -120,19 +120,35 @@ def assert_matches_reference(trace, report, tmp_path, reference_dir=None):
 
 
 def spiked_export(trace, report):
-    """``trace`` and ``report`` with special floats spread through every float column."""
+    """``trace`` and ``report`` with special floats spread through every float column.
+
+    A ``Trace`` keeps no gradients, so its functions become ``Echo`` stand-ins,
+    whose gradient is the spiked x_bar itself: grad_at_xbar gets every special float.
+    """
 
     def spiked(a):
+        # rows of the last axis, so each resource's metrics.csv column gets every special float
         a = a.astype(float)
-        flat = a.reshape(-1)
-        idx = np.arange(0, flat.size, 97)
-        flat[idx] = np.resize(SPECIAL_FLOATS, idx.size)
-        flat[-len(SPECIAL_FLOATS):] = SPECIAL_FLOATS
+        rows = a.reshape(-1, a.shape[-1] if a.ndim > 1 else 1)
+        idx = np.arange(0, len(rows), 97)
+        rows[idx] = np.resize(SPECIAL_FLOATS, idx.size)[:, None]
+        rows[-len(SPECIAL_FLOATS):] = np.array(SPECIAL_FLOATS)[:, None]
         return a
 
-    fields = ("x_snap", "xbar_snap", "grad_snap", "spread", "totals_avg", "totals_inst")
-    trace = dataclasses.replace(trace, **{f: spiked(getattr(trace, f)) for f in fields})
+    fields = ("x_snap", "xbar_snap", "spread", "totals_avg", "totals_inst")
+    trace = dataclasses.replace(
+        trace, functions=(Echo(),) * trace.n, **{f: spiked(getattr(trace, f)) for f in fields}
+    )
     return trace, dataclasses.replace(report, cost_ratio=spiked(report.cost_ratio))
+
+
+def assert_specials_in_every_float_column(directory):
+    want = {format(v, ".9g") for v in SPECIAL_FLOATS}
+    for name, first in (("trace.csv", 3), ("metrics.csv", 1)):
+        header, *rows = (directory / name).read_text().splitlines()
+        for label, column in list(zip(header.split(","), zip(*(r.split(",") for r in rows))))[first:]:
+            if not label.startswith("cum_bits"):
+                assert want <= set(column), (name, label)
 
 
 def one_device_export():
@@ -175,15 +191,31 @@ class TestExportMatchesReference:
     def test_special_floats(self, exported, tmp_path):
         _, trace, report, _ = exported
         assert_matches_reference(*spiked_export(trace, report), tmp_path)
+        assert_specials_in_every_float_column(tmp_path / "new")
 
     def test_blocks_end_mid_snapshot(self, long_runs, tmp_path, monkeypatch):
-        """Blocks of 7 rows split trace.csv snapshots of n * m rows, and every CSV ends in a partial block."""
+        """Blocks of 7 rows split trace.csv snapshots of n * m rows, and every CSV ends in a partial block.
+
+        The blocks inside one snapshot share one gradient evaluation of it; a
+        snapshot is evaluated again only with a neighbour, by a block straddling them.
+        """
         trace, report, reference_dir = long_runs["deterministic"]
         assert (trace.n * trace.m) % 7 and trace.x_snap.size % 7
         assert (trace.events.size, trace.steps.size) == (3603, 1201)
         assert trace.events.size % 7 and trace.steps.size % 7
         monkeypatch.setattr(aimdalloc.report, "_BLOCK_ROWS", 7)
+        evaluated = []
+        make_ensemble = aimdalloc.report.make_ensemble
+
+        def counting(functions, m):
+            ensemble = make_ensemble(functions, m)
+            gradients = ensemble.gradients
+            ensemble.gradients = lambda x, out=None: evaluated.append(len(x)) or gradients(x, out)
+            return ensemble
+
+        monkeypatch.setattr(aimdalloc.report, "make_ensemble", counting)
         assert_matches_reference(trace, report, tmp_path, reference_dir)
+        assert len(trace.snap_steps) <= sum(evaluated) < 3 * len(trace.snap_steps)
 
     def test_one_device_one_resource_one_step(self, tmp_path):
         assert_matches_reference(*one_device_export(), tmp_path)
@@ -268,6 +300,7 @@ class TestSplitExport:
         trace, report = spiked_export(trace, report)
         split_rows(monkeypatch, cpus)
         assert_matches_reference(trace, report, tmp_path)
+        assert_specials_in_every_float_column(tmp_path / "new")
         assert len(forks) == cpus - 1
 
     def test_ranges_end_mid_snapshot_and_mid_block(self, long_runs, tmp_path, monkeypatch, forks):
