@@ -6,13 +6,12 @@ Subcommands:
   solve    centralized optimum only
   sweep    repeat a run across a seed range and aggregate
 
-Exit codes: 0 success, 2 configuration problem (including a trace, or a
-trace plus the devices' arrays, over engine.TRACE_BUDGET_BYTES, refused before
-sampling, and an output directory blocked by a file, refused before
-simulating), 3 run/solver failure (including a non-finite total, derivative
-spread or cost, and an oracle KKT residual above the config's kkt_tol, both
-checked before anything is exported, and running out of memory), 1
-unexpected error.
+Exit codes: 0 success, 2 configuration problem (including the devices' arrays
+and their trace over engine.TRACE_BUDGET_BYTES, refused before sampling, and
+an output directory blocked by a file, refused before simulating), 3
+run/solver failure (including a non-finite total, derivative spread or cost,
+and an oracle KKT residual above the config's kkt_tol, both checked before
+anything is exported, and running out of memory), 1 unexpected error.
 """
 
 from __future__ import annotations
@@ -135,7 +134,7 @@ def _cmd_solve(args) -> int:
         "kkt_residual": optimum.kkt_residual,
         "iterations": optimum.iterations,
         "converged": optimum.converged,
-        "cost_functions": functions.to_dicts(),
+        "cost_functions": functions,
     }
     write_json(out / "optimum.json", doc)
     print(f"solved: mu = {[round(float(v), 6) for v in optimum.mu]}, "

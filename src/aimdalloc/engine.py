@@ -48,10 +48,10 @@ from .costs import Population, as_population, make_ensemble, sample_cost_functio
 TRACE_BUDGET_BYTES = 4 * 2**30
 
 #: bytes a device takes besides the trace at m = 3, read off the code: 293 for its rows of the
-#: population and its tables, and up to about 1 000 more in one phase (the world's rows and
-#: pattern tiles, the oracle's rows, or the exported records); tracemalloc peaks at
-#: n = 200 000 were 900 besides the trace for a run and 1 310 for a solve
-DEVICE_BYTES = 1_400
+#: population and its tables, and up to about 700 more in one phase (the world's rows and
+#: pattern plans, or the oracle's rows); tracemalloc peaks at n = 200 000 were 1 098 for a
+#: 500-round stochastic run with every pattern's plan, its trace included, and 914 for a solve
+DEVICE_BYTES = 1_200
 
 #: bytes of one (rounds, n, m) block the recorder buffers between series fills;
 #: small enough that the block and the cost evaluation's temporaries stay in
@@ -193,6 +193,7 @@ def check_footprint(n: int, trace_bytes: int = 0) -> None:
         raise ValueError(
             f"{n} devices would take about {need / 2**30:.1f} GiB ({DEVICE_BYTES} bytes each{trace}), "
             f"above the {TRACE_BUDGET_BYTES / 2**30:g} GiB budget; use fewer devices"
+            + (" or keep fewer snapshots with a larger --stride (trace_stride)" if trace_bytes else "")
         )
 
 
@@ -340,9 +341,9 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
     ``build_world``) substitutes for the config's population, which is how
     hand-built cost functions get full traces; its shape must match the
     config, and the run advances it in place. A trace (snapshots plus
-    full-rate series) estimated above ``TRACE_BUDGET_BYTES``, or above it
-    together with ``DEVICE_BYTES`` per device, raises ValueError before
-    anything is sampled or allocated. A total, derivative spread or
+    full-rate series) estimated above ``TRACE_BUDGET_BYTES`` together with
+    ``DEVICE_BYTES`` per device raises ValueError (``check_footprint``)
+    before anything is sampled or allocated. A total, derivative spread or
     population cost that is inf or NaN raises SimulationError naming the
     first step (and resource) where it appeared, once its block is filled.
     """
@@ -353,12 +354,6 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
     # two (S, n, m) float snapshot stacks and their (S,) steps; per step: three (m,) float series,
     # the cost, the step index, m event bytes, and for the export m cumulative bits and the cost ratio
     need = 8 * (len(snaps) * (2 * n * m + 1) + (total + 1) * (4 * m + 3)) + (total + 1) * m
-    if need > TRACE_BUDGET_BYTES:
-        raise ValueError(
-            f"trace would take about {need / 2**30:.1f} GiB ({len(snaps)} snapshots of "
-            f"{n} x {m}), above the {TRACE_BUDGET_BYTES / 2**30:g} GiB budget; "
-            "keep fewer snapshots with a larger --stride (trace_stride)"
-        )
     check_footprint(n, need)
     t0 = time.perf_counter()
     if world is None:

@@ -2,8 +2,8 @@
 
 Exports are byte-stable: floats carry 9 significant digits, column and JSON
 key order is fixed, and every file ends in a newline, so identical runs
-produce identical files and golden-file tests are possible. Every CSV is
-written by ``_write_blocks``, one ``%`` per block of rows, never whole.
+produce identical files and golden-file tests are possible. Every CSV row and
+population record is written by ``_write_blocks``, one ``%`` per block of rows.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from . import engine
 from .aimd import RUN_MODES
 from .config import Config, ConfigError, serialize_config
-from .costs import Population, make_ensemble
+from .costs import FIELD_RANGES, Population, make_ensemble
 from .engine import SimulationError, Trace
 from .metrics import MetricsReport, collect_metrics
 from .oracle import OptimalAllocation, solve_separable
@@ -33,6 +33,9 @@ SPREAD_FRACTION = 0.05
 #: CSV rows formatted and written per block; sized in rows, not trace.csv
 #: snapshots, because one snapshot of a wide run is n * m rows
 _BLOCK_ROWS = 8192
+
+#: a population member's record after another one, as ``json.dumps(..., sort_keys=True, indent=2)`` lays it out
+_RECORD = ",\n    {\n" + ",\n".join(f'      "{name}": %d' for name in sorted(FIELD_RANGES)) + "\n    }"
 
 #: fewest trace.csv rows worth a process of their own; a trace with fewer
 #: than two of these is formatted in-process (see BENCH_export_fork.json)
@@ -56,20 +59,22 @@ def certified_optimum(config: Config, functions) -> OptimalAllocation:
 def write_json(path: Path, doc: dict) -> None:
     """Write ``doc`` as JSON with sorted keys, two-space indent and a final newline.
 
-    ``indent`` forces the pure-Python encoder, so top-level lists of flat int/str
-    records (``cost_functions``) go through the C encoder and are re-indented:
-    encoded strings hold no raw newline, so ``},<newline>{`` joins two records.
+    A top-level ``Population`` (``cost_functions``) is dumped as ``[]``; its members'
+    ``to_dict`` records are then streamed into that slot from its matrix by ``_write_blocks``.
     """
-    flat = [key for key, rows in doc.items() if type(key) is str and type(rows) is list and rows
-            and all(type(row) is dict and row for row in rows)
-            and {type(v) for row in rows for v in row.values()} <= {int, str}]
-    text = json.dumps({**doc, **dict.fromkeys(flat, 0)}, sort_keys=True, indent=2)
-    for key in flat:
-        rows = json.dumps(doc[key], sort_keys=True, separators=(",\n      ", ": "))
-        rows = rows[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
-        slot = f"\n  {json.dumps(key)}: "
-        text = text.replace(slot + "0", f"{slot}[\n    {{\n      {rows}\n    }}\n  ]", 1)
-    path.write_text(text + "\n")
+    pops = sorted(key for key, value in doc.items() if isinstance(value, Population))
+    text = json.dumps({**doc, **dict.fromkeys(pops, [])}, sort_keys=True, indent=2)
+    with open(path, "w") as fh:
+        for key in pops:
+            slot = f"\n  {json.dumps(key)}: ["
+            head, text = text.split(slot + "]", 1)
+            fh.write(head + slot)
+            fields = doc[key].fields[:, np.argsort(list(FIELD_RANGES))]  # columns in the record's key order
+            columns = lambda start, stop: fields[start:stop].T.tolist()
+            _write_blocks(fh, _RECORD[1:], 0, min(1, len(fields)), columns)
+            _write_blocks(fh, _RECORD, 1, len(fields), columns)
+            fh.write("\n  ]" if len(fields) else "]")
+        fh.write(text + "\n")
 
 
 @dataclass(frozen=True)
@@ -190,7 +195,7 @@ def _worker(tmp, trace: Trace, lo: int, hi: int):
 
 
 def _write_blocks(fh, row: str, lo: int, hi: int, columns) -> None:
-    """Write CSV data rows [lo, hi) to ``fh`` in blocks of ``_BLOCK_ROWS`` rows.
+    """Write rows [lo, hi) to ``fh`` in blocks of ``_BLOCK_ROWS`` rows.
 
     Each block is one ``%`` of the row template ``row`` repeated once per row
     over the block's ``columns(start, stop)`` (one sequence per field),
@@ -259,7 +264,7 @@ def _write_full_rate(trace: Trace, report: MetricsReport, out: Path, rows: dict[
         "config_hash": trace.config_hash,
         "mode": trace.mode,
         "seed": trace.seed,
-        "cost_functions": trace.functions.to_dicts() if isinstance(trace.functions, Population)
+        "cost_functions": trace.functions if isinstance(trace.functions, Population)
         else [f.to_dict() if hasattr(f, "to_dict") else {"repr": repr(f)} for f in trace.functions],
         "clamp_low": trace.clamp_low,
         "clamp_high": trace.clamp_high,

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from aimdalloc import engine
+from aimdalloc import engine, parse_config
 from aimdalloc.cli import _build_parser, main
 
 from conftest import REPO_ROOT
@@ -142,6 +142,16 @@ class TestSolveCommand:
         caps = [1.0, 0.8, 1.2]
         assert all(abs(s - c) <= 1e-6 * c for s, c in zip(sums, caps))
 
+    def test_optimum_json_is_the_dict_form(self, tmp_path):
+        """The records streamed from the population are the bytes ``json.dumps`` gives their dicts."""
+        cfg = REPO_ROOT / "configs" / "tourist_center.json"
+        out = tmp_path / "solve"
+        assert main(["solve", str(cfg), "--out", str(out)]) == 0
+        text = (out / "optimum.json").read_text()
+        doc = json.loads(text)
+        assert doc["cost_functions"] == engine.resolve_functions(parse_config(cfg)).to_dicts()
+        assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
 
 class TestSweepCommand:
     def test_aggregates_seeds(self, tmp_path):
@@ -195,8 +205,9 @@ class TestTraceBudget:
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: trace would take about 10.5 GiB")
-        assert "--stride" in err
+        assert err.startswith("config error: 60000 devices would take about 10.5 GiB "
+                              f"({engine.DEVICE_BYTES} bytes each and a 10.5 GiB trace), above the 4 GiB budget")
+        assert err.endswith("; use fewer devices or keep fewer snapshots with a larger --stride (trace_stride)\n")
         assert not out.exists()
 
 
@@ -240,7 +251,7 @@ class TestDeviceBudget:
         assert main(["run", str(cfg), "--mode", "deterministic", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(
-            f"config error: 5000000 devices would take about 7.0 GiB "
+            f"config error: 5000000 devices would take about 6.0 GiB "
             f"({engine.DEVICE_BYTES} bytes each and a 0.4 GiB trace), above the 4 GiB budget"
         )
         assert not out.exists()
@@ -250,7 +261,7 @@ class TestDeviceBudget:
         out = tmp_path / "out"
         assert main(["solve", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: 50000000 devices would take about 65.2 GiB")
+        assert err.startswith("config error: 50000000 devices would take about 55.9 GiB")
         assert not out.exists()
 
     def test_solve_within_the_budget_is_sampled(self, tmp_path, capsys):

@@ -24,6 +24,7 @@ from aimdalloc import (
     sample_cost_functions,
     solve_separable,
 )
+from aimdalloc.costs import Population
 
 from conftest import REPO_ROOT
 from _stand_ins import Echo, WeightedSquare, reference_export_csv
@@ -375,7 +376,7 @@ class TestSplitExport:
 
 
 def indented(doc):
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, default=Population.to_dicts) + "\n"
 
 
 class TestWriteJson:
@@ -421,6 +422,27 @@ class TestWriteJson:
         doc = {"a_first": [{"x": 1}], "cost_functions": rows, "z": {"nested": rows}, "zz": 0}
         aimdalloc.report.write_json(tmp_path / "doc.json", doc)
         assert (tmp_path / "doc.json").read_text() == indented(doc)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 500])
+    @pytest.mark.parametrize("block_rows", [7, 8192])
+    def test_populations(self, n, block_rows, tmp_path, monkeypatch):
+        """Populations, two in one document, are streamed as the records ``json.dumps`` gives."""
+        monkeypatch.setattr(aimdalloc.report, "_BLOCK_ROWS", block_rows)
+        pop = sample_cost_functions(n, n)
+        doc = {"a_first": [{"x": 1}], "cost_functions": pop, "z": {"nested": [1]}, "zz": pop[::-3]}
+        aimdalloc.report.write_json(tmp_path / "doc.json", doc)
+        assert (tmp_path / "doc.json").read_text() == indented(doc)
+
+    def test_export_builds_no_member_or_record(self, exported, tmp_path, monkeypatch):
+        """summary.json's records are read off the population's matrix."""
+        def refuse(*args):
+            raise AssertionError("a member or a record dict was built")
+
+        _, trace, report, manifest = exported
+        monkeypatch.setattr(Population, "to_dicts", refuse)
+        monkeypatch.setattr(Population, "__getitem__", refuse)
+        export_trace(trace, report, tmp_path)
+        assert (tmp_path / "summary.json").read_bytes() == (manifest.directory / "summary.json").read_bytes()
 
 
 class TestConvergenceStep:
