@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .aimd import RUN_MODES, ResourceParams
-from .costs import CostFunction, Population, as_population
+from .costs import RESOURCE_COUNT, CostFunction, Population, as_population
 
 MODES = (*RUN_MODES, "both")
 
@@ -48,8 +48,12 @@ class Config:
     kkt_tol: float = DEFAULT_KKT_TOL
 
     def __post_init__(self):
+        problems = _length_problem("resources", len(self.resources), "m", self.m)
         if self.functions is not None:
             object.__setattr__(self, "functions", as_population(self.functions))
+            problems += _length_problem("cost_spec.functions", len(self.functions), "n", self.n)
+        if problems:
+            raise ConfigError(problems)
 
     def with_overrides(self, seed=None, trace_stride=None, out_dir=None) -> "Config":
         """This config with the given fields replaced, checked like a config file."""
@@ -58,6 +62,10 @@ class Config:
             if value is not None:
                 doc[key] = _FIELDS[key].kind(value)
         return config_from_dict(doc)
+
+
+def _length_problem(key: str, got: int, name: str, want: int | None) -> list[str]:
+    return [] if want is None or got == want else [f"{key}: length {got} does not match {name}={want}"]
 
 
 _REQUIRED = object()
@@ -78,7 +86,7 @@ _FIELDS = {
     "n": _Field(int, lambda v: v >= 1, "must be >= 1"),
     # config files describe the built-in three-resource cost family; other
     # resource counts are reachable through build_world with custom costs
-    "m": _Field(int, lambda v: v == 3, "must be 3 (built-in cost family)"),
+    "m": _Field(int, lambda v: v == RESOURCE_COUNT, f"must be {RESOURCE_COUNT} (built-in cost family)"),
     "steps": _Field(int, lambda v: v >= 1, "must be >= 1"),
     "mode": _Field(str, lambda v: v in MODES, f"must be one of {MODES}"),
     "seed": _Field(int, lambda v: 0 <= v < 2**64, "must fit in 64 bits"),
@@ -137,8 +145,8 @@ def config_from_dict(doc: dict) -> Config:
     if not isinstance(docs, list) or not docs:
         problems.append("resources: expected a non-empty list")
         docs = []
-    if top["m"] is not None and docs and len(docs) != top["m"]:
-        problems.append(f"resources: length {len(docs)} does not match m={top['m']}")
+    if docs:
+        problems += _length_problem("resources", len(docs), "m", top["m"])
     resources = []
     for idx, r in enumerate(docs):
         path = f"resources[{idx}]"
@@ -168,8 +176,8 @@ def config_from_dict(doc: dict) -> Config:
         if not isinstance(entries, list):
             problems.append("cost_spec.functions: expected a list")
             entries = []
-        elif top["n"] is not None and len(entries) != top["n"]:
-            problems.append(f"cost_spec.functions: length {len(entries)} does not match n={top['n']}")
+        else:
+            problems += _length_problem("cost_spec.functions", len(entries), "n", top["n"])
         functions = []
         for i, fd in enumerate(entries):
             if not isinstance(fd, dict):

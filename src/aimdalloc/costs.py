@@ -453,7 +453,7 @@ class CostEnsemble:
             for _ in range(5):
                 t2 = t * t
                 dp = ((7.0 * c7 * t2 + 5.0 * c5) * t2 + 3.0 * c3) * t2 + c1
-                t = t - (((c7 * t2 + c5) * t2 + c3) * t2 * t + c1 * t - mu) / dp
+                t = t - (self.partial_column(t, j) - mu) / dp
             return np.minimum(t, cap), np.where(t < cap, 1.0 / dp, 0.0)
 
 

@@ -55,28 +55,19 @@ class OptimalAllocation:
     converged: bool = True
 
 
-def _derivative_spread_term(x_col, g_col, capacity):
-    active = x_col > ACTIVE_THRESHOLD * capacity
-    if not np.any(active):
-        return 0.0
-    g_act = g_col[active]
-    spread = float(g_act.max() - g_act.min())
-    if spread == 0.0:
-        return 0.0
-    mean = float(g_act.mean())
-    if mean <= 0.0:
-        return np.inf
-    return spread / mean
-
-
-def _residual_from_grads(x, grads, capacities):
-    worst = 0.0
+def _certificate(x, grads, capacities) -> tuple[float, np.ndarray]:
+    """``kkt_residual`` of ``x``, and per resource the mean derivative of its active devices (0 if none)."""
+    worst, mu = 0.0, np.zeros(len(capacities))
     for j, cap in enumerate(capacities):
+        g_act = grads[x[:, j] > ACTIVE_THRESHOLD * cap, j]
+        mu[j] = mean = float(g_act.mean()) if g_act.size else 0.0
+        spread = float(g_act.max() - g_act.min()) if g_act.size else 0.0
+        if spread:
+            spread = spread / mean if mean > 0.0 else np.inf
         feas = abs(float(x[:, j].sum()) - cap) / cap
-        spread = _derivative_spread_term(x[:, j], grads[:, j], cap)
         # a NaN term reads as inf: max() would drop it unless it came first
         worst = max(worst, *(np.inf if np.isnan(t) else t for t in (feas, spread)))
-    return worst
+    return worst, mu
 
 
 def kkt_residual(functions, x, capacities) -> float:
@@ -84,7 +75,8 @@ def kkt_residual(functions, x, capacities) -> float:
 
     Per resource, the larger of the relative feasibility gap and the
     normalized derivative spread (max minus min over devices holding more
-    than ``ACTIVE_THRESHOLD`` of capacity, divided by the mean derivative);
+    than ``ACTIVE_THRESHOLD`` of capacity, divided by their mean derivative:
+    0 with no such device or no spread, inf around a mean at or below 0);
     the result is the max over resources. Zero at the exact optimum; inf
     when a term is NaN. Negative or NaN allocations raise ``ValueError``.
     """
@@ -96,7 +88,7 @@ def kkt_residual(functions, x, capacities) -> float:
             f"({len(functions)}, {len(capacities)})"
         )
     grads = make_ensemble(functions, len(capacities)).gradients(x)
-    return _residual_from_grads(x, grads, capacities)
+    return _certificate(x, grads, capacities)[0]
 
 
 def _demand(ensemble, j, mu, cap, iters):
@@ -239,7 +231,7 @@ def solve_separable(functions, capacities, tol: float = 1e-8) -> OptimalAllocati
             )
         x_star[:, j] = xs
 
-    residual = kkt_residual(functions, x_star, capacities)
+    residual = _certificate(x_star, ensemble.gradients(x_star), capacities)[0]
     return OptimalAllocation(
         x_star=x_star, mu=mu, kkt_residual=residual, iterations=outer_total
     )
@@ -268,7 +260,8 @@ def solve_projected_gradient(
     Backtracking line search against the usual quadratic upper bound; stops
     as soon as the KKT residual drops to ``tol`` (checked before the first
     step, so an optimal start returns at iteration 0). Hitting ``max_iters``
-    returns the best iterate flagged ``converged=False``.
+    returns the last iterate flagged ``converged=False``. ``mu`` is the last
+    certificate's mean derivative over active devices.
     """
     functions = as_population(functions)
     if not functions:
@@ -295,7 +288,7 @@ def solve_projected_gradient(
     grads = ensemble.gradients(x)
     step = 1.0
     for it in range(max_iters + 1):
-        residual = _residual_from_grads(x, grads, capacities)
+        residual, mu = _certificate(x, grads, capacities)
         if residual <= tol or it == max_iters:
             break
         while True:
@@ -314,15 +307,6 @@ def solve_projected_gradient(
         grads = ensemble.gradients(x)
         step *= 1.25
     return OptimalAllocation(
-        x_star=x, mu=_mean_active_gradient(x, grads, capacities),
-        kkt_residual=residual, iterations=it, converged=bool(residual <= tol),
+        x_star=x, mu=mu, kkt_residual=residual, iterations=it, converged=bool(residual <= tol),
     )
 
-
-def _mean_active_gradient(x, grads, capacities):
-    """Per-resource consensus derivative estimate (mean over active devices)."""
-    mu = np.zeros(len(capacities))
-    for j, cap in enumerate(capacities):
-        active = x[:, j] > ACTIVE_THRESHOLD * cap
-        mu[j] = float(grads[active, j].mean()) if np.any(active) else 0.0
-    return mu

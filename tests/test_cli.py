@@ -167,6 +167,8 @@ class TestSweepCommand:
         cfg = write_doc(tmp_path, small_doc())
         assert main(["sweep", str(cfg), "--seeds", "5..1"]) == 2
         assert "seeds" in capsys.readouterr().err
+        assert main(["sweep", str(cfg), "--seeds", "1-5"]) == 2
+        assert "--seeds: expected A..B, got '1-5'" in capsys.readouterr().err
 
 
 class TestKktTolerance:

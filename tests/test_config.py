@@ -1,12 +1,15 @@
+import dataclasses
 import json
 
 import pytest
 
-from aimdalloc import ConfigError, config_hash, parse_config, serialize_config
+from aimdalloc import ConfigError, ResourceParams, config_hash, parse_config, serialize_config
 from aimdalloc.cli import main
 from aimdalloc.config import config_from_dict
+from aimdalloc.costs import sample_cost_functions
 
 from conftest import BUNDLED_CONFIG
+from _stand_ins import tiny_config
 from test_golden import golden_config
 
 
@@ -157,6 +160,29 @@ class TestValidation:
             config_from_dict(doc)
         assert exc.value.fields == ["cost_spec.functions[1]: expected an object"]
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"resources": []}, "resources: expected a non-empty list"),
+        ({"resources": ["abc", *minimal_doc()["resources"][1:]]}, "resources[0]: expected an object"),
+        ({"cost_spec": ["sample"]}, "cost_spec: expected an object"),
+        ({"cost_spec": {"kind": "explicit", "functions": {}}}, "cost_spec.functions: expected a list"),
+        ({"cost_spec": {"kind": "given"}}, "cost_spec.kind: must be 'sample' or 'explicit'"),
+    ], ids=["no-resources", "resource-entry", "cost-spec", "functions", "kind"])
+    def test_malformed_sections(self, overrides, message):
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(minimal_doc(**overrides))
+        assert exc.value.fields == [message]
+
+    @pytest.mark.parametrize("shape, message", [
+        ({"resources": (ResourceParams(capacity=1.0, alpha=0.3, beta=0.5, gamma_norm=0.1),)},
+         "resources: length 1 does not match m=3"),
+        ({"n": 8, "functions": sample_cost_functions(0, 5)},
+         "cost_spec.functions: length 5 does not match n=8"),
+    ], ids=["resources", "functions"])
+    def test_config_refuses_a_shape_it_cannot_run(self, shape, message):
+        with pytest.raises(ConfigError) as exc:
+            dataclasses.replace(tiny_config(), **shape)
+        assert exc.value.fields == [message]
+
     def test_all_problems_reported_together(self):
         doc = minimal_doc(surprise=1)
         doc["resources"][1]["beta"] = 1.5
@@ -178,6 +204,10 @@ class TestValidation:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             parse_config(path)
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(path)
+        assert exc.value.fields == ["<file>: top level must be a JSON object"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -245,6 +245,25 @@ class TestRoundKernel:
             assert got.rng.bit_generator.state == want.rng.bit_generator.state
             assert got.k == want.k
 
+    @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+    def test_plans_evicted_after_64_patterns(self, mode):
+        # 65 distinct patterns on 7 resources: the 65th clears the 64 kept
+        # plans, and patterns 1 and 2 are then planned again
+        resources = [ResourceParams(capacity=1.0, alpha=0.1 + 0.05 * j, beta=0.5, gamma_norm=0.1)
+                     for j in range(7)]
+        got, want = (build_world([WeightedSquare(w) for w in (1.0, 2.0, 0.5)], resources, mode, 3)
+                     for _ in range(2))
+        for k, pattern in enumerate([*range(65), 1, 2]):
+            bits = [(pattern >> j) & 1 for j in range(7)]
+            got.events = np.array(bits, dtype=np.uint8)
+            want.events = np.array(bits, dtype=np.uint8)
+            step_world(got)
+            reference_step_world(want)
+            for name in ("x", "x_bar", "grads", "totals", "events"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (k, name)
+            assert got.rng.bit_generator.state == want.rng.bit_generator.state
+            assert len(got._patterns) == (k + 1 if k < 64 else k - 63)
+
 
 class TestDeviceReplay:
     """A device's trajectory follows from its own cost, the resource constants and the event bits."""
@@ -327,6 +346,11 @@ class TestNonFiniteGuard:
         with pytest.raises(SimulationError, match=rf"^step {first}, resource 1: "):
             run(cfg, world=world(threshold))
         assert len(calls) <= 2 * rounds
+
+    def test_names_a_population_cost_that_is_not_finite(self):
+        cost = np.array([1.0, np.inf, 1.0])
+        with pytest.raises(SimulationError, match=r"^step 6: population cost inf is not finite$"):
+            engine._check_finite(np.ones((3, 2)), np.zeros((3, 2)), cost, first_step=5)
 
     def test_finite_run_passes(self):
         cfg = two_resource_config()

@@ -64,3 +64,25 @@ class TestCollectMetrics:
         np.testing.assert_array_equal(report.summary.final_spread, trace.spread[-1])
         assert report.summary.distance_median == np.median(report.final_distance)
         assert report.summary.distance_max == report.final_distance.max()
+
+
+class TestSteadyStateModel:
+    """The README's first-order model of the steady state, on the bundled reference runs.
+
+    An event round on resource j lowers its total by D = (1 - beta) Gamma mu n,
+    any other round raises it by G = n alpha, so the event rate is
+    G / (G + D) and the time-average total sits (G - D) / 2 above the
+    threshold. The tolerances were fixed before the runs were read.
+    """
+
+    @pytest.mark.parametrize("mode_index", [0, 1], ids=["deterministic", "stochastic"])
+    def test_rate_and_mean_total(self, reference_comparison, mode_index):
+        trace = reference_comparison.traces[mode_index]
+        mu = reference_comparison.optimum.mu
+        for j, p in enumerate(trace.config.resources):
+            gain = trace.n * p.alpha
+            drop = (1.0 - p.beta) * p.gamma_norm * mu[j] * trace.n
+            rate = trace.events[1000:, j].mean()
+            assert abs(rate / (gain / (gain + drop)) - 1.0) <= 0.03, j
+            predicted = (p.gamma_cap * p.capacity + (gain - drop) / 2.0) / p.capacity
+            assert abs(trace.totals_avg[-1, j] / p.capacity - predicted) <= 0.005, j

@@ -16,6 +16,7 @@ from aimdalloc.engine import resolve_functions
 
 from _stand_ins import (
     BlowUp,
+    Constant,
     Coupled,
     WeightedSquare,
     Wiggly,
@@ -90,6 +91,10 @@ class TestSeparableSolver:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             solve_separable([WeightedSquare(1.0)], [0.0])
+
+    def test_vanishing_derivatives_rejected(self):
+        with pytest.raises(oracle.BracketError, match="all derivatives vanish up to capacity"):
+            solve_separable([Constant(), Constant()], [1.0])
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     @pytest.mark.parametrize("solver", [solve_separable, solve_projected_gradient])
@@ -304,6 +309,12 @@ class TestProjectedGradient:
         pgd = solve_projected_gradient(fns, caps, tol=1e-7)
         assert np.abs(pgd.x_star - grid).max() <= 2e-2
 
+    def test_mu_is_the_mean_over_active_devices(self):
+        # device 1 holds nothing, so its zero derivative stays out of the mean
+        fns = [WeightedSquare(1.0), WeightedSquare(1.0)]
+        out = solve_projected_gradient(fns, [1.0], x0=np.array([[1.0], [0.0]]), max_iters=0)
+        assert out.mu.tolist() == [2.0]
+
     def test_non_convergence_flagged(self):
         fns = sample_cost_functions(29, 5)
         out = solve_projected_gradient(fns, [3.0, 2.0, 2.0], tol=1e-12, max_iters=2)
@@ -356,6 +367,17 @@ class TestKktResidual:
     def test_negative_allocation_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             kkt_residual([WeightedSquare(1.0)] * 2, np.array([[-0.5], [3.5]]), [3.0])
+
+    @pytest.mark.parametrize("fns, x, want", [
+        # no active device: the spread term is 0 and the feasibility gap is 1
+        ([WeightedSquare(1.0)] * 2, [[0.0], [0.0]], 1.0),
+        # derivatives -1.2 and -0.8: a nonzero spread around a negative mean
+        ([WeightedSquare(-1.0)] * 2, [[0.6], [0.4]], np.inf),
+        # the one active device's derivative is NaN
+        ([BlowUp(1.0, [0.5], np.nan), WeightedSquare(1.0)], [[1.0], [0.0]], np.inf),
+    ], ids=["no-active-device", "negative-mean", "nan-gradient"])
+    def test_certificate_edge_cases(self, fns, x, want):
+        assert kkt_residual(fns, np.array(x), [1.0]) == want
 
     def test_nan_gradient_reads_inf(self):
         # a feasible split whose first device's derivative is NaN: the spread term is NaN
