@@ -27,7 +27,7 @@ from . import engine
 from .aimd import RUN_MODES
 from .config import Config, ConfigError, config_hash, parse_config
 from .engine import SimulationError
-from .metrics import collect_metrics
+from .metrics import _median, collect_metrics
 from .oracle import BracketError
 from .report import certified_optimum, compare_modes, export_comparison, export_trace, write_json
 
@@ -115,7 +115,7 @@ def _cmd_compare(args) -> int:
     diff = cr.final_diff
     print(f"compare {cr.modes[0]} vs {cr.modes[1]}: "
           f"convergence steps {cr.convergence_steps[0]} vs {cr.convergence_steps[1]}")
-    print(f"final average-allocation gap: median {np.median(diff):.3e}, max {diff.max():.3e}")
+    print(f"final average-allocation gap: median {_median(diff):.3e}, max {diff.max():.3e}")
     print(f"wrote comparison to {manifest.directory}")
     return EXIT_OK
 

@@ -65,9 +65,9 @@ class SimulationError(RuntimeError):
 
 def _as_index(cols: np.ndarray):
     """Ascending column numbers as a basic slice when evenly spaced, so indexing makes a view."""
-    steps = np.unique(np.diff(cols))
-    if cols.size and steps.size <= 1:
-        return slice(int(cols[0]), int(cols[-1]) + 1, int(steps[0]) if steps.size else 1)
+    steps = set(np.diff(cols).tolist())
+    if cols.size and len(steps) <= 1:
+        return slice(int(cols[0]), int(cols[-1]) + 1, steps.pop() if steps else 1)
     return cols
 
 
@@ -369,7 +369,7 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
         if w.k != 0:
             raise ValueError("pass a freshly built world (k = 0); traces start at step 0")
 
-    snap_flags = np.isin(np.arange(total + 1), snaps).tolist()
+    snap_flags = np.bincount(snaps, minlength=total + 1).tolist()  # 1 at each snapshot's step
 
     events = np.zeros((total + 1, m), dtype=np.uint8)
     totals_inst = np.zeros((total + 1, m))

@@ -10,6 +10,14 @@ from .costs import _check_domain, make_ensemble
 from .engine import Trace
 
 
+def _median(a: np.ndarray) -> float:
+    """``np.median(a)`` bit for bit, for a non-empty float array, without importing ``numpy.ma``."""
+    half = a.size // 2
+    part = np.partition(a, [half - 1, half, -1] if a.size % 2 == 0 else [half, -1], axis=None)
+    mid = part[half] + 0.0 if a.size % 2 else (part[half - 1] + part[half] + 0.0) / 2  # np.mean starts at +0.0
+    return float(part[-1] if np.isnan(part[-1]) else mid)  # a NaN sorts last
+
+
 @dataclass(frozen=True)
 class MetricsSummary:
     final_cost_ratio: float
@@ -56,7 +64,7 @@ def collect_metrics(trace: Trace, optimum: np.ndarray) -> MetricsReport:
     summary = MetricsSummary(
         final_cost_ratio=float(cost_ratio[-1]),
         final_spread=tuple(float(v) for v in trace.spread[-1]),
-        distance_median=float(np.median(distance)),
+        distance_median=_median(distance),
         distance_max=float(distance.max()),
         event_bits=tuple(int(v) for v in trace.cumulative_event_bits[-1]),
         wall_time_s=trace.wall_time_s,

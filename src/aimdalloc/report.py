@@ -23,16 +23,16 @@ from .aimd import RUN_MODES
 from .config import Config, ConfigError, serialize_config
 from .costs import FIELD_RANGES, Population, make_ensemble
 from .engine import SimulationError, Trace
-from .metrics import MetricsReport, collect_metrics
+from .metrics import MetricsReport, _median, collect_metrics
 from .oracle import OptimalAllocation, solve_separable
 
 
 #: convergence threshold per resource, as a fraction of the larger peak spread
 SPREAD_FRACTION = 0.05
 
-#: CSV rows formatted and written per block; sized in rows, not trace.csv
-#: snapshots, because one snapshot of a wide run is n * m rows
-_BLOCK_ROWS = 8192
+#: values (cells) formatted and written per CSV block, whatever a row's width;
+#: one trace.csv snapshot of a wide run (n * m rows of 3 cells) is several blocks
+_BLOCK_CELLS = 16384
 
 #: a population member's record after another one, as ``json.dumps(..., sort_keys=True, indent=2)`` lays it out
 _RECORD = ",\n    {\n" + ",\n".join(f'      "{name}": %d' for name in sorted(FIELD_RANGES)) + "\n    }"
@@ -194,48 +194,49 @@ def _worker(tmp, trace: Trace, lo: int, hi: int):
         os._exit(status)
 
 
-def _write_blocks(fh, row: str, lo: int, hi: int, columns) -> None:
-    """Write rows [lo, hi) to ``fh`` in blocks of ``_BLOCK_ROWS`` rows.
+def _write_blocks(fh, row: str, lo: int, hi: int, columns, template=None) -> None:
+    """Write rows [lo, hi) to ``fh`` in blocks of ``_BLOCK_CELLS`` cells, one per ``%`` field of ``row``.
 
-    Each block is one ``%`` of the row template ``row`` repeated once per row
-    over the block's ``columns(start, stop)`` (one sequence per field),
-    interleaved; an extended-slice assignment raises if a column's length
-    differs from the block's.
+    A block is one ``%`` of ``template(start, stop)``, by default ``row`` once per row, over the block's
+    ``columns(start, stop)`` (one sequence per field) interleaved, which raises if a column's length is off.
     """
-    for start in range(lo, hi, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, hi)
+    rows = max(1, _BLOCK_CELLS // row.count("%"))
+    for start in range(lo, hi, rows):
+        stop = min(start + rows, hi)
         cols = columns(start, stop)
         flat = [None] * (len(cols) * (stop - start))
         for c, col in enumerate(cols):
             flat[c :: len(cols)] = col
-        fh.write(row * (stop - start) % tuple(flat))
+        fh.write((template(start, stop) if template else row * (stop - start)) % tuple(flat))
 
 
 def _write_rows(fh, trace: Trace, lo: int, hi: int) -> None:
     """Write trace.csv data rows [lo, hi) to ``fh`` through ``_write_blocks``.
 
-    Row r is snapshot r // (n * m), device (r // m) % n, resource r % m: a
-    ``step,device,resource,`` prefix string, x, x_bar and the gradient at x_bar.
+    Row r is snapshot r // (n * m), device (r // m) % n, resource r % m. A block's template joins the
+    per-cell ``device,resource,`` strings with the three ``%.9g`` fields and the snapshot's ``step,``,
+    so only the floats go through ``%``. Each snapshot's gradients are evaluated once per process.
     """
-    n, m = trace.n, trace.m
-    per_snap = n * m
+    per_snap, row = trace.n * trace.m, "%.9g,%.9g,%.9g\n"
     steps = [f"{step}," for step in trace.snap_steps.tolist()]
-    cells = [f"{i},{j}," for i in range(n) for j in range(m)]
+    cells = [f"{i},{j}," for i in range(trace.n) for j in range(trace.m)]
     x, xbar = trace.x_snap.reshape(-1), trace.xbar_snap.reshape(-1)
-    gradients, last_range = make_ensemble(trace.functions, m).gradients, [None, None]
+    gradients, held = make_ensemble(trace.functions, trace.m).gradients, [-1, None]
+    template = lambda start, stop: "".join(
+        steps[s] + (row + steps[s]).join(cells[max(start - s * per_snap, 0) : stop - s * per_snap]) + row
+        for s in range(start // per_snap, (stop - 1) // per_snap + 1))
 
     def columns(start, stop):
         first, last = start // per_snap, (stop - 1) // per_snap + 1
-        prefixes = []
-        for s in range(first, last):
-            prefixes += map(steps[s].__add__, cells[max(start - s * per_snap, 0) : stop - s * per_snap])
-        # gradients of the whole snapshots the block touches, kept for the next blocks of a wide one
-        if last_range[0] != (first, last):
-            last_range[:] = (first, last), gradients(trace.xbar_snap[first:last]).reshape(-1)
-        grad = last_range[1][start - first * per_snap :]
-        return [prefixes, x[start:stop].tolist(), xbar[start:stop].tolist(), grad[: stop - start].tolist()]
+        grads = [held[1]] if first == held[0] else []  # the last snapshot of the block before
+        if first + len(grads) < last:
+            grads.append(gradients(trace.xbar_snap[first + len(grads) : last]).reshape(-1))
+        held[:] = last - 1, grads[-1][-per_snap:]
+        grad = np.concatenate(grads) if len(grads) > 1 else grads[0]
+        grad = grad[start - first * per_snap : stop - first * per_snap].tolist()
+        return [x[start:stop].tolist(), xbar[start:stop].tolist(), grad]
 
-    _write_blocks(fh, "%s%.9g,%.9g,%.9g\n", lo, hi, columns)
+    _write_blocks(fh, row, lo, hi, columns, template)
 
 
 def _write_full_rate(trace: Trace, report: MetricsReport, out: Path, rows: dict[str, int]):
@@ -361,7 +362,7 @@ def export_comparison(cr: ComparisonReport, out_dir: str | Path) -> ExportManife
             mode: list(bits)
             for mode, bits in zip(cr.modes, cr.event_bits_at_convergence)
         },
-        "final_avg_diff_median": float(np.median(cr.final_diff)),
+        "final_avg_diff_median": _median(cr.final_diff),
         "final_avg_diff_max": float(cr.final_diff.max()),
         "optimum_mu": [float(v) for v in cr.optimum.mu],
         "optimum_kkt_residual": cr.optimum.kkt_residual,

@@ -2,6 +2,8 @@ import argparse
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -303,3 +305,22 @@ class TestOutBlockedByFile:
         assert main([command[0], str(cfg), *command[1:], "--out", str(out)]) == 2
         assert f"out_dir: {out / taken} is not a directory" in capsys.readouterr().err
         assert os.listdir(out) == [taken]
+
+
+class TestNoMaskedArrays:
+    def test_commands_leave_numpy_ma_unimported(self, tmp_path):
+        """``numpy.ma`` costs a process about 13 ms and 1.2 MiB; np.median, np.unique, np.isin and
+        np.percentile import it, so no command may call them (quickstart cut to 300 steps)."""
+        config = tmp_path / "quickstart.json"
+        config.write_text(json.dumps({**json.loads((REPO_ROOT / "configs" / "quickstart.json").read_text()),
+                                      "steps": 300}))
+        argvs = [f"run {config} --stride 7 --mode stochastic", f"compare {config} --stride 7",
+                 f"solve {config}", f"sweep {config} --stride 7 --mode deterministic --seeds 1..2"]
+        script = ("import sys\nfrom aimdalloc.cli import main\n"
+                  "for i, argv in enumerate(sys.argv[1:]):\n"
+                  "    assert main(argv.split() + ['--out', f'out{i}']) == 0, argv\n"
+                  "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
+        path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script, *argvs], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr

@@ -9,6 +9,7 @@ from aimdalloc import (
     run,
     solve_separable,
 )
+from aimdalloc.metrics import _median
 
 from _stand_ins import tiny_config
 
@@ -64,6 +65,37 @@ class TestCollectMetrics:
         np.testing.assert_array_equal(report.summary.final_spread, trace.spread[-1])
         assert report.summary.distance_median == np.median(report.final_distance)
         assert report.summary.distance_max == report.final_distance.max()
+
+
+class TestMedian:
+    """``_median`` (no ``numpy.ma`` import) returns ``np.median``'s bits."""
+
+    SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-308, -1e-310, np.inf, -np.inf, 1.0, -1.0, 1e308]
+
+    @staticmethod
+    def assert_same_bits(a):
+        with np.errstate(all="ignore"):  # inf - inf, 1e308 + 1e308
+            assert np.float64(_median(a)).tobytes() == np.float64(np.median(a)).tobytes(), a
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 180, 30_000])
+    def test_matches_np_median(self, size):
+        rng = np.random.default_rng(size)
+        self.assert_same_bits(rng.normal(size=size))
+        self.assert_same_bits(rng.normal(size=(size, 1)))
+        for _ in range(20 if size < 180 else 3):
+            a = rng.choice(self.SPECIALS, size=size)
+            self.assert_same_bits(a)
+            for at in {0, size // 2, size - 1}:
+                for nan in (np.nan, -np.nan):
+                    b = a.copy()
+                    b[at] = nan
+                    self.assert_same_bits(b)
+
+    @pytest.mark.parametrize("values", [[-0.0], [-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0, -0.0],
+                                        [5e-324, 5e-324], [-np.inf, np.inf], [1e308, 1e308],
+                                        [1.0, np.nan, -np.nan], [np.inf, np.inf, 1.0, np.inf]])
+    def test_edge_cases(self, values):
+        self.assert_same_bits(np.array(values))
 
 
 class TestSteadyStateModel:

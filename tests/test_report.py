@@ -24,7 +24,7 @@ from aimdalloc import (
     sample_cost_functions,
     solve_separable,
 )
-from aimdalloc.costs import Population
+from aimdalloc.costs import FIELD_RANGES, Population
 
 from conftest import REPO_ROOT
 from _stand_ins import Echo, WeightedSquare, reference_export_csv
@@ -195,16 +195,18 @@ class TestExportMatchesReference:
         assert_specials_in_every_float_column(tmp_path / "new")
 
     def test_blocks_end_mid_snapshot(self, long_runs, tmp_path, monkeypatch):
-        """Blocks of 7 rows split trace.csv snapshots of n * m rows, and every CSV ends in a partial block.
+        """Blocks of 98 cells split trace.csv snapshots of n * m rows, and every CSV ends in a partial block.
 
-        The blocks inside one snapshot share one gradient evaluation of it; a
-        snapshot is evaluated again only with a neighbour, by a block straddling them.
+        That is 32 rows of trace.csv and events.csv (3 cells) and 7 of metrics.csv
+        (14 cells at m = 3). In-process, each snapshot's gradients are evaluated
+        exactly once: a block straddling two snapshots reuses the first one's.
         """
         trace, report, reference_dir = long_runs["deterministic"]
-        assert (trace.n * trace.m) % 7 and trace.x_snap.size % 7
+        assert (trace.n * trace.m) % 32 and trace.x_snap.size % 32
         assert (trace.events.size, trace.steps.size) == (3603, 1201)
-        assert trace.events.size % 7 and trace.steps.size % 7
-        monkeypatch.setattr(aimdalloc.report, "_BLOCK_ROWS", 7)
+        assert trace.events.size % 32 and trace.steps.size % 7
+        monkeypatch.setattr(aimdalloc.report, "_BLOCK_CELLS", 98)
+        monkeypatch.setattr(aimdalloc.report, "_cpus", lambda: 1)
         evaluated = []
         make_ensemble = aimdalloc.report.make_ensemble
 
@@ -216,31 +218,35 @@ class TestExportMatchesReference:
 
         monkeypatch.setattr(aimdalloc.report, "make_ensemble", counting)
         assert_matches_reference(trace, report, tmp_path, reference_dir)
-        assert len(trace.snap_steps) <= sum(evaluated) < 3 * len(trace.snap_steps)
+        assert sum(evaluated) == len(trace.snap_steps) and 0 not in evaluated
 
     def test_one_device_one_resource_one_step(self, tmp_path):
         assert_matches_reference(*one_device_export(), tmp_path)
 
 
 class TestFullRateMemory:
-    def test_peak_stays_below_the_series(self, tmp_path, monkeypatch):
-        """events.csv and metrics.csv are formatted a block at a time, never as whole-file text."""
+    """events.csv and metrics.csv are formatted a block at a time, never as whole-file text."""
+
+    @staticmethod
+    def export_peak(tmp_path, monkeypatch, m):
+        """``_write_full_rate``'s tracemalloc peak on 6 001 random steps of m resources, and the series' bytes."""
         trace, report = one_device_export()
         rng = np.random.default_rng(7)
         steps = 6001
         trace = dataclasses.replace(
             trace,
+            x_snap=np.zeros((1, 1, m)),
             steps=np.arange(steps),
-            events=rng.integers(0, 2, (steps, 1), dtype=np.uint8),
-            totals_inst=rng.random((steps, 1)),
-            totals_avg=rng.random((steps, 1)),
-            spread=rng.random((steps, 1)),
+            events=rng.integers(0, 2, (steps, m), dtype=np.uint8),
+            totals_inst=rng.random((steps, m)),
+            totals_avg=rng.random((steps, m)),
+            spread=rng.random((steps, m)),
             cost_sum_avg=rng.random(steps),
         )
         report = dataclasses.replace(report, cost_ratio=rng.random(steps))
         series = [trace.steps, trace.events, trace.cumulative_event_bits, trace.spread,
                   report.cost_ratio, trace.totals_avg, trace.totals_inst]
-        monkeypatch.setattr(aimdalloc.report, "_BLOCK_ROWS", 40)
+        monkeypatch.setattr(aimdalloc.report, "_BLOCK_CELLS", 560)
         rows = {}
         t0 = time.perf_counter()
         tracemalloc.start()
@@ -250,8 +256,36 @@ class TestFullRateMemory:
         finally:
             tracemalloc.stop()
         assert time.perf_counter() - t0 < 1.0
-        assert rows == {"events.csv": steps, "metrics.csv": steps, "summary.json": 1}
-        assert peak < sum(a.nbytes for a in series)
+        assert rows == {"events.csv": steps * m, "metrics.csv": steps, "summary.json": 1}
+        assert (tmp_path / "metrics.csv").read_text().count(",") == (steps + 1) * (4 * m + 1)
+        return peak, sum(a.nbytes for a in series)
+
+    def test_peak_stays_below_the_series(self, tmp_path, monkeypatch):
+        peak, series = self.export_peak(tmp_path, monkeypatch, 1)
+        assert peak < series
+
+    def test_wide_rows_peak_stays_below_the_series(self, tmp_path, monkeypatch):
+        """At m = 3 a metrics.csv row is 14 cells; the block's budget is in cells, so its text stays small."""
+        peak, series = self.export_peak(tmp_path, monkeypatch, 3)
+        assert peak < series
+
+
+class TestTraceRowsMemory:
+    def test_peak_is_set_by_the_budget_not_the_rows(self, long_runs, tmp_path, monkeypatch):
+        """trace.csv's rows are formatted a block at a time: ten times the rows peak no higher."""
+        trace, _, _ = long_runs["stochastic"]
+        monkeypatch.setattr(aimdalloc.report, "_BLOCK_CELLS", 300)
+        peaks = []
+        for rows in (2_000, 20_000):
+            with open(tmp_path / "trace.csv", "w") as fh:
+                tracemalloc.start()
+                try:
+                    aimdalloc.report._write_rows(fh, trace, 0, rows)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        text = (tmp_path / "trace.csv").stat().st_size
+        assert peaks[1] < 1.25 * peaks[0] and peaks[1] < text / 5, (peaks, text)
 
 
 @pytest.fixture
@@ -307,7 +341,7 @@ class TestSplitExport:
     def test_ranges_end_mid_snapshot_and_mid_block(self, long_runs, tmp_path, monkeypatch, forks):
         trace, report, reference_dir = long_runs["deterministic"]
         split_rows(monkeypatch, 3)
-        monkeypatch.setattr(aimdalloc.report, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(aimdalloc.report, "_BLOCK_CELLS", 21)  # 7 rows of 3 cells
         bounds = aimdalloc.report._row_bounds(trace)
         per_snap = trace.n * trace.m
         assert all(b % per_snap for b in bounds[1:-1])
@@ -427,7 +461,7 @@ class TestWriteJson:
     @pytest.mark.parametrize("block_rows", [7, 8192])
     def test_populations(self, n, block_rows, tmp_path, monkeypatch):
         """Populations, two in one document, are streamed as the records ``json.dumps`` gives."""
-        monkeypatch.setattr(aimdalloc.report, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(aimdalloc.report, "_BLOCK_CELLS", block_rows * len(FIELD_RANGES))
         pop = sample_cost_functions(n, n)
         doc = {"a_first": [{"x": 1}], "cost_functions": pop, "z": {"nested": [1]}, "zz": pop[::-3]}
         aimdalloc.report.write_json(tmp_path / "doc.json", doc)
