@@ -74,7 +74,7 @@ def additive_increase(x, alpha, out=None):
 
 
 def scaling_factor(gamma_norm, grad, x_bar_j, stats: ClampStats | None = None, out=None,
-                   cols=None):
+                   cols=None, scratch=None):
     """Back-off scaling factor: gamma_norm * grad / x_bar_j, kept inside (0, 1).
 
     Elementwise; ``grad`` and ``x_bar_j`` may be (n, k) blocks of k resource
@@ -82,19 +82,18 @@ def scaling_factor(gamma_norm, grad, x_bar_j, stats: ClampStats | None = None, o
     ratio is clipped into [LAMBDA_MARGIN, 1 - LAMBDA_MARGIN]; clips are
     counted in ``stats`` when given, so configurations whose normalization
     is too loose are observable. Raises DegenerateAverageError when any
-    average is at or below AVERAGE_FLOOR. ``out`` receives the factor. With
-    ``cols`` (an index into the last axis) only those columns are guarded
-    and counted, though every column gets a factor.
+    average is at or below AVERAGE_FLOOR. ``out`` receives the factor and
+    ``scratch``, another array, the raw ratio. With ``cols`` (an index into
+    the last axis) only those columns are guarded and counted, though every
+    column gets a factor.
     """
-    x_bar_arr = np.asarray(x_bar_j, dtype=float)
     # the whole-array count is the cheap test; the guarded columns decide
-    low = np.count_nonzero(np.less_equal(x_bar_arr, _FLOOR))
-    if low and (cols is None or np.count_nonzero(x_bar_arr[..., cols] <= AVERAGE_FLOOR)):
+    low = np.count_nonzero(np.less_equal(x_bar_j, _FLOOR))
+    if low and (cols is None or np.count_nonzero(np.asarray(x_bar_j)[..., cols] <= AVERAGE_FLOOR)):
         raise DegenerateAverageError(
             f"average allocation <= {AVERAGE_FLOOR} in scaling factor"
         )
-    raw = np.multiply(gamma_norm, np.asarray(grad, dtype=float))
-    raw /= x_bar_arr
+    raw = np.divide(np.multiply(gamma_norm, grad, scratch), x_bar_j, scratch)
     lam = np.minimum(np.maximum(raw, _LOW, out=out), _HIGH, out=out)
     if stats is not None and np.count_nonzero(lam != raw):
         counted = raw if cols is None else raw[..., cols]
@@ -103,10 +102,11 @@ def scaling_factor(gamma_norm, grad, x_bar_j, stats: ClampStats | None = None, o
     return float(lam) if lam.ndim == 0 else lam
 
 
-def deterministic_factor(lam, beta, out=None):
-    """Multiplier of the synchronous back-off: lam * beta + (1 - lam)."""
+def deterministic_factor(lam, beta, out=None, scratch=None):
+    """Synchronous back-off multiplier lam * beta + (1 - lam); ``out`` may be ``lam``, ``scratch`` takes 1 - lam."""
+    keep = np.subtract(_ONE, lam, scratch)
     factor = np.multiply(lam, beta, out)
-    factor += np.subtract(_ONE, lam)
+    factor += keep
     return factor
 
 
@@ -122,9 +122,9 @@ def md_deterministic(x, lam, beta):
 def stochastic_factor(u, lam, beta, out=None):
     """Randomized back-off multiplier for draws ``u``: beta where u < lam, else 1.
 
-    As max(beta, 1 - [u < lam]), exact for beta in [0, 1), every pass can write to ``out``.
+    As max(beta, 1 - [u < lam]), exact for beta in [0, 1), every pass can write to ``out``, which may be ``lam``.
     """
-    miss = np.subtract(_ONE, np.less(u, lam, out=out), out=out)
+    miss = np.subtract(_ONE, np.less(u, lam, out), out)
     return np.maximum(beta, miss, out=out)
 
 
@@ -139,12 +139,12 @@ def md_stochastic(x, lam, beta, rng: np.random.Generator):
     return float(out) if out.ndim == 0 else out
 
 
-def update_average(x_bar, x_next, k, out=None):
+def update_average(x_bar, x_next, k, out=None, scratch=None):
     """Running-average step: ((k+1) x_bar + x_next) / (k+2), written to ``out`` when given.
 
     After starting from x_bar(0) = x(0), the iterate equals the arithmetic
-    mean of x(0..k+1).
+    mean of x(0..k+1). ``scratch``, another array, takes x_next / (k+2).
     """
     avg = np.multiply((k + 1.0) / (k + 2.0), x_bar, out)
-    avg += np.divide(x_next, np.array(k + 2.0))
+    avg += np.divide(x_next, np.array(k + 2.0), scratch)
     return avg

@@ -7,7 +7,7 @@ Subcommands:
   sweep    repeat a run across a seed range and aggregate
 
 Exit codes: 0 success, 2 configuration problem (including the devices' arrays
-and their trace over engine.TRACE_BUDGET_BYTES, refused before sampling, and
+and their trace over engine.check_footprint's budget, refused before sampling, and
 an output directory blocked by a file, refused before simulating), 3
 run/solver failure (including a non-finite total, derivative spread or cost,
 and an oracle KKT residual above the config's kkt_tol, both checked before
@@ -129,7 +129,7 @@ def _cmd_solve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     doc = {
         "config_hash": config_hash(cfg),
-        "x_star": [[float(v) for v in row] for row in optimum.x_star],
+        "x_star": optimum.x_star,
         "mu": [float(v) for v in optimum.mu],
         "kkt_residual": optimum.kkt_residual,
         "iterations": optimum.iterations,

@@ -11,10 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 
-def capacity_event_bits(totals: np.ndarray, capacities: np.ndarray, gamma_caps: np.ndarray) -> np.ndarray:
-    """Event bits for one step: 1 where total demand strictly exceeds gamma*C.
+def capacity_event_bits(totals: np.ndarray, capacities: np.ndarray, gamma_caps: np.ndarray,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """Event bits for one step as uint8: 1 where total demand strictly exceeds gamma*C.
 
     Strict inequality: a total exactly at gamma_cap * capacity does not fire.
-    Resources are independent.
+    Resources are independent. ``out``, a bool array, takes the bits.
     """
-    return np.greater(totals, np.multiply(gamma_caps, capacities)).view(np.uint8)
+    return np.greater(totals, np.multiply(gamma_caps, capacities), out).view(np.uint8)

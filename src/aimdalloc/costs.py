@@ -48,12 +48,22 @@ def _gradient_coefficients(case_id, a, b, c, d) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(tables, 1, -1))
 
 
-def _value_coefficients(g: tuple) -> tuple:
+def _value_coefficients(g: np.ndarray) -> np.ndarray:
     """Coefficients of x^2, x^4, x^6 and x^8 in the value, from the gradient's ``g``.
 
     For integer weights these are the closed forms' own: 2a / 6 rounds the same real as a / 3.
     """
-    return tuple(gk / (2 * k + 2) for k, gk in enumerate(g))
+    return g / np.reshape([2.0, 4.0, 6.0, 8.0], (4,) + (1,) * (g.ndim - 1))
+
+
+def _scratch(g: np.ndarray, v: np.ndarray, shape: tuple, flat=None) -> tuple:
+    """Scratch for allocations of ``shape``: the power arrays as the rows of one (4, *shape) buffer (a view of
+    ``flat`` if given), it and its last three rows, g1, and views of the (4, ...) tables g3 to g7 and ``v``
+    broadcasting against them, so that one multiply weights three or four terms.
+    """
+    p = np.empty((4, *shape)) if flat is None else flat[: 4 * int(np.prod(shape))].reshape(4, *shape)
+    lead = (1,) * (len(shape) + 1 - g.ndim)
+    return (*p, p, p[1:], g[0], g[1:].reshape(3, *lead, *g.shape[1:]), v.reshape(4, *lead, *v.shape[1:]))
 
 
 def _family_point(x) -> np.ndarray:
@@ -75,7 +85,7 @@ class CostFunction:
     broadcast over leading axes, so a (P, 3) batch of points evaluates in one
     call; a last axis that is not 3 long raises ``ValueError``. ``value``
     and ``gradient`` run ``CostEnsemble.values`` and ``gradients`` on the
-    member's own coefficient row (``_v``, ``_g``, built on first use).
+    member's own (4, 3) coefficient tables (``_v``, ``_g``, built on first use).
     """
 
     case_id: int
@@ -96,15 +106,15 @@ class CostFunction:
                 raise ValueError(f"{name}={v} outside [{lo}, {hi}]")
 
     @cached_property
-    def _g(self) -> tuple:
-        return tuple(_gradient_coefficients(self.case_id, self.a, self.b, self.c, self.d))
+    def _g(self) -> np.ndarray:
+        return _gradient_coefficients(self.case_id, self.a, self.b, self.c, self.d)
 
     @cached_property
-    def _v(self) -> tuple:
+    def _v(self) -> np.ndarray:
         return _value_coefficients(self._g)
 
-    def _powers(self, shape: tuple) -> list[np.ndarray]:
-        return [np.empty(shape) for _ in range(4)]
+    def _powers(self, shape: tuple) -> tuple:
+        return _scratch(self._g, self._v, shape)
 
     def value(self, x) -> float | np.ndarray:
         out = CostEnsemble.values(self, _family_point(x))
@@ -187,12 +197,11 @@ class Population(Sequence):
 
     @cached_property
     def _tables(self) -> tuple:
-        """The ``_g`` and ``_v`` tables and (m, 4, n) ``_columns`` of ``CostEnsemble``, built once."""
-        tables = _gradient_coefficients(*self.fields.T)
-        tables.flags.writeable = False
-        g = tuple(tables)
+        """The (4, n, 3) ``_g`` and ``_v`` tables and (m, 4, n) ``_columns`` of ``CostEnsemble``, built once."""
+        g = _gradient_coefficients(*self.fields.T)
+        g.flags.writeable = False
         # resource j's g1, g3, g5, g7 columns, contiguous for partial_column
-        return g, _value_coefficients(g), np.ascontiguousarray(tables.transpose(2, 0, 1))
+        return g, _value_coefficients(g), np.ascontiguousarray(g.transpose(2, 0, 1))
 
 
 def as_population(functions):
@@ -353,10 +362,10 @@ class CostEnsemble:
     """Vectorized values and gradients for a fixed list of family members.
 
     Every case is a polynomial with even-degree value terms and odd-degree
-    gradient terms, so one (n, m) coefficient matrix per degree evaluates the
-    whole device population in a handful of elementwise products. Row i is
-    bit for bit what device i's own ``value`` and ``gradient`` return: they
-    run ``values`` and ``gradients`` on that row.
+    gradient terms, so one (4, n, m) coefficient table evaluates the whole
+    device population, given as a float array, in a handful of elementwise
+    products. Row i is bit for bit what device i's own ``value`` and
+    ``gradient`` return: they run ``values`` and ``gradients`` on that row.
     """
 
     def __init__(self, functions: Sequence[CostFunction]):
@@ -366,44 +375,41 @@ class CostEnsemble:
         if not isinstance(pop, Population):
             raise TypeError("CostEnsemble requires built-in family members")
         self._g, self._v, self._columns = pop._tables
-        self._flat, self._work = [np.empty(0)] * 4, {}
+        self._flat, self._work = np.empty(0), {}
 
     def __len__(self) -> int:
         return len(self.functions)
 
-    def _powers(self, shape: tuple) -> list[np.ndarray]:
-        """Four scratch arrays of ``shape`` for the power terms, views of four kept buffers.
+    def _powers(self, shape: tuple) -> tuple:
+        """``_scratch`` for ``shape``, its buffer a view of one kept buffer.
 
         At 10 000 devices fresh ones cost more in page faults than the
         arithmetic: about 510 against 150 us a ``gradients`` call.
         """
         if shape not in self._work:
-            size = int(np.prod(shape))
-            if size > self._flat[0].size:
-                self._flat, self._work = [np.empty(size) for _ in range(4)], {}
-            self._work[shape] = [b[:size].reshape(shape) for b in self._flat]
+            if 4 * int(np.prod(shape)) > self._flat.size:
+                self._flat, self._work = np.empty(4 * int(np.prod(shape))), {}
+            self._work[shape] = _scratch(self._g, self._v, shape, self._flat)
         return self._work[shape]
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """Per-device cost at the (..., n, m) allocation ``x``, shape (..., n).
 
-        The terms are weighted and added in place, in the order
+        The terms are weighted in one multiply and added in place, in the order
         v2 p2 + v4 p4 + v6 p6 + v8 p8, so a block of many matrices needs only
         the four power arrays as temporaries. Each device's resources are then
         added column by column, (r0 + r1) + r2, the order ``sum(axis=-1)``
         adds them in, without its one 3-wide loop per device.
         """
-        v2, v4, v6, v8 = self._v
-        x = np.asarray(x, dtype=float)
-        p2, p4, p6, p8 = self._powers(x.shape)
+        p2, p4, p6, p8, powers, _, _, _, weights = self._powers(x.shape)
         np.multiply(x, x, p2)
         np.multiply(p2, p2, p4)
         np.multiply(p4, p2, p6)
         np.multiply(p4, p4, p8)
-        p2 *= v2
-        p2 += np.multiply(p4, v4, p4)
-        p2 += np.multiply(p6, v6, p6)
-        p2 += np.multiply(p8, v8, p8)
+        np.multiply(powers, weights, powers)
+        p2 += p4
+        p2 += p6
+        p2 += p8
         total = p2[..., 0] + p2[..., 1]
         total += p2[..., 2]
         return total
@@ -411,20 +417,19 @@ class CostEnsemble:
     def gradients(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(..., n, m) partials at ``x``, written to ``out`` when given; row i of each matrix is device i's gradient.
 
-        The terms are weighted and added in place, in the order
-        g1 x + g3 p3 + g5 p5 + g7 p7, as in ``values``.
+        The three odd terms are weighted in one multiply, and the terms added in
+        place in the order g1 x + g3 p3 + g5 p5 + g7 p7, as in ``values``.
         """
-        g1, g3, g5, g7 = self._g
-        x = np.asarray(x, dtype=float)
-        p2, p3, p5, p7 = self._powers(x.shape)
+        p2, p3, p5, p7, _, odd, g1, weights, _ = self._powers(x.shape)
         np.multiply(x, x, p2)
         np.multiply(p2, x, p3)
         np.multiply(p3, p2, p5)
         np.multiply(p5, p2, p7)
+        np.multiply(odd, weights, odd)
         out = np.multiply(g1, x, out)
-        out += np.multiply(p3, g3, p3)
-        out += np.multiply(p5, g5, p5)
-        out += np.multiply(p7, g7, p7)
+        out += p3
+        out += p5
+        out += p7
         return out
 
     def partial_column(self, t: np.ndarray, j: int) -> np.ndarray:

@@ -7,26 +7,29 @@ round. Demand measured at a step is therefore acted on exactly one step
 later, which bounds the instantaneous overshoot by n * alpha per resource.
 
 Every device hears the same broadcast, so one round is a single matrix step
-over the whole population, x(k+1) = A(k) x(k) + alpha. ``step_world`` makes
-it in same-shape passes over all m resource columns, into buffers the
-``WorldState`` keeps: the scaling factor and back-off factor F on every
-column (beta and gamma_norm kept tiled to (n, m)), F = 1 on the idle
+over the whole population, x(k+1) = A(k) x(k) + alpha. One loop,
+``_advance``, makes it in same-shape passes over all m resource columns, into
+buffers the ``WorldState`` keeps: the scaling factor and back-off factor F on
+every column (beta and gamma_norm kept tiled to (n, m)), F = 1 on the idle
 columns, then x * F + A, with A alpha tiled and zeroed on the event columns.
 That is x * f on an event column and x + alpha on an idle one, bit for bit.
 At 60 devices a pass costs about 0.5 us, against 1.6 us for an (m,)
 broadcast; at 10 000 a masked copy costs 144 us against 22 us for a
-multiply, and several fresh (n, m) temporaries at once cost page faults.
-So a round gathers no column, broadcasts no (m,) row, copies nothing under
-a mask and holds at most one fresh (n, m) temporary at a time; at 60
-devices ``run`` takes about 40 us a round against 63-69 us for a gathering
-round (``BENCH_fused_step.json``).
+multiply, and fresh (n, m) temporaries cost page faults. So a round gathers
+no column, broadcasts no (m,) row, copies nothing under a mask and makes no
+(n, m) temporary of its own: the rules write theirs into two spare buffers
+of the world. At 60 devices that makes a round of ``run`` about a tenth faster than a
+``step_world`` call with the rules' temporaries: 23 and 27 against 26 and 30 us,
+deterministic and stochastic, in one set of paired runs (``BENCH_lean_loop.json``).
 
-``run`` pairs that kernel with a recorder. Each round steps the averages and
+``run`` binds the world's buffers, the rules and the plan lookup once per
+block of rounds and runs the loop over it: each round steps the averages and
 their gradients straight into a row of a (rounds, n, m) block of about
-``_BLOCK_BYTES`` and keeps the event bits, the totals and any snapshot; once
-per block it fills the block's rows of the series read off the averages
-(their totals, the derivative spread and the population cost) with one
-ensemble call on the whole block, and stops at the first that is not finite.
+``_BLOCK_BYTES``, its totals and event bits into the trace's rows, and keeps
+any snapshot; once per block ``run`` fills the block's rows of the series
+read off the averages (their totals, the derivative spread and the population
+cost) with one ensemble call on the whole block, and stops at the first that
+is not finite. ``step_world`` is the same loop over one round.
 """
 
 from __future__ import annotations
@@ -44,13 +47,13 @@ from .control import capacity_event_bits
 from .costs import Population, as_population, make_ensemble, sample_cost_functions
 
 
-#: most bytes a trace plus the devices' arrays may take; more is refused before sampling
+#: most bytes a trace plus the devices' arrays may take (less under a tight RLIMIT_AS); more is refused before sampling
 TRACE_BUDGET_BYTES = 4 * 2**30
 
 #: bytes a device takes besides the trace at m = 3, read off the code: 293 for its rows of the
 #: population and its tables, and up to about 700 more in one phase (the world's rows and
-#: pattern plans, or the oracle's rows); tracemalloc peaks at n = 200 000 were 1 098 for a
-#: 500-round stochastic run with every pattern's plan, its trace included, and 914 for a solve
+#: pattern plans, or the oracle's rows); tracemalloc peaks at n = 200 000 were 1 090 for a
+#: 500-round stochastic run with every pattern's plan, its trace included, and 561 for a solve
 DEVICE_BYTES = 1_200
 
 #: bytes of one (rounds, n, m) block the recorder buffers between series fills;
@@ -103,7 +106,7 @@ class WorldState:
         n, m = self.x.shape
         self._beta = np.tile(self.beta, (n, 1))
         self._gamma_norm = np.tile(self.gamma_norm, (n, 1))
-        # the scaling factor, then the running sums the totals view
+        # the raw ratio, 1 - lambda, x / (k + 2) and the running sums; the factors
         self._work = np.empty((n, m))
         self._factor = np.empty((n, m))
         self._patterns: dict[bytes, tuple] = {}
@@ -120,8 +123,9 @@ class WorldState:
         """The current event pattern's round plan, built the first time the pattern occurs.
 
         It holds the event and idle column indices (events None when there
-        are none), A, and a stochastic world's resource-major (m, n) draw
-        buffer, idle rows at 1.0, with one slice per run of event rows.
+        are none), A, and the (n, m) transpose of a stochastic world's
+        resource-major (m, n) draw buffer, idle rows at 1.0, with one slice of
+        that buffer per run of event rows.
         """
         key = self.events.tobytes()
         if key not in self._patterns:
@@ -134,7 +138,7 @@ class WorldState:
             runs = np.split(cols, np.flatnonzero(np.diff(cols) != 1) + 1) if cols.size else []
             self._patterns[key] = (
                 _as_index(cols) if cols.size else None, _as_index(np.flatnonzero(self.events == 0)),
-                add, uniform, [uniform[r[0]:r[-1] + 1] for r in runs],
+                add, uniform.T, [uniform[r[0]:r[-1] + 1] for r in runs],
             )
         return self._patterns[key]
 
@@ -187,12 +191,23 @@ def build_world(functions, params, mode: str, seed: int) -> WorldState:
 
 
 def check_footprint(n: int, trace_bytes: int = 0) -> None:
-    """Raise ValueError if n devices and a trace of ``trace_bytes`` would pass the budget; call it before sampling."""
-    if (need := n * DEVICE_BYTES + trace_bytes) > TRACE_BUDGET_BYTES:
+    """Raise ValueError if n devices and a trace of ``trace_bytes`` would pass the budget; call it before sampling.
+
+    The budget is ``TRACE_BUDGET_BYTES``, or the soft RLIMIT_AS less what the process maps if smaller.
+    """
+    budget = TRACE_BUDGET_BYTES
+    try:
+        import resource
+        if (soft := resource.getrlimit(resource.RLIMIT_AS)[0]) != resource.RLIM_INFINITY:
+            with open("/proc/self/statm") as fh:  # its first field is the pages the process maps
+                budget = min(budget, soft - int(fh.read().split()[0]) * resource.getpagesize())
+    except (ImportError, OSError):  # no resource module or no /proc: the fixed budget
+        pass
+    if (need := n * DEVICE_BYTES + trace_bytes) > budget:
         trace = f" and a {trace_bytes / 2**30:.1f} GiB trace" if trace_bytes else ""
         raise ValueError(
             f"{n} devices would take about {need / 2**30:.1f} GiB ({DEVICE_BYTES} bytes each{trace}), "
-            f"above the {TRACE_BUDGET_BYTES / 2**30:g} GiB budget; use fewer devices"
+            f"above the {budget / 2**30:g} GiB budget; use fewer devices"
             + (" or keep fewer snapshots with a larger --stride (trace_stride)" if trace_bytes else "")
         )
 
@@ -223,31 +238,49 @@ def step_world(w: WorldState, x_bar_out=None, grads_out=None) -> None:
     ``x_bar_out`` and ``grads_out`` when given, else over the old ones; the
     world holds them afterwards.
     """
-    events, idle, add, uniform, draws = w.pattern()
-    x = w.x
-    if events is not None:
-        try:
-            lam = aimd.scaling_factor(
-                w._gamma_norm, w.grads, w.x_bar, w.clamp, out=w._work, cols=events
-            )
-        except DegenerateAverageError as e:
-            cols = np.flatnonzero(w.events)
-            j = cols[np.any(w.x_bar[:, cols] <= AVERAGE_FLOOR, axis=0)][0]
-            raise SimulationError(f"step {w.k}, resource {j}: {e}") from e
-        if w.mode == "deterministic":
-            factor = aimd.deterministic_factor(lam, w._beta, w._factor)
-            factor[:, idle] = 1.0
-        else:
-            for rows in draws:
-                w.rng.random(out=rows)
-            factor = aimd.stochastic_factor(uniform.T, lam, w._beta, w._factor)
-        np.multiply(x, factor, x)
-    aimd.additive_increase(x, add, x)
-    w.x_bar = aimd.update_average(w.x_bar, x, w.k, w.x_bar if x_bar_out is None else x_bar_out)
-    w.grads = w.ensemble.gradients(w.x_bar, w.grads if grads_out is None else grads_out)
-    w.totals = _device_sum(x, w._work)
-    w.events = capacity_event_bits(w.totals, w.capacity, w.gamma_cap)
-    w.k += 1
+    _advance(w, [(w.x_bar if x_bar_out is None else x_bar_out, w.grads if grads_out is None else grads_out,
+                  np.empty(w.m), np.empty(w.m, dtype=bool), 0)])
+
+
+def _advance(w: WorldState, rows, snaps=None) -> None:
+    """Step ``w`` one round per (x_bar, grads, totals, bool event bits, snapshot flag) row of ``rows``.
+
+    A round writes its averages, gradients, device totals and event bits into its row's arrays, which
+    the world then holds, and a flagged round copies x and x_bar into the next pair of ``snaps``. The
+    world's buffers, the rules and the plan lookup are bound once per call; the rules' temporaries go
+    into the world's ``_work`` and their factors into its ``_factor``.
+    """
+    x, work, lam_out, clamp, multiply = w.x, w._work, w._factor, w.clamp, np.multiply
+    gamma, beta, capacity, gamma_cap = w._gamma_norm, w._beta, w.capacity, w.gamma_cap
+    pattern, gradients, random, deterministic = w.pattern, w.ensemble.gradients, w.rng.random, w.mode == "deterministic"
+    scaling, increase, average = aimd.scaling_factor, aimd.additive_increase, aimd.update_average
+    factor_of = aimd.deterministic_factor if deterministic else aimd.stochastic_factor
+    for x_bar, grads, totals, bits, snap in rows:
+        events, idle, add, uniform, draws = pattern()
+        if events is not None:
+            try:
+                lam = scaling(gamma, w.grads, w.x_bar, clamp, lam_out, events, work)
+            except DegenerateAverageError as e:
+                cols = np.flatnonzero(w.events)
+                j = cols[np.any(w.x_bar[:, cols] <= AVERAGE_FLOOR, axis=0)][0]
+                raise SimulationError(f"step {w.k}, resource {j}: {e}") from e
+            if deterministic:
+                factor_of(lam, beta, lam, work)[:, idle] = 1.0
+            else:
+                for draw in draws:
+                    random(out=draw)
+                factor_of(uniform, lam, beta, lam)
+            multiply(x, lam, x)
+        increase(x, add, x)
+        w.x_bar = average(w.x_bar, x, w.k, x_bar, work)
+        w.grads = gradients(w.x_bar, grads)
+        totals[...] = _device_sum(x, work)
+        w.totals = totals
+        w.events = capacity_event_bits(totals, capacity, gamma_cap, out=bits)
+        w.k += 1
+        if snap:
+            x_dst, xbar_dst = next(snaps)
+            x_dst[...], xbar_dst[...] = x, w.x_bar
 
 
 def snapshot_steps(total_steps: int, stride: int | None) -> np.ndarray:
@@ -370,7 +403,6 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
             raise ValueError("pass a freshly built world (k = 0); traces start at step 0")
 
     snap_flags = np.bincount(snaps, minlength=total + 1).tolist()  # 1 at each snapshot's step
-
     events = np.zeros((total + 1, m), dtype=np.uint8)
     totals_inst = np.zeros((total + 1, m))
     totals_avg = np.zeros((total + 1, m))
@@ -382,22 +414,16 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
     rounds = max(1, min(total + 1, _BLOCK_BYTES // (8 * n * m)))
     xbar_block = np.empty((rounds, n, m))
     grad_block = np.empty((rounds, n, m))
-    # each round's averages and gradients are stepped straight into the block
-    rows = list(zip(xbar_block, grad_block))
-    xbar_block[0] = w.x_bar
-    grad_block[0] = w.grads
-    snap_row = 0
+    xbar_rows, grad_rows = list(xbar_block), list(grad_block)
+    # round 0 is the world as given (step 0 is always a snapshot); later rounds step into the rows
+    xbar_block[0], grad_block[0], events[0], totals_inst[0] = w.x_bar, w.grads, w.events, w.totals
+    x_snap[0], xbar_snap[0] = w.x, w.x_bar
+    snap_rows, bits = zip(x_snap[1:], xbar_snap[1:]), events.view(bool)
     for start in range(0, total + 1, rounds):
         stop = min(start + rounds, total + 1)
-        for k, (xbar_row, grad_row) in zip(range(start, stop), rows):
-            if k:
-                step_world(w, xbar_row, grad_row)
-            events[k] = w.events
-            totals_inst[k] = w.totals
-            if snap_flags[k]:
-                x_snap[snap_row] = w.x
-                xbar_snap[snap_row] = w.x_bar
-                snap_row += 1
+        first = max(start, 1)
+        _advance(w, zip(xbar_rows[first - start:], grad_rows[first - start:], totals_inst[first:stop],
+                        bits[first:stop], snap_flags[first:stop]), snap_rows)
         xb = xbar_block[: stop - start]
         totals_avg[start:stop] = _device_sum(xb)
         # max and min are exact, so the resource-major copy changes no bit

@@ -59,21 +59,29 @@ def certified_optimum(config: Config, functions) -> OptimalAllocation:
 def write_json(path: Path, doc: dict) -> None:
     """Write ``doc`` as JSON with sorted keys, two-space indent and a final newline.
 
-    A top-level ``Population`` (``cost_functions``) is dumped as ``[]``; its members'
-    ``to_dict`` records are then streamed into that slot from its matrix by ``_write_blocks``.
+    A top-level ``Population`` (``cost_functions``) or 2-D float array (``x_star``) is dumped as
+    ``[]``; its rows (members' ``to_dict`` records, or lists of floats spelled by ``%r`` as json
+    spells a finite float) are then streamed into that slot by ``_write_blocks``. A non-finite
+    entry raises ValueError.
     """
-    pops = sorted(key for key, value in doc.items() if isinstance(value, Population))
-    text = json.dumps({**doc, **dict.fromkeys(pops, [])}, sort_keys=True, indent=2)
+    slots = sorted(key for key, value in doc.items() if isinstance(value, (Population, np.ndarray)))
+    text = json.dumps({**doc, **dict.fromkeys(slots, [])}, sort_keys=True, indent=2)
     with open(path, "w") as fh:
-        for key in pops:
+        for key in slots:
             slot = f"\n  {json.dumps(key)}: ["
             head, text = text.split(slot + "]", 1)
             fh.write(head + slot)
-            fields = doc[key].fields[:, np.argsort(list(FIELD_RANGES))]  # columns in the record's key order
-            columns = lambda start, stop: fields[start:stop].T.tolist()
-            _write_blocks(fh, _RECORD[1:], 0, min(1, len(fields)), columns)
-            _write_blocks(fh, _RECORD, 1, len(fields), columns)
-            fh.write("\n  ]" if len(fields) else "]")
+            table = doc[key]
+            if isinstance(table, Population):
+                table, record = table.fields[:, np.argsort(list(FIELD_RANGES))], _RECORD
+            elif np.isfinite(table).all():
+                record = ",\n    [\n" + ",\n".join(["      %r"] * table.shape[1]) + "\n    ]"
+            else:
+                raise ValueError(f"{key} has a non-finite entry, which JSON cannot hold")
+            columns = lambda start, stop: table[start:stop].T.tolist()  # columns in the record's order
+            _write_blocks(fh, record[1:], 0, min(1, len(table)), columns)
+            _write_blocks(fh, record, 1, len(table), columns)
+            fh.write("\n  ]" if len(table) else "]")
         fh.write(text + "\n")
 
 

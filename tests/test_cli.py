@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 
@@ -212,6 +213,22 @@ class TestTraceBudget:
         assert err.startswith("config error: 60000 devices would take about 10.5 GiB "
                               f"({engine.DEVICE_BYTES} bytes each and a 10.5 GiB trace), above the 4 GiB budget")
         assert err.endswith("; use fewer devices or keep fewer snapshots with a larger --stride (trace_stride)\n")
+        assert not out.exists()
+
+    def test_address_space_limit_exits_before_sampling(self, tmp_path, capsys, monkeypatch):
+        """A soft RLIMIT_AS that leaves 64 MiB refuses a 0.1 GiB trace the fixed budget allows."""
+        def refuse_sampling(cfg):
+            raise AssertionError("functions sampled before the trace budget check")
+
+        with open("/proc/self/statm") as fh:
+            limit = int(fh.read().split()[0]) * resource.getpagesize() + 64 * 2**20
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (limit, resource.RLIM_INFINITY))
+        monkeypatch.setattr(engine, "resolve_functions", refuse_sampling)
+        cfg = write_doc(tmp_path, small_doc(n=600, steps=30_000))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert re.match(r"config error: 600 devices would take about 0\.1 GiB .* above the 0\.0[0-9]+ GiB budget;",
+                        capsys.readouterr().err)
         assert not out.exists()
 
 

@@ -300,7 +300,7 @@ class TestEnsembleConsistency:
         ]
         ens = CostEnsemble(fns)
         values, gradients = per_row_cost_tables(fns)
-        for got, want in zip(ens._v + ens._g, values + gradients, strict=True):
+        for got, want in zip([*ens._v, *ens._g], values + gradients, strict=True):
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("lead", [(), (5,)])

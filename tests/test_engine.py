@@ -1,6 +1,9 @@
 import dataclasses
-
+import gc
+import resource
 import time
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -340,12 +343,12 @@ class TestNonFiniteGuard:
         threshold = 0.2
         first = int(np.argmax(clean.xbar_snap[:, :, 1].max(axis=1) > threshold))
         assert 0 < first < 2 * rounds
-        calls = []
-        step = engine.step_world
-        monkeypatch.setattr(engine, "step_world", lambda *a: calls.append(1) or step(*a))
+        calls = []  # one event-bit evaluation per simulated round
+        bits = engine.capacity_event_bits
+        monkeypatch.setattr(engine, "capacity_event_bits", lambda *a, **k: calls.append(1) or bits(*a, **k))
         with pytest.raises(SimulationError, match=rf"^step {first}, resource 1: "):
             run(cfg, world=world(threshold))
-        assert len(calls) <= 2 * rounds
+        assert 0 < len(calls) <= 2 * rounds
 
     def test_names_a_population_cost_that_is_not_finite(self):
         cost = np.array([1.0, np.inf, 1.0])
@@ -411,6 +414,65 @@ class TestTraceBudget:
         cfg = dataclasses.replace(bundled_config, n=60_000, trace_stride=30_000)
         with pytest.raises(AssertionError, match="sampled before"):
             run(cfg)
+
+    def test_budget_reads_the_address_space_limit(self, bundled_config, monkeypatch):
+        """A soft RLIMIT_AS 64 MiB above what the process maps leaves about 64 MiB (no real limit is set)."""
+        with open("/proc/self/statm") as fh:
+            mapped = int(fh.read().split()[0]) * resource.getpagesize()
+        limit = mapped + 64 * 2**20
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (limit, resource.RLIM_INFINITY))
+        monkeypatch.setattr(engine, "resolve_functions", refuse_sampling)
+        # 3 901 snapshots of 600 x 3: about 0.1 GiB, within the fixed budget but not the limit's
+        with pytest.raises(ValueError, match=r"would take about 0\.1 GiB .* above the 0\.0[0-9]+ GiB budget"):
+            run(dataclasses.replace(bundled_config, n=600))
+        with pytest.raises(AssertionError, match="sampled before"):
+            run(bundled_config)
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (resource.RLIM_INFINITY,) * 2)
+        with pytest.raises(AssertionError, match="sampled before"):
+            run(dataclasses.replace(bundled_config, n=600))
+
+
+class TestRoundMemory:
+    """Rounds after warm-up grow no memory, and nothing kept on a world forms a reference cycle."""
+
+    @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+    def test_rounds_grow_no_memory(self, bundled_config, mode):
+        """After warm-up, 50 rounds raise neither the traced peak nor the held memory by an (n, m) array."""
+        # the bundled scenario at n = 600, capacities scaled with n
+        resources = [dataclasses.replace(p, capacity=p.capacity * 10) for p in bundled_config.resources]
+        w = build_world(sampled_functions(600), resources, mode, bundled_config.seed)
+        tracemalloc.start()
+        try:
+            for _ in range(30):
+                step_world(w)
+            for pattern in range(2**w.m):  # every event pattern's plan, so none is built below
+                w.events = np.array([(pattern >> j) & 1 for j in range(w.m)], dtype=np.uint8)
+                step_world(w)
+            held, peak = tracemalloc.get_traced_memory()
+            events = 0
+            for _ in range(50):
+                step_world(w)
+                events += int(w.events.any())
+            now_held, now_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert events > 10
+        assert now_peak - peak < 8 * w.n * w.m
+        assert now_held - held < 8 * w.n * w.m
+
+    @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+    def test_run_keeps_no_cycle_through_the_world(self, bundled_config, mode):
+        cfg = dataclasses.replace(bundled_config, steps=200)
+        gc.disable()
+        try:
+            w = build_world(resolve_functions(cfg), cfg.resources, mode, cfg.seed)
+            alive = weakref.ref(w)
+            trace = run(cfg, world=w)
+            del w
+            assert alive() is None
+        finally:
+            gc.enable()
+        assert trace.events[1:].any()
 
 
 class TestSnapshotSteps:
@@ -598,25 +660,33 @@ class TestDeviceSum:
         assert np.all(np.signbit(got[negative_zero]))
         assert not np.any(np.signbit(want[negative_zero]))
 
-    @pytest.mark.parametrize("lead", [(), (3,)])
-    @pytest.mark.parametrize("n", [1, 2, 3, 60, 8_191, 8_192, 8_193, 20_000])
-    def test_is_a_sequential_python_sum(self, n, lead):
+    @pytest.mark.parametrize("n, lead, m", [  # m = 3, the family's resource count, keeps plain n-lead ids
+        pytest.param(n, lead, m, id=f"{n}-lead{i}" + ("" if m == 3 else f"-m{m}"))
+        for m in (3, 1, 2, 4) for n in (1, 2, 3, 60, 8_191, 8_192, 8_193, 20_000)
+        for i, lead in enumerate([(), (3,)])
+    ])
+    def test_is_a_sequential_python_sum(self, n, lead, m):
         # the contract a faster device sum must keep: each column added device
         # after device in Python floats, on signed zeros, infinities, NaN of both
-        # signs and magnitudes that cancel, such as (1e16, 1, -1e16)
-        rng = np.random.default_rng(n + len(lead))
-        a = rng.standard_normal((*lead, n, 3)) * 10.0 ** rng.integers(-300, 300, (*lead, n, 3))
-        special = rng.random(a.shape) < 0.3
-        a[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan], special.sum())
-        a[..., 1] = np.where(rng.random(a.shape[:-1]) < 0.9, -0.0, a[..., 1])
-        cancelling = rng.choice([1e16, 1.0, -1e16, 2.0**-1074, -(2.0**53)], a.shape[:-1])
-        a[..., 2] = np.where(rng.random(a.shape[:-1]) < 0.8, cancelling, a[..., 2])
+        # signs and magnitudes that cancel, such as (1e16, 1, -1e16). The columns
+        # cycle through three kinds: 30% specials, 90% -0.0, 80% cancelling; a
+        # single column is finite and of moderate magnitude, so that its total
+        # shows the order of the additions
+        rng = np.random.default_rng([n, len(lead), m])
+        shape, top = (*lead, n, m), 300 if m > 1 else 3
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-top, top, shape)
+        special = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan], shape)
+        cancelling = rng.choice([1e16, 1.0, -1e16, 2.0**-1074, -(2.0**53)], shape)
+        kinds = [(0.0, 0.0, 0.3), (0.9, 0.9, 0.93), (0.0, 0.8, 0.86)]  # -0.0, cancelling, special below
+        zero, cancel, spec = np.array([kinds[j % 3] for j in range(m)] if m > 1 else [(0.1, 0.4, 0.4)]).T
+        u = rng.random(shape)
+        a = np.select([u < zero, u < cancel, u < spec], [-0.0, cancelling, special], a)
         # no column of only -0.0, where a running sum from the first device keeps -0.0
         k = rng.integers(n)
         a[..., k, :] = np.where(np.all((a == 0.0) & np.signbit(a), axis=-2), 0.0, a[..., k, :])
-        want = np.zeros((*lead, 3))
+        want = np.zeros((*lead, m))
         for idx in np.ndindex(*lead):
-            totals = [0.0, 0.0, 0.0]
+            totals = [0.0] * m
             for row in a[idx].tolist():
                 for j, v in enumerate(row):
                     totals[j] += v

@@ -410,7 +410,8 @@ class TestSplitExport:
 
 
 def indented(doc):
-    return json.dumps(doc, sort_keys=True, indent=2, default=Population.to_dicts) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2,
+                      default=lambda v: v.tolist() if isinstance(v, np.ndarray) else v.to_dicts()) + "\n"
 
 
 class TestWriteJson:
@@ -466,6 +467,27 @@ class TestWriteJson:
         doc = {"a_first": [{"x": 1}], "cost_functions": pop, "z": {"nested": [1]}, "zz": pop[::-3]}
         aimdalloc.report.write_json(tmp_path / "doc.json", doc)
         assert (tmp_path / "doc.json").read_text() == indented(doc)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 500])
+    @pytest.mark.parametrize("block_rows", [7, 8192])
+    def test_float_tables(self, n, m, block_rows, tmp_path, monkeypatch):
+        """A float matrix (``x_star``) is streamed as the lists of floats ``json.dumps`` gives."""
+        monkeypatch.setattr(aimdalloc.report, "_BLOCK_CELLS", block_rows * m)
+        rng = np.random.default_rng(n + m)
+        table = rng.random((n, m)) * 10.0 ** rng.integers(-320, 300, (n, m))
+        odd = [-0.0, 0.0, 0.1 + 0.2, 1 / 3, 2.0**-1074, 1.7976931348623157e308, 123456789.12345678, 1e22]
+        table.reshape(-1)[: len(odd)] = odd[: table.size]
+        doc = {"a_first": [0.5], "x_star": table, "y": {"nested": [1e16]}, "z": table[::-2, ::-1]}
+        aimdalloc.report.write_json(tmp_path / "doc.json", doc)
+        assert (tmp_path / "doc.json").read_text() == indented(doc)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_table_refused(self, bad, tmp_path):
+        table = np.ones((4, 3))
+        table[2, 1] = bad
+        with pytest.raises(ValueError, match="x_star has a non-finite entry"):
+            aimdalloc.report.write_json(tmp_path / "doc.json", {"x_star": table})
 
     def test_export_builds_no_member_or_record(self, exported, tmp_path, monkeypatch):
         """summary.json's records are read off the population's matrix."""
