@@ -2,12 +2,15 @@
 
 Exports are byte-stable: floats carry 9 significant digits, column and JSON
 key order is fixed, and every file ends in a newline, so identical runs
-produce identical files and golden-file tests are possible. Every CSV row and
-population record is written by ``_write_blocks``, one ``%`` per block of rows.
+produce identical files and golden-file tests are possible. CSV blocks are
+spelled by ``_format_rows`` from numpy lookups, with the bytes of ``%``; JSON
+population records are written by ``_write_blocks``, one ``%`` per block.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import os
 import shutil
@@ -15,6 +18,7 @@ import tempfile
 import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,15 +35,15 @@ from .oracle import OptimalAllocation, solve_separable
 SPREAD_FRACTION = 0.05
 
 #: values (cells) formatted and written per CSV block, whatever a row's width;
-#: one trace.csv snapshot of a wide run (n * m rows of 3 cells) is several blocks
+#: one trace.csv snapshot of a wide run (n * m rows of 6 cells) is several blocks
 _BLOCK_CELLS = 16384
 
 #: a population member's record after another one, as ``json.dumps(..., sort_keys=True, indent=2)`` lays it out
 _RECORD = ",\n    {\n" + ",\n".join(f'      "{name}": %d' for name in sorted(FIELD_RANGES)) + "\n    }"
 
 #: fewest trace.csv rows worth a process of their own; a trace with fewer
-#: than two of these is formatted in-process (see BENCH_export_fork.json)
-_FORK_ROWS = 4500
+#: than two of these is formatted in-process (see BENCH_csv_words.json)
+_FORK_ROWS = 18000
 
 
 def certified_optimum(config: Config, functions) -> OptimalAllocation:
@@ -97,10 +101,10 @@ def export_trace(trace: Trace, report: MetricsReport, out_dir: str | Path) -> Ex
     """Write trace.csv, events.csv, metrics.csv and summary.json.
 
     trace.csv holds the per-device snapshots; events.csv and metrics.csv are
-    full rate. Floats are written with ``"%.9g" % v``, which is the same
-    string as ``format(v, ".9g")`` for every double (signed zeros,
-    subnormals, infinities and NaN included), and ints with ``"%d" % v``,
-    which is ``str(v)`` for a Python int.
+    full rate. Floats are spelled as ``"%.9g" % v`` spells them, which is the
+    same string as ``format(v, ".9g")`` for every double (signed zeros,
+    subnormals, infinities and NaN included), and ints as ``"%d" % v``, which
+    is ``str(v)`` for a Python int: byte for byte, by ``_format_rows``.
 
     A large trace.csv is split into contiguous row ranges, up to one per
     available CPU (see ``_row_bounds``). Each range after the first is
@@ -117,6 +121,7 @@ def export_trace(trace: Trace, report: MetricsReport, out_dir: str | Path) -> Ex
     rows = {"trace.csv": bounds[-1]}
     workers = []  # (pid, anonymous temporary file) per unreaped worker, in row order
     failed = []  # exit statuses of the workers that failed
+    _digit_tables()  # built here once, not again in each worker
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
             tmp = tempfile.TemporaryFile(dir=out)
@@ -124,8 +129,8 @@ def export_trace(trace: Trace, report: MetricsReport, out_dir: str | Path) -> Ex
             if pid == 0:
                 _worker(tmp, trace, lo, hi)
             workers.append((pid, tmp))
-        with open(out / "trace.csv", "w") as fh:
-            fh.write("step,device,resource,x,x_bar,grad_at_xbar\n")
+        with open(out / "trace.csv", "wb") as fh:
+            fh.write(b"step,device,resource,x,x_bar,grad_at_xbar\n")
             _write_rows(fh, trace, 0, bounds[1])
             _write_full_rate(trace, report, out, rows)
             fh.flush()
@@ -138,7 +143,7 @@ def export_trace(trace: Trace, report: MetricsReport, out_dir: str | Path) -> Ex
                         failed.append(status)
                     elif not failed:
                         tmp.seek(0)
-                        shutil.copyfileobj(tmp, fh.buffer, 1 << 20)
+                        shutil.copyfileobj(tmp, fh, 1 << 20)
         if failed:
             raise RuntimeError(f"{len(failed)} trace.csv worker(s) failed, exit status {failed[0]}")
     finally:
@@ -156,18 +161,18 @@ def _row_bounds(trace: Trace) -> list[int]:
 
     One range per process: the first is this process's, each later one a
     worker's. This process also formats events.csv and metrics.csv, so its
-    range is shortened by their value count (three values make one trace
-    row) and the workers split the rest equally. It is one range, and no
-    fork happens, when ``os.fork`` is missing, when more than one thread is
-    running, when only one CPU is available, or when the trace has fewer
-    than ``2 * _FORK_ROWS`` rows.
+    range is shortened by their events.csv rows and metrics.csv cells (four
+    of these cost about one trace row) and the workers split the rest
+    equally. It is one range, and no fork happens, when ``os.fork`` is
+    missing, when more than one thread is running, when only one CPU is
+    available, or when the trace has fewer than ``2 * _FORK_ROWS`` rows.
     """
     total = trace.x_snap.size
     procs = min(_cpus(), total // _FORK_ROWS)
     if procs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [0, total]
     extra = trace.events.size + trace.spread.shape[0] * (4 * trace.m + 2)
-    first = max(0, (3 * total + extra) // procs - extra) // 3
+    first = max(0, (4 * total + extra) // procs - extra) // 4
     rest = total - first
     return [0] + [first + rest * k // (procs - 1) for k in range(procs)]
 
@@ -191,7 +196,7 @@ def _worker(tmp, trace: Trace, lo: int, hi: int):
     """
     status = 1
     try:
-        with open(tmp.fileno(), "w", closefd=False) as fh:
+        with open(tmp.fileno(), "wb", closefd=False) as fh:
             _write_rows(fh, trace, lo, hi)
         status = 0
     except Exception:
@@ -202,11 +207,12 @@ def _worker(tmp, trace: Trace, lo: int, hi: int):
         os._exit(status)
 
 
-def _write_blocks(fh, row: str, lo: int, hi: int, columns, template=None) -> None:
-    """Write rows [lo, hi) to ``fh`` in blocks of ``_BLOCK_CELLS`` cells, one per ``%`` field of ``row``.
+def _write_blocks(fh, row: str, lo: int, hi: int, columns) -> None:
+    """Write rows [lo, hi) to text ``fh`` in blocks of ``_BLOCK_CELLS`` cells, one per ``%`` field of ``row``.
 
-    A block is one ``%`` of ``template(start, stop)``, by default ``row`` once per row, over the block's
-    ``columns(start, stop)`` (one sequence per field) interleaved, which raises if a column's length is off.
+    A block is one ``%`` of ``row`` repeated once per row over the block's ``columns(start, stop)``
+    (one sequence per field) interleaved, which raises if a column's length is off. The JSON records
+    use it; the CSVs go through ``_write_csv``.
     """
     rows = max(1, _BLOCK_CELLS // row.count("%"))
     for start in range(lo, hi, rows):
@@ -215,24 +221,144 @@ def _write_blocks(fh, row: str, lo: int, hi: int, columns, template=None) -> Non
         flat = [None] * (len(cols) * (stop - start))
         for c, col in enumerate(cols):
             flat[c :: len(cols)] = col
-        fh.write((template(start, stop) if template else row * (stop - start)) % tuple(flat))
+        fh.write(row * (stop - start) % tuple(flat))
+
+
+def _write_csv(fh, lo: int, hi: int, columns, seps: bytes) -> None:
+    """Write CSV rows [lo, hi) to binary ``fh``: ``columns(start, stop)`` has an array per cell, ``seps`` its ends."""
+    rows = max(1, _BLOCK_CELLS // len(seps))
+    for start in range(lo, hi, rows):
+        fh.write(_format_rows(columns(start, min(start + rows, hi)), seps))
+
+
+@functools.cache
+def _digit_tables() -> SimpleNamespace:
+    """``_format_rows``' lookup tables, built with numpy at first use.
+
+    ``words[1000 * kind + d]`` spells the three digits of d (000..999) as one NUL-padded little-endian
+    word. Kinds: 0 all three digits; 1-3 a point after 0, 1 or 2 of them; 4-6 the same less the
+    fraction's trailing zeros, and then a bare point; 7 less trailing zeros; 8 less leading zeros; 9 the
+    same but a lone 0 kept. ``kinds[24 g + 2 k + last]`` is 1000 times the kind of a float's digit group
+    g at decimal exponent k - 3 (``last``: no nonzero digit follows the group), ``prefix[k]`` the word
+    before its digits, and ``scale[e + 6]`` is 10 ** (8 - e). ``fields`` hold ``%d`` and ``%.9g``.
+    """
+    d = np.arange(1000)
+    chars = np.zeros((1000, 5), np.uint8)  # the three digits of d, a point and a NUL
+    chars[:, :3] = np.stack([d // 100, d // 10 % 10, d % 10], 1) + ord("0")
+    chars[:, 3] = ord(".")
+    # always; a nonzero digit at or after digit 0, 1, 2; at or before digit 0, 1, 2; never
+    flags = np.stack([d >= 0, d > 0, d % 100 > 0, d % 10 > 0, d >= 100, d >= 10, d >= 1, d < 0], 1)
+    layouts = [[0, 1, 2, 4], [3, 0, 1, 2], [0, 3, 1, 2], [0, 1, 3, 2]]  # no point, point after 0, 1, 2 digits
+    layout = [layouts[i] for i in (0, 1, 2, 3, 1, 2, 3, 0, 0, 0)]
+    keep = [[0] * 4] * 4 + [[1, 1, 2, 3], [0, 2, 2, 3], [0, 0, 3, 3], [1, 2, 3, 7], [4, 5, 6, 7], [4, 5, 0, 7]]
+    words = np.where(flags[:, keep], chars[:, layout], 0).transpose(1, 0, 2)  # (kind, d, character)
+    k = np.arange(12)
+    at = np.maximum(k - 2, 0) - 3 * np.arange(3)[:, None]  # (3, 12): digits of group g before the point
+    point = (at >= 0) & (at < 3) & (k >= 3)  # the point falls in (or just before) the group
+    kinds = np.stack([np.where(point, 1 + at, 0), np.where(point, 4 + at, 7 * (at < 3))], 2)
+    kinds[2, :, 0] = kinds[2, :, 1]  # no digit follows group 2
+    return SimpleNamespace(
+        words=np.ascontiguousarray(words).view("<u4").ravel(),
+        kinds=1000 * kinds.ravel(),
+        prefix=np.frombuffer(b"0.00" b"0.0\0" b"0.\0\0" + bytes(36), "<u4"),
+        scale=10.0 ** (8 - np.arange(-6, 11)),
+        fields=np.frombuffer(b"%d\0\0%.9g", "<u4"),
+    )
+
+
+def _format_rows(columns, seps: bytes) -> bytes:
+    """The rows' text: cell c is ``"%.9g" % v`` in a float column and ``"%d" % v`` in any other, then ``seps[c]``.
+
+    Neighbouring columns of one dtype with as many words per cell (5 a float, 1-3 an int) fill one slab of
+    a (words, rows) matrix of NUL-padded words in one pass. The text is the transposed matrix less its NULs,
+    ``%``-formatted over the cells the words cannot spell, which hold a ``%`` field instead.
+    """
+    tables, rows = _digit_tables(), len(columns[0])
+    sizes = [5 if col.dtype.kind == "f" else 1 + sum(col.max() >= np.array([1000, 1000_000])) for col in columns]
+    words, sep = np.empty((sum(sizes), rows), "<u4"), np.frombuffer(seps, np.uint8).astype("<u4")[:, None]
+    cells, values, c, top = [], [], 0, 0  # cells spelled by %: their places in the block, and their values
+    for (size, _), same in itertools.groupby(zip(sizes, (col.dtype for col in columns))):
+        n = len(list(same))
+        run = np.concatenate(columns[c : c + n])
+        slab = words[top : top + n * size].reshape(n, size, rows).transpose(1, 0, 2)
+        if size == 5:
+            slab[4] = sep[c : c + n]
+            slab, slow = slab[:4], _float_words(run.astype(np.float64, copy=False), slab[:4], tables)
+        else:  # the digit groups of v, units first: leading zeros dropped, and a lone 0 above the units
+            slow, units = np.flatnonzero((run < 0) | (run >= 1000 ** size)), run.astype(np.int32)
+            for g, word in enumerate(slab[::-1]):
+                above = units // 1000 if g < size - 1 else 0
+                group = units - 1000 * above + (above == 0) * (8000 if g else 9000)
+                tables.words.take(group.reshape(word.shape), out=word, mode="clip")
+                units = above
+        if slow.size:
+            i, r = np.divmod(slow, rows)
+            slab[:, i, r] = 0
+            slab[0, i, r] = tables.fields[size // 5]
+            cells.append(r * len(columns) + c + i)
+            values += run[slow].tolist()
+        if size < 5:
+            slab[-1] |= sep[c : c + n] << 24
+        c, top = c + n, top + n * size
+    text = words.T.tobytes().translate(None, b"\0")
+    return text % tuple(values[i] for i in np.argsort(np.concatenate(cells)).tolist()) if values else text
+
+
+def _float_words(v: np.ndarray, words: np.ndarray, tables) -> np.ndarray:
+    """Fill ``words`` (4, c, r) with the prefix and digit groups of ``"%.9g" % v`` for v (c * r), less those it returns.
+
+    A value in the fixed form (1e-3 <= v < 1e9 after rounding) is spelled from its decimal exponent e, the
+    floor of ``log10`` corrected once either way, and its nine digits, v * 10 ** (8 - e) rounded as ``%``
+    rounds the exact value: the power of ten is exact, so the product is rounded once, and where it is a
+    half-integer the sign of its exact error (Dekker's two-product) settles it, ties going to even. A carry
+    to 10 ** 9 moves e. 0.0 is spelled too; negatives, -0.0, inf and nan are left to ``%``.
+    """
+    with np.errstate(all="ignore"):  # nan, inf, 0 and negatives are kept out of ``ok``
+        ok = (v >= 1e-4) & (v < 1e10)
+        w = np.where(ok, v, 1.0)
+        e = np.floor(np.log10(w)).astype(np.int32)
+    s = w * tables.scale.take(e + 6)  # scale[e + 6] is 10 ** (8 - e), exact for e <= 8
+    fix = np.flatnonzero((s < 1e8) | (s >= 1e9))
+    e[fix] += np.where(s[fix] < 1e8, -1, 1)
+    s[fix] = w[fix] * tables.scale.take(e[fix] + 6)
+    q = np.rint(s)
+    tie = np.flatnonzero(np.abs(q - s) == 0.5)
+    if tie.size:  # the sign of a * b - t, exactly (Dekker's two-product), rounds the half-integer t
+        a, b, t = w[tie], tables.scale.take(e[tie] + 6), s[tie]
+        ah, bh = (134217729.0 * x - (134217729.0 * x - x) for x in (a, b))  # Veltkamp: the high 26 bits
+        err = ((ah * bh - t) + ah * (b - bh) + (a - ah) * bh) + (a - ah) * (b - bh)
+        q[tie] = np.where(err == 0, q[tie], t + np.sign(err) / 2)
+    carry = np.flatnonzero(q >= 1e9)
+    q[carry], e[carry] = 1e8, e[carry] + 1
+    e += 3  # e in [-3, 8] is e + 3 in [0, 11]; the lookups clip the cells left to %, whose words are redone
+    slow = np.flatnonzero(~ok | (e.view(np.uint32) >= 12))
+    zero = v[slow].view(np.int64) == 0  # 0.0, not -0.0: e is 0 already, and the digits become 0
+    q[slow[zero]], slow = 0, slow[~zero]
+    tables.prefix.take(e.reshape(words.shape[1:]), out=words[0], mode="clip")
+    q = q.astype(np.int32)
+    groups, at = np.empty((2, 3, q.size), np.int32)  # per digit group of q: its digits, and its kind's index
+    groups[1] = q // 1000
+    groups[0] = groups[1] // 1000
+    groups[2] = q - 1000 * groups[1]
+    groups[1] -= 1000 * groups[0]
+    at[:] = 2 * e + np.arange(0, 72, 24, dtype=np.int32)[:, None]
+    at[1] += groups[2] == 0  # no nonzero digit after group 1
+    at[0] += (groups[2] == 0) & (groups[1] == 0)  # nor after group 0
+    groups += tables.kinds.take(at, mode="clip")
+    tables.words.take(groups.reshape(words[1:].shape), out=words[1:], mode="clip")
+    return slow
 
 
 def _write_rows(fh, trace: Trace, lo: int, hi: int) -> None:
-    """Write trace.csv data rows [lo, hi) to ``fh`` through ``_write_blocks``.
+    """Write trace.csv data rows [lo, hi) to binary ``fh`` through ``_write_csv``.
 
-    Row r is snapshot r // (n * m), device (r // m) % n, resource r % m. A block's template joins the
-    per-cell ``device,resource,`` strings with the three ``%.9g`` fields and the snapshot's ``step,``,
-    so only the floats go through ``%``. Each snapshot's gradients are evaluated once per process.
+    Row r is snapshot r // (n * m), device (r // m) % n, resource r % m: a block's step, device and
+    resource columns are made from its row numbers. Each snapshot's gradients are evaluated once per
+    process.
     """
-    per_snap, row = trace.n * trace.m, "%.9g,%.9g,%.9g\n"
-    steps = [f"{step}," for step in trace.snap_steps.tolist()]
-    cells = [f"{i},{j}," for i in range(trace.n) for j in range(trace.m)]
+    per_snap = trace.n * trace.m
     x, xbar = trace.x_snap.reshape(-1), trace.xbar_snap.reshape(-1)
     gradients, held = make_ensemble(trace.functions, trace.m).gradients, [-1, None]
-    template = lambda start, stop: "".join(
-        steps[s] + (row + steps[s]).join(cells[max(start - s * per_snap, 0) : stop - s * per_snap]) + row
-        for s in range(start // per_snap, (stop - 1) // per_snap + 1))
 
     def columns(start, stop):
         first, last = start // per_snap, (stop - 1) // per_snap + 1
@@ -241,10 +367,11 @@ def _write_rows(fh, trace: Trace, lo: int, hi: int) -> None:
             grads.append(gradients(trace.xbar_snap[first + len(grads) : last]).reshape(-1))
         held[:] = last - 1, grads[-1][-per_snap:]
         grad = np.concatenate(grads) if len(grads) > 1 else grads[0]
-        grad = grad[start - first * per_snap : stop - first * per_snap].tolist()
-        return [x[start:stop].tolist(), xbar[start:stop].tolist(), grad]
+        snap, cell = np.divmod(np.arange(start, stop), per_snap)
+        return [trace.snap_steps[snap], *np.divmod(cell, trace.m), x[start:stop], xbar[start:stop],
+                grad[start - first * per_snap : stop - first * per_snap]]
 
-    _write_blocks(fh, row, lo, hi, columns, template)
+    _write_csv(fh, lo, hi, columns, b",,,,,\n")
 
 
 def _write_full_rate(trace: Trace, report: MetricsReport, out: Path, rows: dict[str, int]):
@@ -257,15 +384,15 @@ def _write_full_rate(trace: Trace, report: MetricsReport, out: Path, rows: dict[
     header = ["step", *[f"spread_r{j}" for j in range(m)], "cost_ratio"]
     header += [f"{name}_r{j}" for name in ("sum_avg", "sum_inst", "cum_bits") for j in range(m)]
     files = {
-        "events.csv": ("step,resource,event", "%d,%d,%d\n", events.size, lambda a, b: [
-            *map(np.ndarray.tolist, divmod(np.arange(a, b), m)), events[a:b].tolist()]),
-        "metrics.csv": (",".join(header), "%d" + ",%.9g" * (3 * m + 1) + ",%d" * m + "\n",
-                        steps, lambda a, b: [s[a:b].tolist() for s in series]),
+        "events.csv": ("step,resource,event", b",,\n", events.size,
+                       lambda a, b: [*np.divmod(np.arange(a, b), m), events[a:b]]),
+        "metrics.csv": (",".join(header), b"," * len(series[1:]) + b"\n", steps,
+                        lambda a, b: [s[a:b] for s in series]),
     }
-    for name, (head, row, count, columns) in files.items():
-        with open(out / name, "w") as fh:
-            fh.write(head + "\n")
-            _write_blocks(fh, row, 0, count, columns)
+    for name, (head, seps, count, columns) in files.items():
+        with open(out / name, "wb") as fh:
+            fh.write(head.encode() + b"\n")
+            _write_csv(fh, 0, count, columns, seps)
         rows[name] = count
 
     summary = {

@@ -4,9 +4,14 @@ import os
 import threading
 import time
 import tracemalloc
+import warnings
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aimdalloc.report
 from aimdalloc import (
@@ -277,7 +282,7 @@ class TestTraceRowsMemory:
         monkeypatch.setattr(aimdalloc.report, "_BLOCK_CELLS", 300)
         peaks = []
         for rows in (2_000, 20_000):
-            with open(tmp_path / "trace.csv", "w") as fh:
+            with open(tmp_path / "trace.csv", "wb") as fh:
                 tracemalloc.start()
                 try:
                     aimdalloc.report._write_rows(fh, trace, 0, rows)
@@ -286,6 +291,137 @@ class TestTraceRowsMemory:
                     tracemalloc.stop()
         text = (tmp_path / "trace.csv").stat().st_size
         assert peaks[1] < 1.25 * peaks[0] and peaks[1] < text / 5, (peaks, text)
+
+    def test_peak_is_set_by_the_budget_not_the_devices(self, long_runs, tmp_path, monkeypatch):
+        """A snapshot's step, device and resource columns are made per block: ten times the devices peak no higher.
+
+        A snapshot's gradients are n * m values by design (evaluated once per snapshot), so the
+        ensemble is a stand-in whose gradient is x_bar itself and the peak is the writer's own.
+        """
+        trace, _, _ = long_runs["stochastic"]
+        monkeypatch.setattr(aimdalloc.report, "make_ensemble",
+                            lambda functions, m: SimpleNamespace(gradients=lambda x, out=None: x))
+        rng = np.random.default_rng(3)
+        peaks = []
+        for n in (10_000, 100_000):
+            snap = rng.random((1, n, trace.m))
+            one = dataclasses.replace(trace, snap_steps=np.array([1000]), x_snap=snap, xbar_snap=snap / 3)
+            with open(tmp_path / "trace.csv", "wb") as fh:
+                tracemalloc.start()
+                try:
+                    aimdalloc.report._write_rows(fh, one, 0, snap.size)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert (tmp_path / "trace.csv").read_bytes().count(b"\n") == snap.size
+        assert peaks[1] < 1.25 * peaks[0], peaks
+
+
+def spelled(columns, seps):
+    """``_format_rows`` text of the columns as a str, with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return aimdalloc.report._format_rows([np.asarray(c) for c in columns], seps).decode()
+
+
+def by_percent(columns, seps):
+    """The same rows with ``"%.9g" % v`` per float and ``"%d" % v`` per int."""
+    cells = [["%.9g" % v if isinstance(v, float) else "%d" % v for v in np.asarray(c).tolist()]
+             for c in columns]
+    return "".join(v + sep for row in zip(*cells) for v, sep in zip(row, seps.decode()))
+
+
+#: doubles whose scaled product v * 10 ** (8 - e) rounds onto a half-integer that is not exact,
+#: where ties-to-even on the product gives the wrong last digit; one per direction and exponent
+ROUNDED_ONTO_HALF = [
+    3.742819985, 4.849745755, 0.8413616555, 0.5999585185, 0.03674182535, 0.01556770065,
+    0.002684178275, 0.006838587785, 716.2646575, 114.0812545, 885102.5365, 400091.9115,
+    27137371.95, 24900037.85,
+]
+#: exact decimal ties at the ninth digit, which round to even
+EXACT_TIES = [12345678.25, 12345678.75, 1234567.125, 1234567.375, 123456.0625, 100000000.5, 100000001.5]
+#: values that round up across a power of ten, and both sides of the fixed form's edges
+CARRIES = [9.9999999996, 99999999.95, 0.000999999999996, 999999999.5, 999999999.49, 0.0999999999951]
+EDGES = [np.nextafter(edge, toward) for edge in (1e-4, 1e-3, 1e9) for toward in (0, edge, np.inf)]
+
+
+class TestFormatRows:
+    """``_format_rows`` spells floats as ``"%.9g" % v`` and ints as ``"%d" % v``, byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.floats(1e-3, 1e9), st.floats(1e-5, 1e10)), min_size=1, max_size=40),
+           st.randoms(use_true_random=False))
+    def test_any_double_in_mixed_blocks(self, values, rnd):
+        """NaN, infinities, signed zeros and subnormals among values the words spell, in 1 to 3 columns."""
+        width = rnd.randint(1, 3)
+        rows = len(values) // width or 1
+        values = (values * width)[: rows * width]
+        columns = [np.array(values[c::width], dtype=np.float64) for c in range(width)]
+        seps = b"," * (width - 1) + b"\n"
+        assert spelled(columns, seps) == by_percent(columns, seps)
+
+    @pytest.mark.parametrize("values", [ROUNDED_ONTO_HALF, EXACT_TIES, CARRIES, EDGES],
+                             ids=["rounded onto half", "exact ties", "carries", "edges"])
+    def test_targeted_doubles(self, values):
+        assert spelled([values], b"\n") == by_percent([values], b"\n")
+
+    def test_exponent_one_off_either_way(self, monkeypatch):
+        """The floor of ``log10`` is corrected once either way: an exponent one too high or low still spells right."""
+        log10, rng = np.log10, np.random.default_rng(5)
+        monkeypatch.setattr(np, "log10", lambda w: log10(w) + rng.choice([-1.0, 0.0, 1.0], np.shape(w)))
+        values = rng.random(3000) * 10.0 ** rng.integers(-4, 10, 3000)
+        assert spelled([values], b"\n") == by_percent([values], b"\n")
+
+    def test_rounded_onto_half_are_hard_cases(self):
+        """Each value's scaled product is an inexact half-integer that ties-to-even rounds the wrong way."""
+        for v in ROUNDED_ONTO_HALF:
+            e = int(np.floor(np.log10(v)))
+            scaled = v * 10.0 ** (8 - e)
+            exact = Fraction(v) * 10 ** (8 - e)
+            assert scaled % 1 == 0.5 and exact != Fraction(scaled), v
+            assert int(np.rint(scaled)) != round(exact), v
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.uint64])
+    def test_ints(self, dtype):
+        info = np.iinfo(dtype)
+        values = [0, 9, 10, 99, 100, 999, 1000, 99_999, 999_999, 10**6, 10**6 + 1, 999_999_999,
+                  10**9, 10**12, info.max, -1, -1000, -(10**9), info.min]
+        column = np.array([v for v in values if info.min <= v <= info.max], dtype=dtype)
+        for width in (1, 2):
+            columns = [column, column[::-1]][:width]
+            seps = b"," * (width - 1) + b"\n"
+            assert spelled(columns, seps) == by_percent(columns, seps)
+        small = column[(column >= 0) & (column < 1000)]
+        assert spelled([small], b"\n") == by_percent([small], b"\n")
+
+    def test_mixed_columns(self):
+        rng = np.random.default_rng(11)
+        rows = 500
+        floats = rng.random(rows) * 10.0 ** rng.integers(-5, 11, rows)
+        floats[::37] = [np.nan, -0.0, 0.0, np.inf, -1.5, 5e-324, 1e300, -np.inf, 1e-3, 0.1, 1e9, 7.0, 0.5, 123.0]
+        huge = rng.integers(0, 2**64 - 1, rows, dtype=np.uint64, endpoint=True)  # next to int64, not a float64 run
+        columns = [rng.integers(0, 30_000, rows), floats, rng.integers(-10**12, 10**12, rows), huge,
+                   floats[::-1].copy(), rng.integers(0, 2, rows).astype(np.uint8)]
+        seps = b",,,,,\n"
+        assert spelled(columns, seps) == by_percent(columns, seps)
+
+    def test_bundled_traces_take_the_fast_path(self, long_runs, tmp_path, monkeypatch):
+        """Fewer than 0.1% of the float cells of the 1 200-step bundled exports are left to ``%``."""
+        float_words, counts = aimdalloc.report._float_words, [0, 0]
+
+        def counting(v, words, tables):
+            slow = float_words(v, words, tables)
+            counts[0] += v.size
+            counts[1] += slow.size
+            return slow
+
+        monkeypatch.setattr(aimdalloc.report, "_float_words", counting)
+        monkeypatch.setattr(aimdalloc.report, "_cpus", lambda: 1)
+        for mode, (trace, report, reference_dir) in long_runs.items():
+            assert_matches_reference(trace, report, tmp_path / mode, reference_dir)
+        cells, slow = counts
+        assert cells == 2 * (3 * 183_780 + 1201 * (3 * 3 + 1))  # trace.csv's and metrics.csv's floats
+        assert slow < cells / 1000, counts
 
 
 @pytest.fixture
