@@ -2,9 +2,10 @@
 
 Exports are byte-stable: floats carry 9 significant digits, column and JSON
 key order is fixed, and every file ends in a newline, so identical runs
-produce identical files and golden-file tests are possible. CSV blocks are
-spelled by ``_format_rows`` from numpy lookups, with the bytes of ``%``; JSON
-population records are written by ``_write_blocks``, one ``%`` per block.
+produce identical files and golden-file tests are possible. Every CSV and
+JSON table is written by one ``_write_blocks`` loop: a CSV block is spelled by
+``_format_rows`` from numpy lookups, with the bytes of ``%``, and a block of
+JSON records by one ``%`` over the row-major table.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .oracle import OptimalAllocation, solve_separable
 #: convergence threshold per resource, as a fraction of the larger peak spread
 SPREAD_FRACTION = 0.05
 
-#: values (cells) formatted and written per CSV block, whatever a row's width;
-#: one trace.csv snapshot of a wide run (n * m rows of 6 cells) is several blocks
+#: values (cells) formatted and written per block of CSV rows or JSON records, whatever
+#: a row's width; one trace.csv snapshot of a wide run (n * m rows of 6 cells) is several blocks
 _BLOCK_CELLS = 16384
 
 #: a population member's record after another one, as ``json.dumps(..., sort_keys=True, indent=2)`` lays it out
@@ -65,16 +66,16 @@ def write_json(path: Path, doc: dict) -> None:
 
     A top-level ``Population`` (``cost_functions``) or 2-D float array (``x_star``) is dumped as
     ``[]``; its rows (members' ``to_dict`` records, or lists of floats spelled by ``%r`` as json
-    spells a finite float) are then streamed into that slot by ``_write_blocks``. A non-finite
-    entry raises ValueError.
+    spells a finite float) are then streamed into that slot by ``_write_blocks``, one ``%`` of the
+    record repeated per row over a block of the row-major table. A non-finite entry raises ValueError.
     """
     slots = sorted(key for key, value in doc.items() if isinstance(value, (Population, np.ndarray)))
     text = json.dumps({**doc, **dict.fromkeys(slots, [])}, sort_keys=True, indent=2)
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         for key in slots:
             slot = f"\n  {json.dumps(key)}: ["
             head, text = text.split(slot + "]", 1)
-            fh.write(head + slot)
+            fh.write((head + slot).encode())
             table = doc[key]
             if isinstance(table, Population):
                 table, record = table.fields[:, np.argsort(list(FIELD_RANGES))], _RECORD
@@ -82,11 +83,10 @@ def write_json(path: Path, doc: dict) -> None:
                 record = ",\n    [\n" + ",\n".join(["      %r"] * table.shape[1]) + "\n    ]"
             else:
                 raise ValueError(f"{key} has a non-finite entry, which JSON cannot hold")
-            columns = lambda start, stop: table[start:stop].T.tolist()  # columns in the record's order
-            _write_blocks(fh, record[1:], 0, min(1, len(table)), columns)
-            _write_blocks(fh, record, 1, len(table), columns)
-            fh.write("\n  ]" if len(table) else "]")
-        fh.write(text + "\n")
+            spell = lambda a, b: (record * (b - a) % tuple(table[a:b].ravel().tolist()))[a == 0 :].encode()
+            _write_blocks(fh, 0, len(table), table.shape[1], spell)  # [a == 0 :]: no comma before the first
+            fh.write(b"\n  ]" if len(table) else b"]")
+        fh.write((text + "\n").encode())
 
 
 @dataclass(frozen=True)
@@ -207,28 +207,11 @@ def _worker(tmp, trace: Trace, lo: int, hi: int):
         os._exit(status)
 
 
-def _write_blocks(fh, row: str, lo: int, hi: int, columns) -> None:
-    """Write rows [lo, hi) to text ``fh`` in blocks of ``_BLOCK_CELLS`` cells, one per ``%`` field of ``row``.
-
-    A block is one ``%`` of ``row`` repeated once per row over the block's ``columns(start, stop)``
-    (one sequence per field) interleaved, which raises if a column's length is off. The JSON records
-    use it; the CSVs go through ``_write_csv``.
-    """
-    rows = max(1, _BLOCK_CELLS // row.count("%"))
+def _write_blocks(fh, lo: int, hi: int, width: int, spell) -> None:
+    """Write rows [lo, hi) of ``width`` cells to binary ``fh``: ``spell(start, stop)`` per block of ``_BLOCK_CELLS`` cells."""
+    rows = max(1, _BLOCK_CELLS // width)
     for start in range(lo, hi, rows):
-        stop = min(start + rows, hi)
-        cols = columns(start, stop)
-        flat = [None] * (len(cols) * (stop - start))
-        for c, col in enumerate(cols):
-            flat[c :: len(cols)] = col
-        fh.write(row * (stop - start) % tuple(flat))
-
-
-def _write_csv(fh, lo: int, hi: int, columns, seps: bytes) -> None:
-    """Write CSV rows [lo, hi) to binary ``fh``: ``columns(start, stop)`` has an array per cell, ``seps`` its ends."""
-    rows = max(1, _BLOCK_CELLS // len(seps))
-    for start in range(lo, hi, rows):
-        fh.write(_format_rows(columns(start, min(start + rows, hi)), seps))
+        fh.write(spell(start, min(start + rows, hi)))
 
 
 @functools.cache
@@ -350,7 +333,7 @@ def _float_words(v: np.ndarray, words: np.ndarray, tables) -> np.ndarray:
 
 
 def _write_rows(fh, trace: Trace, lo: int, hi: int) -> None:
-    """Write trace.csv data rows [lo, hi) to binary ``fh`` through ``_write_csv``.
+    """Write trace.csv data rows [lo, hi) to binary ``fh``: ``_write_blocks`` over ``_format_rows``.
 
     Row r is snapshot r // (n * m), device (r // m) % n, resource r % m: a block's step, device and
     resource columns are made from its row numbers. Each snapshot's gradients are evaluated once per
@@ -371,7 +354,7 @@ def _write_rows(fh, trace: Trace, lo: int, hi: int) -> None:
         return [trace.snap_steps[snap], *np.divmod(cell, trace.m), x[start:stop], xbar[start:stop],
                 grad[start - first * per_snap : stop - first * per_snap]]
 
-    _write_csv(fh, lo, hi, columns, b",,,,,\n")
+    _write_blocks(fh, lo, hi, 6, lambda a, b: _format_rows(columns(a, b), b",,,,,\n"))
 
 
 def _write_full_rate(trace: Trace, report: MetricsReport, out: Path, rows: dict[str, int]):
@@ -392,7 +375,7 @@ def _write_full_rate(trace: Trace, report: MetricsReport, out: Path, rows: dict[
     for name, (head, seps, count, columns) in files.items():
         with open(out / name, "wb") as fh:
             fh.write(head.encode() + b"\n")
-            _write_csv(fh, 0, count, columns, seps)
+            _write_blocks(fh, 0, count, len(seps), lambda a, b: _format_rows(columns(a, b), seps))
         rows[name] = count
 
     summary = {

@@ -70,23 +70,25 @@ class TestOverhead:
         assert not tr.events.any()
         assert not tr.cumulative_event_bits.any()
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         n=st.integers(min_value=1, max_value=8),
-        alpha=st.floats(min_value=0.005, max_value=0.3),
-        beta=st.floats(min_value=0.0, max_value=0.95),
-        gamma_cap=st.floats(min_value=0.5, max_value=1.0),
+        steps=st.integers(min_value=1, max_value=300),
+        resources=st.tuples(*[st.builds(
+            ResourceParams,
+            capacity=st.floats(min_value=0.01, max_value=100.0),
+            alpha=st.floats(min_value=1e-3, max_value=1.0),
+            beta=st.floats(min_value=0.0, max_value=0.95),
+            gamma_cap=st.floats(min_value=0.5, max_value=1.0),
+            gamma_norm=st.floats(min_value=1e-6, max_value=1e3),
+        )] * 3),
         mode=st.sampled_from(["deterministic", "stochastic"]),
     )
-    def test_nondecreasing_and_bounded(self, seed, n, alpha, beta, gamma_cap, mode):
-        # overshoot stays within gamma*C + n*alpha; bits start at zero, never
-        # decrease and never exceed m per step
-        resources = tuple(
-            ResourceParams(capacity=c, alpha=alpha, beta=beta, gamma_cap=gamma_cap, gamma_norm=0.01)
-            for c in (1.0, 0.8, 1.2)
-        )
-        steps = 200
+    def test_nondecreasing_and_bounded(self, seed, n, steps, resources, mode):
+        # overshoot stays within gamma*C + n*alpha (criterion 10's slack) on any
+        # family world: a round with an event only backs off, one without adds
+        # n*alpha; bits start at zero, never decrease and never exceed m per step
         cfg = Config(
             n=n, m=3, steps=steps, mode=mode, resources=resources, seed=seed, trace_stride=steps
         )

@@ -202,15 +202,16 @@ class TestExportMatchesReference:
     def test_blocks_end_mid_snapshot(self, long_runs, tmp_path, monkeypatch):
         """Blocks of 98 cells split trace.csv snapshots of n * m rows, and every CSV ends in a partial block.
 
-        That is 32 rows of trace.csv and events.csv (3 cells) and 7 of metrics.csv
-        (14 cells at m = 3). In-process, each snapshot's gradients are evaluated
-        exactly once: a block straddling two snapshots reuses the first one's.
+        That is 16 rows of trace.csv (6 cells), 32 of events.csv (3 cells) and 7 of
+        metrics.csv (14 cells at m = 3). In-process, each snapshot's gradients are
+        evaluated exactly once: a block straddling two snapshots reuses the first one's.
         """
         trace, report, reference_dir = long_runs["deterministic"]
-        assert (trace.n * trace.m) % 32 and trace.x_snap.size % 32
-        assert (trace.events.size, trace.steps.size) == (3603, 1201)
-        assert trace.events.size % 32 and trace.steps.size % 7
         monkeypatch.setattr(aimdalloc.report, "_BLOCK_CELLS", 98)
+        trace_rows, events_rows, metrics_rows = (98 // width for width in (6, 3, 2 + 4 * trace.m))
+        assert (trace.n * trace.m) % trace_rows and trace.x_snap.size % trace_rows
+        assert (trace.events.size, trace.steps.size) == (3603, 1201)
+        assert trace.events.size % events_rows and trace.steps.size % metrics_rows
         monkeypatch.setattr(aimdalloc.report, "_cpus", lambda: 1)
         evaluated = []
         make_ensemble = aimdalloc.report.make_ensemble
@@ -477,11 +478,15 @@ class TestSplitExport:
     def test_ranges_end_mid_snapshot_and_mid_block(self, long_runs, tmp_path, monkeypatch, forks):
         trace, report, reference_dir = long_runs["deterministic"]
         split_rows(monkeypatch, 3)
-        monkeypatch.setattr(aimdalloc.report, "_BLOCK_CELLS", 21)  # 7 rows of 3 cells
+        monkeypatch.setattr(aimdalloc.report, "_BLOCK_CELLS", 42)  # 7 rows of 6 cells
+        rows = aimdalloc.report._BLOCK_CELLS // 6
         bounds = aimdalloc.report._row_bounds(trace)
         per_snap = trace.n * trace.m
         assert all(b % per_snap for b in bounds[1:-1])
-        assert all((hi - lo) % 7 for lo, hi in zip(bounds, bounds[1:]))
+        assert all((hi - lo) % rows for lo, hi in zip(bounds, bounds[1:]))
+        assert per_snap % rows and bounds[-1] % rows
+        cells = aimdalloc.report._BLOCK_CELLS  # events.csv rows are 3 cells, metrics.csv rows 2 + 4 m
+        assert trace.events.size % (cells // 3) and trace.steps.size % (cells // (2 + 4 * trace.m))
         assert_matches_reference(trace, report, tmp_path, reference_dir)
         assert len(forks) == 2
 
