@@ -2,10 +2,10 @@
 
 Each device owns one sampled member of the family. The family is written
 once, as the coefficients of x, x^3, x^5 and x^7 in each resource's partial
-(``_gradient_coefficients``). A member and a whole population evaluate them
-with the same code, so a scalar call gives that device's ensemble row bit
-for bit. Values and partials are exact closed forms (no autodiff), so they
-can be checked against finite differences. The family covers three
+(``_gradient_coefficients``). A member evaluates through the ensemble of
+its own one-row population, so a scalar call gives that device's ensemble
+row bit for bit. Values and partials are exact closed forms (no autodiff),
+so they can be checked against finite differences. The family covers three
 resources: RAM, CPU cycles and scaled disk storage, in that axis order.
 """
 
@@ -56,12 +56,12 @@ def _value_coefficients(g: np.ndarray) -> np.ndarray:
     return g / np.reshape([2.0, 4.0, 6.0, 8.0], (4,) + (1,) * (g.ndim - 1))
 
 
-def _scratch(g: np.ndarray, v: np.ndarray, shape: tuple, flat=None) -> tuple:
-    """Scratch for allocations of ``shape``: the power arrays as the rows of one (4, *shape) buffer (a view of
-    ``flat`` if given), it and its last three rows, g1, and views of the (4, ...) tables g3 to g7 and ``v``
-    broadcasting against them, so that one multiply weights three or four terms.
+def _scratch(g: np.ndarray, v: np.ndarray, shape: tuple, flat: np.ndarray) -> tuple:
+    """Scratch for allocations of ``shape``: the power arrays as the rows of one (4, *shape) view of ``flat``,
+    it and its last three rows, g1, and views of the (4, ...) tables g3 to g7 and ``v`` broadcasting against
+    them, so that one multiply weights three or four terms.
     """
-    p = np.empty((4, *shape)) if flat is None else flat[: 4 * int(np.prod(shape))].reshape(4, *shape)
+    p = flat[: 4 * int(np.prod(shape))].reshape(4, *shape)
     lead = (1,) * (len(shape) + 1 - g.ndim)
     return (*p, p, p[1:], g[0], g[1:].reshape(3, *lead, *g.shape[1:]), v.reshape(4, *lead, *v.shape[1:]))
 
@@ -84,8 +84,8 @@ class CostFunction:
     back-off scaling rule relies on. ``value``/``gradient``/``partial``
     broadcast over leading axes, so a (P, 3) batch of points evaluates in one
     call; a last axis that is not 3 long raises ``ValueError``. ``value``
-    and ``gradient`` run ``CostEnsemble.values`` and ``gradients`` on the
-    member's own (4, 3) coefficient tables (``_v``, ``_g``, built on first use).
+    and ``gradient`` are row 0 of the ``CostEnsemble`` of the member alone
+    (``_ensemble``, built on first use).
     """
 
     case_id: int
@@ -106,22 +106,15 @@ class CostFunction:
                 raise ValueError(f"{name}={v} outside [{lo}, {hi}]")
 
     @cached_property
-    def _g(self) -> np.ndarray:
-        return _gradient_coefficients(self.case_id, self.a, self.b, self.c, self.d)
-
-    @cached_property
-    def _v(self) -> np.ndarray:
-        return _value_coefficients(self._g)
-
-    def _powers(self, shape: tuple) -> tuple:
-        return _scratch(self._g, self._v, shape)
+    def _ensemble(self) -> "CostEnsemble":
+        return CostEnsemble((self,))
 
     def value(self, x) -> float | np.ndarray:
-        out = CostEnsemble.values(self, _family_point(x))
+        out = self._ensemble.values(_family_point(x)[..., None, :])[..., 0]
         return out if out.ndim else float(out)
 
     def gradient(self, x) -> np.ndarray:
-        return CostEnsemble.gradients(self, _family_point(x))
+        return self._ensemble.gradients(_family_point(x)[..., None, :])[..., 0, :]
 
     def partial(self, x, j: int) -> float | np.ndarray:
         if not 0 <= j < RESOURCE_COUNT:
@@ -365,7 +358,8 @@ class CostEnsemble:
     gradient terms, so one (4, n, m) coefficient table evaluates the whole
     device population, given as a float array, in a handful of elementwise
     products. Row i is bit for bit what device i's own ``value`` and
-    ``gradient`` return: they run ``values`` and ``gradients`` on that row.
+    ``gradient`` return: they are row 0 of its one-row ensemble, the same
+    elementwise arithmetic on the same coefficients.
     """
 
     def __init__(self, functions: Sequence[CostFunction]):

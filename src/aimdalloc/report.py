@@ -4,8 +4,9 @@ Exports are byte-stable: floats carry 9 significant digits, column and JSON
 key order is fixed, and every file ends in a newline, so identical runs
 produce identical files and golden-file tests are possible. Every CSV and
 JSON table is written by one ``_write_blocks`` loop: a CSV block is spelled by
-``_format_rows`` from numpy lookups, with the bytes of ``%``, and a block of
-JSON records by one ``%`` over the row-major table.
+``_format_rows`` from numpy lookups, with the bytes of ``%`` (the few cells
+whose digits the lookups cannot prove are left to ``%`` itself), and a block
+of JSON records by one ``%`` over the row-major table.
 """
 
 from __future__ import annotations
@@ -290,33 +291,22 @@ def _format_rows(columns, seps: bytes) -> bytes:
 def _float_words(v: np.ndarray, words: np.ndarray, tables) -> np.ndarray:
     """Fill ``words`` (4, c, r) with the prefix and digit groups of ``"%.9g" % v`` for v (c * r), less those it returns.
 
-    A value in the fixed form (1e-3 <= v < 1e9 after rounding) is spelled from its decimal exponent e, the
-    floor of ``log10`` corrected once either way, and its nine digits, v * 10 ** (8 - e) rounded as ``%``
-    rounds the exact value: the power of ten is exact, so the product is rounded once, and where it is a
-    half-integer the sign of its exact error (Dekker's two-product) settles it, ties going to even. A carry
-    to 10 ** 9 moves e. 0.0 is spelled too; negatives, -0.0, inf and nan are left to ``%``.
+    A value is spelled from its decimal exponent e, the floor of ``log10``, and its nine digits q, the
+    product s = v * 10 ** (8 - e) rounded to an integer. The power of ten is exact, so s is rounded once,
+    and each k + 1/2 is a double: off a half-integer, ``rint`` rounds s as ``%`` rounds the exact product.
+    The cells returned are left to ``%``: v outside [1e-3, 1e9), e + 3 outside [0, 11], s < 1e8 or
+    q >= 1e9 (an exponent off by one, or a carry to 10 ** 9), or s a half-integer. 0.0 is spelled too.
     """
     with np.errstate(all="ignore"):  # nan, inf, 0 and negatives are kept out of ``ok``
-        ok = (v >= 1e-4) & (v < 1e10)
+        ok = (v >= 1e-3) & (v < 1e9)
         w = np.where(ok, v, 1.0)
         e = np.floor(np.log10(w)).astype(np.int32)
     s = w * tables.scale.take(e + 6)  # scale[e + 6] is 10 ** (8 - e), exact for e <= 8
-    fix = np.flatnonzero((s < 1e8) | (s >= 1e9))
-    e[fix] += np.where(s[fix] < 1e8, -1, 1)
-    s[fix] = w[fix] * tables.scale.take(e[fix] + 6)
     q = np.rint(s)
-    tie = np.flatnonzero(np.abs(q - s) == 0.5)
-    if tie.size:  # the sign of a * b - t, exactly (Dekker's two-product), rounds the half-integer t
-        a, b, t = w[tie], tables.scale.take(e[tie] + 6), s[tie]
-        ah, bh = (134217729.0 * x - (134217729.0 * x - x) for x in (a, b))  # Veltkamp: the high 26 bits
-        err = ((ah * bh - t) + ah * (b - bh) + (a - ah) * bh) + (a - ah) * (b - bh)
-        q[tie] = np.where(err == 0, q[tie], t + np.sign(err) / 2)
-    carry = np.flatnonzero(q >= 1e9)
-    q[carry], e[carry] = 1e8, e[carry] + 1
     e += 3  # e in [-3, 8] is e + 3 in [0, 11]; the lookups clip the cells left to %, whose words are redone
-    slow = np.flatnonzero(~ok | (e.view(np.uint32) >= 12))
-    zero = v[slow].view(np.int64) == 0  # 0.0, not -0.0: e is 0 already, and the digits become 0
-    q[slow[zero]], slow = 0, slow[~zero]
+    slow = np.flatnonzero(~ok | (e.view(np.uint32) >= 12) | (s < 1e8) | (q >= 1e9) | (np.abs(q - s) == 0.5))
+    q[slow] = 0  # so the int32 cast below cannot overflow
+    slow = slow[v[slow].view(np.int64) != 0]  # 0.0, not -0.0: its exponent is 0 already, and its digits 0
     tables.prefix.take(e.reshape(words.shape[1:]), out=words[0], mode="clip")
     q = q.astype(np.int32)
     groups, at = np.empty((2, 3, q.size), np.int32)  # per digit group of q: its digits, and its kind's index

@@ -26,7 +26,9 @@ from aimdalloc import (
 from aimdalloc import costs
 from aimdalloc.config import serialize_config
 from aimdalloc.report import certified_optimum, compare_modes
-from aimdalloc.costs import FIELD_RANGES, LoopEnsemble, Population, make_ensemble
+from aimdalloc.costs import (
+    FIELD_RANGES, LoopEnsemble, Population, _gradient_coefficients, _value_coefficients, make_ensemble,
+)
 
 from _stand_ins import (
     BlowUp,
@@ -123,9 +125,10 @@ class TestPopulation:
         pop = sample_cost_functions(3, 500)
         g, v, columns = pop._tables
         for i, f in enumerate(pop):
-            assert np.array([gk[i] for gk in g]).tobytes() == np.array(f._g).tobytes()
-            assert np.array([vk[i] for vk in v]).tobytes() == np.array(f._v).tobytes()
-            assert columns[:, :, i].T.tobytes() == np.array(f._g).tobytes()
+            f_g = _gradient_coefficients(f.case_id, f.a, f.b, f.c, f.d)  # (4, 3), from the scalar fields
+            assert np.array([gk[i] for gk in g]).tobytes() == f_g.tobytes()
+            assert np.array([vk[i] for vk in v]).tobytes() == _value_coefficients(f_g).tobytes()
+            assert columns[:, :, i].T.tobytes() == f_g.tobytes()
 
     def test_equality_hash_and_sequence_protocol(self):
         pop = sample_cost_functions(5, 6)

@@ -367,11 +367,20 @@ class TestFormatRows:
         assert spelled([values], b"\n") == by_percent([values], b"\n")
 
     def test_exponent_one_off_either_way(self, monkeypatch):
-        """The floor of ``log10`` is corrected once either way: an exponent one too high or low still spells right."""
+        """An exponent one too high or low is not corrected but left to ``%``, so the cell still spells right."""
         log10, rng = np.log10, np.random.default_rng(5)
         monkeypatch.setattr(np, "log10", lambda w: log10(w) + rng.choice([-1.0, 0.0, 1.0], np.shape(w)))
         values = rng.random(3000) * 10.0 ** rng.integers(-4, 10, 3000)
         assert spelled([values], b"\n") == by_percent([values], b"\n")
+
+    def test_left_to_percent(self):
+        """``_float_words`` leaves half-integer products and carries to a power of ten to ``%``, and nothing else here."""
+        rounds_up = [v for v in CARRIES if float("%.9g" % v) in 10.0 ** np.arange(-3.0, 10.0)]
+        assert len(rounds_up) == len(CARRIES) - 1  # all but 999999999.49
+        left = ROUNDED_ONTO_HALF + EXACT_TIES + rounds_up
+        v = np.array(left + [999999999.49, 0.0, 0.123456789, 1.5, 12345.6789])
+        slow = aimdalloc.report._float_words(v, np.empty((4, 1, v.size), "<u4"), aimdalloc.report._digit_tables())
+        assert slow.tolist() == list(range(len(left)))
 
     def test_rounded_onto_half_are_hard_cases(self):
         """Each value's scaled product is an inexact half-integer that ties-to-even rounds the wrong way."""
