@@ -39,7 +39,8 @@ print("\nallocation matrix (rows = devices):")
 print(np.array2string(sep.x_star, precision=3, floatmode="fixed"))
 print("column sums:", np.array2string(sep.x_star.sum(axis=0), precision=6))
 
-best = sum(evaluate_cost(f, sep.x_star[i]) for i, f in enumerate(functions))
+members = list(functions)  # indexing a population builds a fresh member each time; build each once
+best = sum(evaluate_cost(f, sep.x_star[i]) for i, f in enumerate(members))
 print(f"\ntotal cost at the optimum: {best:.4f}")
 worse = 0
 for _ in range(1000):
@@ -47,7 +48,7 @@ for _ in range(1000):
     for j, cap in enumerate(capacities):
         draw = rng.exponential(size=n)
         y[:, j] = cap * draw / draw.sum()
-    if sum(evaluate_cost(f, y[i]) for i, f in enumerate(functions)) >= best:
+    if sum(evaluate_cost(f, y[i]) for i, f in enumerate(members)) >= best:
         worse += 1
 print(f"random feasible allocations costing at least as much: {worse}/1000")
 

@@ -106,7 +106,7 @@ class WorldState:
         n, m = self.x.shape
         self._beta = np.tile(self.beta, (n, 1))
         self._gamma_norm = np.tile(self.gamma_norm, (n, 1))
-        # the raw ratio, 1 - lambda, x / (k + 2) and the running sums; the factors
+        # the raw ratio, 1 - lambda and x / (k + 2); the factors
         self._work = np.empty((n, m))
         self._factor = np.empty((n, m))
         self._patterns: dict[bytes, tuple] = {}
@@ -213,17 +213,17 @@ def check_footprint(n: int, trace_bytes: int = 0) -> None:
 
 
 def _device_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Per-resource totals of an (..., n, m) array, the devices added one after another.
+    """Per-resource totals of an (..., n, m) array into ``out`` (..., m), the devices added one after another.
 
-    A running sum along the device axis adds them in the order numpy's reduce
-    over that axis does, so the bits are the same, but in one loop per
-    resource column rather than one 3-wide loop per device; a pairwise sum
-    would change the last bits. Unlike the reduce, it leaves an all -0.0
-    column at -0.0, which engine state never holds: allocations and averages
-    start at +0.0 and are only added to or scaled by nonnegative factors.
-    ``out``, shaped like ``a``, takes the running sums; the totals view it.
+    Each column is added device after device from +0.0, the order and start of numpy's reduce over
+    the device axis, so the bits are the reduce's, an all -0.0 column's +0.0 included; a pairwise
+    sum would change the last bits. ``np.einsum`` adds in that order, in one pass with no temporary,
+    when the devices are not the innermost axis in memory: ``a`` C-ordered with m >= 2. Any other
+    ``a`` (m = 1, F-ordered, transposed) takes the last row of ``np.add.accumulate`` plus +0.0.
     """
-    return np.add.accumulate(a, -2, None, out)[..., -1, :]
+    if a.shape[-1] > 1 and a.flags.c_contiguous:
+        return np.einsum("...ij->...j", a, out=out)
+    return np.add(np.add.accumulate(a, -2)[..., -1, :], 0.0, out)
 
 
 def step_world(w: WorldState, x_bar_out=None, grads_out=None) -> None:
@@ -274,8 +274,7 @@ def _advance(w: WorldState, rows, snaps=None) -> None:
         increase(x, add, x)
         w.x_bar = average(w.x_bar, x, w.k, x_bar, work)
         w.grads = gradients(w.x_bar, grads)
-        totals[...] = _device_sum(x, work)
-        w.totals = totals
+        w.totals = _device_sum(x, totals)
         w.events = capacity_event_bits(totals, capacity, gamma_cap, out=bits)
         w.k += 1
         if snap:
@@ -425,7 +424,7 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
         _advance(w, zip(xbar_rows[first - start:], grad_rows[first - start:], totals_inst[first:stop],
                         bits[first:stop], snap_flags[first:stop]), snap_rows)
         xb = xbar_block[: stop - start]
-        totals_avg[start:stop] = _device_sum(xb)
+        _device_sum(xb, totals_avg[start:stop])
         # max and min are exact, so the resource-major copy changes no bit
         g = np.ascontiguousarray(grad_block[: stop - start].transpose(0, 2, 1))
         spread[start:stop] = g.max(axis=-1) - g.min(axis=-1)

@@ -641,8 +641,20 @@ class TestBlockRecorder:
         assert ensemble.gradients(trace.xbar_snap).tobytes() == grads.tobytes()
 
 
+def python_device_sums(a):
+    """Each column of an (..., n, m) array added device after device from 0.0 in Python floats."""
+    want = np.zeros((*a.shape[:-2], a.shape[-1]))
+    for idx in np.ndindex(*a.shape[:-2]):
+        totals = [0.0] * a.shape[-1]
+        for row in a[idx].tolist():
+            for j, v in enumerate(row):
+                totals[j] += v
+        want[idx] = totals
+    return want
+
+
 class TestDeviceSum:
-    """One running sum over devices keeps the reduce's bits for both device totals."""
+    """One sequential pass over the devices keeps the reduce's bits for both device totals."""
 
     @pytest.mark.parametrize("lead", [(), (4,)])
     @pytest.mark.parametrize("n", [1, 2, 60, 10_000])
@@ -654,11 +666,53 @@ class TestDeviceSum:
         a[..., 0] = -0.0
         with np.errstate(invalid="ignore"):
             got, want = engine._device_sum(a), reference_device_sum(a)
-        # the one difference: an all -0.0 column, which engine state never holds
-        negative_zero = np.all((a == 0.0) & np.signbit(a), axis=-2)
-        assert got[~negative_zero].tobytes() == want[~negative_zero].tobytes()
-        assert np.all(np.signbit(got[negative_zero]))
-        assert not np.any(np.signbit(want[negative_zero]))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("layout, shape, branch", [
+        pytest.param("C", (70_000, 3), "einsum", id="70000-C"),  # past 2**16 devices
+        pytest.param("F", (20_000, 3), "accumulate", id="20000-F"),
+        pytest.param("transposed", (3, 8_193, 3), "accumulate", id="8193-lead-transposed"),
+        pytest.param("C", (20_000, 1), "accumulate", id="20000-m1"),
+        pytest.param("C", (3, 8_193, 1), "accumulate", id="8193-lead-m1"),
+    ])
+    def test_layouts_are_sequential_python_sums(self, monkeypatch, layout, shape, branch):
+        # einsum adds the devices in order only when they are not the innermost axis in
+        # memory; an F-ordered or transposed input and m = 1 take the running sum instead
+        rng = np.random.default_rng(shape)
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+        u = rng.random(shape)
+        a = np.select([u < 0.05, u < 0.1], [rng.choice([0.0, -0.0, np.inf, np.nan], shape), -0.0], a)
+        if shape[-1] > 1:
+            a[..., 0] = -0.0  # an all -0.0 column totals +0.0
+        if layout == "F":
+            a = np.asfortranarray(a)
+        elif layout == "transposed":
+            a = np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2)
+        calls = []
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *args, **kw: calls.append(1) or einsum(*args, **kw))
+        out = np.full(shape[:-2] + shape[-1:], np.nan)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert engine._device_sum(a, out) is out
+        assert (branch == "einsum") == bool(calls)
+        assert out.tobytes() == python_device_sums(a).tobytes()
+
+    @pytest.mark.parametrize("shape", [(10_000, 3), (1, 10_000, 3)])
+    def test_writes_into_out_without_a_temporary(self, shape):
+        # a running sum would take an (n, m) temporary; the totals are read straight into ``out``
+        a = np.random.default_rng(0).random(shape)
+        out = np.empty(shape[:-2] + shape[-1:])
+        engine._device_sum(a, out)
+        out[...] = np.nan
+        tracemalloc.start()
+        try:
+            got = engine._device_sum(a, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got is out
+        assert out.tobytes() == reference_device_sum(a).tobytes()
+        assert peak < a.nbytes / 2
 
     @pytest.mark.parametrize("n, lead, m", [  # m = 3, the family's resource count, keeps plain n-lead ids
         pytest.param(n, lead, m, id=f"{n}-lead{i}" + ("" if m == 3 else f"-m{m}"))
