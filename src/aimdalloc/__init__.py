@@ -22,7 +22,6 @@ from .aimd import (
 from .config import Config, ConfigError, config_hash, parse_config, serialize_config
 from .costs import (
     AssumptionReport,
-    CostEnsemble,
     CostFunction,
     estimate_gamma,
     evaluate_cost,
@@ -70,7 +69,6 @@ __all__ = [
     "ComparisonReport",
     "Config",
     "ConfigError",
-    "CostEnsemble",
     "CostFunction",
     "DegenerateAverageError",
     "ExportManifest",

@@ -2,15 +2,16 @@
 
 Each device owns one sampled member of the family. The family is written
 once, as the coefficients of x, x^3, x^5 and x^7 in each resource's partial
-(``_gradient_coefficients``). A member evaluates through the ensemble of
-its own one-row population, so a scalar call gives that device's ensemble
-row bit for bit. Values and partials are exact closed forms (no autodiff),
-so they can be checked against finite differences. The family covers three
-resources: RAM, CPU cycles and scaled disk storage, in that axis order.
+(``_gradient_coefficients``). ``Population`` is its one evaluator; a member
+evaluates through its own one-row population, so a scalar call gives that
+device's population row bit for bit. Values and partials are exact closed
+forms (no autodiff), checkable against finite differences. The family covers
+three resources: RAM, CPU cycles and scaled disk storage, in that axis order.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -56,16 +57,6 @@ def _value_coefficients(g: np.ndarray) -> np.ndarray:
     return g / np.reshape([2.0, 4.0, 6.0, 8.0], (4,) + (1,) * (g.ndim - 1))
 
 
-def _scratch(g: np.ndarray, v: np.ndarray, shape: tuple, flat: np.ndarray) -> tuple:
-    """Scratch for allocations of ``shape``: the power arrays as the rows of one (4, *shape) view of ``flat``,
-    it and its last three rows, g1, and views of the (4, ...) tables g3 to g7 and ``v`` broadcasting against
-    them, so that one multiply weights three or four terms.
-    """
-    p = flat[: 4 * int(np.prod(shape))].reshape(4, *shape)
-    lead = (1,) * (len(shape) + 1 - g.ndim)
-    return (*p, p, p[1:], g[0], g[1:].reshape(3, *lead, *g.shape[1:]), v.reshape(4, *lead, *v.shape[1:]))
-
-
 def _family_point(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (RESOURCE_COUNT,):
@@ -84,7 +75,7 @@ class CostFunction:
     back-off scaling rule relies on. ``value``/``gradient``/``partial``
     broadcast over leading axes, so a (P, 3) batch of points evaluates in one
     call; a last axis that is not 3 long raises ``ValueError``. ``value``
-    and ``gradient`` are row 0 of the ``CostEnsemble`` of the member alone
+    and ``gradient`` are row 0 of the member's own one-row ``Population``
     (``_ensemble``, built on first use).
     """
 
@@ -106,8 +97,8 @@ class CostFunction:
                 raise ValueError(f"{name}={v} outside [{lo}, {hi}]")
 
     @cached_property
-    def _ensemble(self) -> "CostEnsemble":
-        return CostEnsemble((self,))
+    def _ensemble(self) -> "Population":
+        return as_population((self,))
 
     def value(self, x) -> float | np.ndarray:
         out = self._ensemble.values(_family_point(x)[..., None, :])[..., 0]
@@ -153,8 +144,12 @@ class Population(Sequence):
     An immutable sequence of ``CostFunction``: a member is built only when it
     is indexed, and a slice is the population of its rows. It equals, and
     hashes like, a population or a tuple of the same members. The matrix is
-    range-checked once, as a whole. ``_tables`` are the coefficient tables
-    every population evaluation reads, built from the matrix on first use.
+    range-checked once, as a whole. It is also the family's vectorized
+    evaluator: every case has even-degree value and odd-degree gradient terms,
+    so one (4, n, 3) table of coefficients (``_tables``, built on first use)
+    evaluates the population in a handful of elementwise products. Row i is
+    bit for bit member i's own ``value`` and ``gradient``, which are row 0 of
+    its one-row population.
     """
 
     def __init__(self, fields):
@@ -168,6 +163,7 @@ class Population(Sequence):
         # every range fits a byte, so a device's row takes 5 bytes
         self.fields = fields.astype(np.int8)
         self.fields.flags.writeable = False
+        self._flat, self._work = np.empty(0), {}
 
     def __len__(self) -> int:
         return len(self.fields)
@@ -190,11 +186,93 @@ class Population(Sequence):
 
     @cached_property
     def _tables(self) -> tuple:
-        """The (4, n, 3) ``_g`` and ``_v`` tables and (m, 4, n) ``_columns`` of ``CostEnsemble``, built once."""
+        """The (4, n, 3) gradient and value tables and the (m, 4, n) columns, built once."""
         g = _gradient_coefficients(*self.fields.T)
         g.flags.writeable = False
         # resource j's g1, g3, g5, g7 columns, contiguous for partial_column
         return g, _value_coefficients(g), np.ascontiguousarray(g.transpose(2, 0, 1))
+
+    def _powers(self, shape: tuple) -> tuple:
+        """Scratch for allocations of ``shape``: the power arrays as the rows of one (4, *shape) view of one kept
+        buffer, it and its last three rows, g1, and views of the g3 to g7 and value tables broadcasting against
+        them, so one multiply weights three or four terms. At 10 000 devices fresh buffers cost more in page
+        faults than the arithmetic: about 510 against 150 us a ``gradients`` call.
+        """
+        if shape not in self._work:
+            size, lead = 4 * int(np.prod(shape)), (1,) * (len(shape) - 2)
+            if size > self._flat.size:
+                self._flat, self._work = np.empty(size), {}
+            (g, v, _), p = self._tables, self._flat[:size].reshape(4, *shape)
+            self._work[shape] = (*p, p, p[1:], g[0], g[1:].reshape(3, *lead, *g.shape[1:]),
+                                 v.reshape(4, *lead, *v.shape[1:]))
+        return self._work[shape]
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """Per-device cost at the (..., n, m) allocation ``x``, shape (..., n).
+
+        The terms are weighted in one multiply and added in place, v2 p2 + v4 p4 + v6 p6 + v8 p8, so a block
+        of many matrices needs only the four power arrays as temporaries. Each device's resources are then
+        added column by column, (r0 + r1) + r2, in ``sum(axis=-1)``'s order but without its loop per device.
+        """
+        p2, p4, p6, p8, powers, _, _, _, weights = self._powers(x.shape)
+        np.multiply(x, x, p2)
+        np.multiply(p2, p2, p4)
+        np.multiply(p4, p2, p6)
+        np.multiply(p4, p4, p8)
+        np.multiply(powers, weights, powers)
+        p2 += p4
+        p2 += p6
+        p2 += p8
+        total = p2[..., 0] + p2[..., 1]
+        total += p2[..., 2]
+        return total
+
+    def gradients(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(..., n, m) partials at ``x``, written to ``out`` when given; row i of each matrix is device i's gradient.
+
+        The three odd terms are weighted in one multiply, and the terms added in
+        place in the order g1 x + g3 p3 + g5 p5 + g7 p7, as in ``values``.
+        """
+        p2, p3, p5, p7, _, odd, g1, weights, _ = self._powers(x.shape)
+        np.multiply(x, x, p2)
+        np.multiply(p2, x, p3)
+        np.multiply(p3, p2, p5)
+        np.multiply(p5, p2, p7)
+        np.multiply(odd, weights, odd)
+        out = np.multiply(g1, x, out)
+        out += p3
+        out += p5
+        out += p7
+        return out
+
+    def partial_column(self, t: np.ndarray, j: int) -> np.ndarray:
+        """(n,) partials on resource ``j``, device i evaluated at t[i] e_j.
+
+        Horner form of the odd polynomial; all coefficients are nonnegative,
+        so the result is nondecreasing in t.
+        """
+        c1, c3, c5, c7 = self._tables[2][j]
+        t2 = t * t
+        return ((c7 * t2 + c5) * t2 + c3) * t2 * t + c1 * t
+
+    def newton_demand(self, mu: float, j: int, cap: float, t=None) -> tuple[np.ndarray, np.ndarray]:
+        """Approximate inverse t of ``partial_column`` at ``mu``, clipped at ``cap``, and d t / d mu.
+
+        The partial p is increasing and convex for t >= 0, so five Newton passes
+        descend to its root from where one term alone reaches mu (a zero term
+        never does). A ``t`` given (the last call's, at a lower mu) is below the
+        root instead: the first pass lands above it, and the rest descend. The
+        slope is 1 / p' at the last pass, and 0 for a device saturated at ``cap``.
+        """
+        c1, c3, c5, c7 = columns = self._tables[2][j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if t is None:
+                t = np.min((mu / columns) ** [[1.0], [1 / 3], [1 / 5], [1 / 7]], axis=0)
+            for _ in range(5):
+                t2 = t * t
+                dp = ((7.0 * c7 * t2 + 5.0 * c5) * t2 + 3.0 * c3) * t2 + c1
+                t = t - (self.partial_column(t, j) - mu) / dp
+            return np.minimum(t, cap), np.where(t < cap, 1.0 / dp, 0.0)
 
 
 def as_population(functions):
@@ -351,111 +429,6 @@ def estimate_gamma(
     return safety * best
 
 
-class CostEnsemble:
-    """Vectorized values and gradients for a fixed list of family members.
-
-    Every case is a polynomial with even-degree value terms and odd-degree
-    gradient terms, so one (4, n, m) coefficient table evaluates the whole
-    device population, given as a float array, in a handful of elementwise
-    products. Row i is bit for bit what device i's own ``value`` and
-    ``gradient`` return: they are row 0 of its one-row ensemble, the same
-    elementwise arithmetic on the same coefficients.
-    """
-
-    def __init__(self, functions: Sequence[CostFunction]):
-        if not functions:
-            raise ValueError("need at least one cost function")
-        self.functions = pop = as_population(functions)
-        if not isinstance(pop, Population):
-            raise TypeError("CostEnsemble requires built-in family members")
-        self._g, self._v, self._columns = pop._tables
-        self._flat, self._work = np.empty(0), {}
-
-    def __len__(self) -> int:
-        return len(self.functions)
-
-    def _powers(self, shape: tuple) -> tuple:
-        """``_scratch`` for ``shape``, its buffer a view of one kept buffer.
-
-        At 10 000 devices fresh ones cost more in page faults than the
-        arithmetic: about 510 against 150 us a ``gradients`` call.
-        """
-        if shape not in self._work:
-            if 4 * int(np.prod(shape)) > self._flat.size:
-                self._flat, self._work = np.empty(4 * int(np.prod(shape))), {}
-            self._work[shape] = _scratch(self._g, self._v, shape, self._flat)
-        return self._work[shape]
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        """Per-device cost at the (..., n, m) allocation ``x``, shape (..., n).
-
-        The terms are weighted in one multiply and added in place, in the order
-        v2 p2 + v4 p4 + v6 p6 + v8 p8, so a block of many matrices needs only
-        the four power arrays as temporaries. Each device's resources are then
-        added column by column, (r0 + r1) + r2, the order ``sum(axis=-1)``
-        adds them in, without its one 3-wide loop per device.
-        """
-        p2, p4, p6, p8, powers, _, _, _, weights = self._powers(x.shape)
-        np.multiply(x, x, p2)
-        np.multiply(p2, p2, p4)
-        np.multiply(p4, p2, p6)
-        np.multiply(p4, p4, p8)
-        np.multiply(powers, weights, powers)
-        p2 += p4
-        p2 += p6
-        p2 += p8
-        total = p2[..., 0] + p2[..., 1]
-        total += p2[..., 2]
-        return total
-
-    def gradients(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """(..., n, m) partials at ``x``, written to ``out`` when given; row i of each matrix is device i's gradient.
-
-        The three odd terms are weighted in one multiply, and the terms added in
-        place in the order g1 x + g3 p3 + g5 p5 + g7 p7, as in ``values``.
-        """
-        p2, p3, p5, p7, _, odd, g1, weights, _ = self._powers(x.shape)
-        np.multiply(x, x, p2)
-        np.multiply(p2, x, p3)
-        np.multiply(p3, p2, p5)
-        np.multiply(p5, p2, p7)
-        np.multiply(odd, weights, odd)
-        out = np.multiply(g1, x, out)
-        out += p3
-        out += p5
-        out += p7
-        return out
-
-    def partial_column(self, t: np.ndarray, j: int) -> np.ndarray:
-        """(n,) partials on resource ``j``, device i evaluated at t[i] e_j.
-
-        Horner form of the odd polynomial; all coefficients are nonnegative,
-        so the result is nondecreasing in t.
-        """
-        c1, c3, c5, c7 = self._columns[j]
-        t2 = t * t
-        return ((c7 * t2 + c5) * t2 + c3) * t2 * t + c1 * t
-
-    def newton_demand(self, mu: float, j: int, cap: float, t=None) -> tuple[np.ndarray, np.ndarray]:
-        """Approximate inverse t of ``partial_column`` at ``mu``, clipped at ``cap``, and d t / d mu.
-
-        The partial p is increasing and convex for t >= 0, so five Newton passes
-        descend to its root from where one term alone reaches mu (a zero term
-        never does). A ``t`` given (the last call's, at a lower mu) is below the
-        root instead: the first pass lands above it, and the rest descend. The
-        slope is 1 / p' at the last pass, and 0 for a device saturated at ``cap``.
-        """
-        c1, c3, c5, c7 = columns = self._columns[j]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if t is None:
-                t = np.min((mu / columns) ** [[1.0], [1 / 3], [1 / 5], [1 / 7]], axis=0)
-            for _ in range(5):
-                t2 = t * t
-                dp = ((7.0 * c7 * t2 + 5.0 * c5) * t2 + 3.0 * c3) * t2 + c1
-                t = t - (self.partial_column(t, j) - mu) / dp
-            return np.minimum(t, cap), np.where(t < cap, 1.0 / dp, 0.0)
-
-
 class LoopEnsemble:
     """Population evaluation row by row, through each function's own methods.
 
@@ -464,7 +437,7 @@ class LoopEnsemble:
     the like) runnable through the same engine and oracle. Each entry is
     exactly what the function's own method returns. ``values`` and
     ``gradients`` also take leading block axes, (..., n, m), like
-    ``CostEnsemble``'s.
+    ``Population``'s.
     """
 
     def __init__(self, functions, m: int):
@@ -505,11 +478,22 @@ class LoopEnsemble:
 def make_ensemble(functions, m: int):
     """Population evaluator for ``functions`` on m resources.
 
-    Built-in family members on the family's resource count get the vectorized
-    ``CostEnsemble``; anything else gets the per-function ``LoopEnsemble``,
-    whose rows raise ``ValueError`` for family members on another count.
+    Built-in family members on the family's resource count get a copy of
+    their ``Population`` sharing its ``fields`` and ``_tables`` but not its
+    power buffer, which would outlive the caller on a population held longer
+    (a config's). Anything else gets the per-function ``LoopEnsemble``, whose
+    rows raise ``ValueError`` for family members on another count.
     """
     functions = as_population(functions)
-    if m == RESOURCE_COUNT and isinstance(functions, Population):
-        return CostEnsemble(functions)
-    return LoopEnsemble(functions, m)
+    if not functions:
+        raise ValueError("need at least one cost function")
+    if m != RESOURCE_COUNT or not isinstance(functions, Population):
+        return LoopEnsemble(functions, m)
+    functions._tables  # built on the caller's population, so every copy shares them
+    ensemble = copy.copy(functions)
+    ensemble._flat, ensemble._work = np.empty(0), {}
+    return ensemble
+
+
+#: perfbench's traced runs wrap ``costs.CostEnsemble``; the alias goes with ROADMAP item 8
+CostEnsemble = Population

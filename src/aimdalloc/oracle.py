@@ -11,8 +11,8 @@ Cost objects follow the same small protocol as elsewhere: ``value(x)`` and
 ``gradient(x)`` on length-m vectors, plus a truthy ``separable`` attribute
 when cross-partials vanish. Every population evaluation (demands,
 certificates, the dual bracket and the projected-gradient objective) goes
-through ``costs.make_ensemble``, whose entries for a family member have the
-bits of its own scalar methods. Objects outside the built-in family are
+through ``costs.make_ensemble``: a family ``Population`` evaluates itself, with
+the bits of its members' own scalar methods. Objects outside the family are
 inverted through rows of their ``gradient`` and bisected without a replay.
 """
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostEnsemble, Population, _check_domain, as_population, make_ensemble
+from .costs import Population, _check_domain, as_population, make_ensemble
 
 
 #: devices holding at most this fraction of a capacity count as inactive
@@ -129,7 +129,7 @@ def solve_separable(functions, capacities, tol: float = 1e-8) -> OptimalAllocati
     steps. Any function outside the family must declare itself separable.
 
     The bisection is replayed from exact records. On each side of the
-    accepted band, Newton steps on ``CostEnsemble.newton_demand`` find a
+    accepted band, Newton steps on ``Population.newton_demand`` find a
     level 1.1 to 1.3 bands out, and one exact ``_demand`` there makes a
     record; populations without coefficient columns make none. A midpoint at
     or below an exact level that fell short by more than the band then goes
@@ -193,7 +193,7 @@ def solve_separable(functions, capacities, tol: float = 1e-8) -> OptimalAllocati
         # concave in mu (p_i is convex and increasing), so the sum climbs to total
         # without passing it. Aimed 1.2 bands past capacity and stopped within 0.1,
         # it ends 1.1 to 1.3 bands out, where the exact demand misses the band too.
-        for side in (-1.0, 1.0) if isinstance(ensemble, CostEnsemble) else ():
+        for side in (-1.0, 1.0) if isinstance(ensemble, Population) else ():
             total = cap + 1.2 * side * band
             level, t = ensemble.partial_column(total / n, j).min(), None
             for _ in range(40):

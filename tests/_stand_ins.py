@@ -411,9 +411,9 @@ def closed_form_gradient(case_id, x0, x1, x2, a, b, c, d):
 
 
 def per_row_cost_tables(functions):
-    """Reference ``CostEnsemble`` tables, filled one function at a time.
+    """Reference ``Population`` tables, filled one function at a time.
 
-    This is ``CostEnsemble.__init__``'s loop before it filled each case's
+    This is the original table fill, before it filled each case's
     rows with one indexed assignment, kept verbatim so tests can require the
     same bits. Returns ``(v2, v4, v6, v8), (g1, g3, g5, g7)``.
     """
@@ -454,12 +454,12 @@ def per_row_cost_tables(functions):
 
 
 def reference_gradients(ensemble, x):
-    """Reference ``CostEnsemble.gradients``: one expression, a temporary per term.
+    """Reference ``Population.gradients``: one expression, a temporary per term.
 
     This is the method before it weighted and added the terms in place, kept
     verbatim so tests can require the same bits.
     """
-    g1, g3, g5, g7 = ensemble._g
+    g1, g3, g5, g7 = ensemble._tables[0]
     p2 = x * x
     p3 = p2 * x
     p5 = p3 * p2
@@ -468,12 +468,12 @@ def reference_gradients(ensemble, x):
 
 
 def reference_values(ensemble, x):
-    """Reference ``CostEnsemble.values``: each device's resources added by ``sum(axis=-1)``.
+    """Reference ``Population.values``: each device's resources added by ``sum(axis=-1)``.
 
     This is the method before it added the resource columns one by one, kept
     verbatim so tests can require the same bits.
     """
-    v2, v4, v6, v8 = ensemble._v
+    v2, v4, v6, v8 = ensemble._tables[1]
     x = np.asarray(x, dtype=float)
     p2 = x * x
     p4 = p2 * p2
@@ -487,12 +487,12 @@ def reference_values(ensemble, x):
 
 
 def reference_partial_column(ensemble, t, j):
-    """Reference ``CostEnsemble.partial_column``: Horner form on strided table columns.
+    """Reference ``Population.partial_column``: Horner form on strided table columns.
 
     This is the method before it read each resource's coefficients from
     contiguous rows, kept verbatim so tests can require the same bits.
     """
-    c1, c3, c5, c7 = (g[:, j] for g in ensemble._g)
+    c1, c3, c5, c7 = (g[:, j] for g in ensemble._tables[0])
     t2 = t * t
     return ((c7 * t2 + c5) * t2 + c3) * t2 * t + c1 * t
 

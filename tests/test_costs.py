@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aimdalloc import (
-    CostEnsemble,
     CostFunction,
     collect_metrics,
     estimate_gamma,
@@ -174,7 +173,7 @@ class TestPopulation:
     def test_mixed_list_gets_the_row_loop(self):
         pop = sample_cost_functions(4, 3)
         assert isinstance(make_ensemble([*pop, WeightedSquare(1.0)], 3), LoopEnsemble)
-        assert isinstance(make_ensemble(pop, 3), CostEnsemble)
+        assert isinstance(make_ensemble(pop, 3), Population)
 
     def test_no_member_built_from_seed_to_export(self, bundled_config, tmp_path, monkeypatch):
         built = []
@@ -264,7 +263,7 @@ class TestEnsembleConsistency:
     def test_values_and_gradients_match_scalar_api(self):
         rng = np.random.default_rng(21)
         fns = sample_cost_functions(rng, 40)
-        ens = CostEnsemble(fns)
+        ens = make_ensemble(fns, 3)
         x = rng.random((40, 3)) * 2.5
         vals = ens.values(x)
         grads = ens.gradients(x)
@@ -282,7 +281,7 @@ class TestEnsembleConsistency:
             point[:, j] = t
             expected = [f.partial(point[i], j) for i, f in enumerate(fns)]
             np.testing.assert_array_equal(loop.partial_column(t, j), expected)
-            np.testing.assert_allclose(CostEnsemble(fns).partial_column(t, j), expected, rtol=1e-13)
+            np.testing.assert_allclose(make_ensemble(fns, 3).partial_column(t, j), expected, rtol=1e-13)
 
     def test_tables_match_per_row_fill(self):
         # every case at both coefficient extremes, interleaved with a sampled population
@@ -301,15 +300,15 @@ class TestEnsembleConsistency:
             for case_id in CASE_IDS
             for k in range(1, max(highs) + 1)
         ]
-        ens = CostEnsemble(fns)
+        ens = make_ensemble(fns, 3)
         values, gradients = per_row_cost_tables(fns)
-        for got, want in zip([*ens._v, *ens._g], values + gradients, strict=True):
+        for got, want in zip([*ens._tables[1], *ens._tables[0]], values + gradients, strict=True):
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("lead", [(), (5,)])
     @pytest.mark.parametrize("n", [60, 10_000])
     def test_gradients_match_reference_expression(self, n, lead):
-        ens = CostEnsemble(sample_cost_functions(41, n))
+        ens = make_ensemble(sample_cost_functions(41, n), 3)
         x = np.random.default_rng(42).random((*lead, n, 3)) * 3.0
         x[..., 0, :] = (0.0, 1e-300, 1e4)
         assert ens.gradients(x).tobytes() == reference_gradients(ens, x).tobytes()
@@ -317,7 +316,7 @@ class TestEnsembleConsistency:
     @pytest.mark.parametrize("lead", [(), (2,)])
     @pytest.mark.parametrize("n", [1, 2, 60, 10_000])
     def test_values_match_reference_sum(self, n, lead):
-        ens = CostEnsemble(sampled_functions(n))
+        ens = make_ensemble(sampled_functions(n), 3)
         rng = np.random.default_rng(44)
         x = rng.random((*lead, n, 3)) * 3.0
         special = rng.random(x.shape) < 0.2
@@ -333,7 +332,7 @@ class TestEnsembleConsistency:
 
     @pytest.mark.parametrize("n", [1, 60, 10_000])
     def test_partial_column_matches_reference_expression(self, n):
-        ens = CostEnsemble(sampled_functions(n))
+        ens = make_ensemble(sampled_functions(n), 3)
         t = np.random.default_rng(46).random(n) * 3.0
         t[: min(n, 3)] = (1e4, 0.0, 1e-300)[: min(n, 3)]
         for j in range(3):
@@ -341,7 +340,7 @@ class TestEnsembleConsistency:
             assert ens.partial_column(t, j).tobytes() == want.tobytes()
 
     def test_newton_demand_inverts_partial_column(self):
-        ens = CostEnsemble(sampled_functions(60))
+        ens = make_ensemble(sampled_functions(60), 3)
         cap = 2.0
         for j in range(3):
             at_cap = ens.partial_column(np.full(60, cap), j)
@@ -358,7 +357,7 @@ class TestEnsembleConsistency:
 
     def test_newton_demand_from_a_lower_level(self):
         # a start below the root (the last call's t, at a lower mu) reaches it too
-        ens = CostEnsemble(sampled_functions(60))
+        ens = make_ensemble(sampled_functions(60), 3)
         cap = 2.0
         for j in range(3):
             at_cap = ens.partial_column(np.full(60, cap), j)
@@ -370,13 +369,28 @@ class TestEnsembleConsistency:
 
     def test_make_ensemble_choice(self):
         fns = sample_cost_functions(5, 4)
-        assert isinstance(make_ensemble(fns, 3), CostEnsemble)
+        assert isinstance(make_ensemble(fns, 3), Population)
         assert isinstance(make_ensemble(fns, 2), LoopEnsemble)
         assert isinstance(make_ensemble([*fns, WeightedSquare(1.0)], 3), LoopEnsemble)
+        for m in (3, 2):
+            with pytest.raises(ValueError, match="need at least one cost function"):
+                make_ensemble([], m)
 
-    def test_rejects_foreign_functions(self):
-        with pytest.raises(TypeError):
-            CostEnsemble([WeightedSquare(1.0)])
+    @pytest.mark.parametrize("explicit", [False, True], ids=["sampled", "config-functions"])
+    def test_callers_share_tables_not_power_buffers(self, bundled_config, explicit):
+        # a population held for a whole invocation (a config's) keeps no caller's buffer
+        pop = sample_cost_functions(9, bundled_config.n)
+        a, b = make_ensemble(pop, 3), make_ensemble(pop, 3)
+        a.gradients(np.ones((2, len(pop), 3)))
+        b.values(np.ones((len(pop), 3)))
+        assert a.fields is pop.fields and b.fields is pop.fields
+        assert a._tables is pop._tables and b._tables is pop._tables
+        assert a._flat.size and b._flat.size and not np.shares_memory(a._flat, b._flat)
+        assert pop._flat.size == 0
+        cfg = dataclasses.replace(bundled_config, steps=20, functions=pop if explicit else None)
+        trace = run(cfg, mode="stochastic")
+        held = cfg.functions if explicit else trace.functions
+        assert isinstance(held, Population) and held._flat.size == 0
 
     def test_run_builds_its_tables_once(self, bundled_config, monkeypatch):
         # the engine, the oracle, its certificate and the metrics all read the
@@ -466,7 +480,7 @@ class TestOneFormula:
     def test_tables_match_closed_forms(self, rows):
         fns = [f for f, _ in rows]
         x = np.array([p for _, p in rows], dtype=float)
-        ens = CostEnsemble(fns)
+        ens = make_ensemble(fns, 3)
         args = [(f.case_id, *xi, f.a, f.b, f.c, f.d) for f, xi in zip(fns, x)]
         # a result below the normal range keeps no relative precision
         tiny = np.finfo(float).tiny
@@ -487,7 +501,7 @@ class TestOneFormula:
         x = rng.random((*lead, len(fns), 3)) * 3.0
         special = rng.random(x.shape) < 0.2
         x[special] = rng.choice([0.0, 1e-300, 1e4], special.sum())
-        ens = CostEnsemble(fns)
+        ens = make_ensemble(fns, 3)
         values, grads = ens.values(x), ens.gradients(x)
         for i, f in enumerate(fns):
             assert same_bits(f.value(x[..., i, :]), values[..., i])
@@ -553,7 +567,7 @@ class TestOneFormula:
     def test_leading_block_axes_match_per_matrix_calls(self, kind, lead):
         fns = sample_cost_functions(31, 9)
         ens = {
-            "vectorized": lambda: CostEnsemble(fns),
+            "vectorized": lambda: make_ensemble(fns, 3),
             "row loop": lambda: LoopEnsemble([Wrapped(f) for f in fns], 3),
         }[kind]()
         x = np.random.default_rng(32).random((*lead, 9, 3)) * 3.0

@@ -26,7 +26,7 @@ from aimdalloc import (
     step_world,
 )
 
-from aimdalloc.costs import CostEnsemble, LoopEnsemble, make_ensemble, sample_cost_functions
+from aimdalloc.costs import LoopEnsemble, Population, make_ensemble, sample_cost_functions
 
 from _stand_ins import (
     BlowUp,
@@ -282,7 +282,7 @@ class TestDeviceReplay:
         rows = {int(s): r for r, s in enumerate(trace.snap_steps) if s <= 3000}
         bits = trace.events.astype(bool)
         for i in (0, 7, 33, 59):
-            own = CostEnsemble([trace.functions[i]])
+            own = make_ensemble([trace.functions[i]], trace.m)
             x = np.zeros((1, trace.m))
             x_bar = np.zeros((1, trace.m))
             grad = own.gradients(x_bar)
@@ -597,9 +597,9 @@ class TestBlockRecorder:
         cfg = dataclasses.replace(bundled_config, steps=1200)
         monkeypatch.setattr(engine, "_BLOCK_BYTES", 7 * 8 * cfg.n * cfg.m)
         calls = []
-        values = CostEnsemble.values
+        values = Population.values
         monkeypatch.setattr(
-            CostEnsemble, "values", lambda self, x: calls.append(x.shape) or values(self, x)
+            Population, "values", lambda self, x: calls.append(x.shape) or values(self, x)
         )
         got = run(cfg, mode=mode)
         # 1201 rounds: 171 full blocks and a last block of 4
@@ -637,7 +637,7 @@ class TestBlockRecorder:
             fns = [Wrapped(f) if i % 2 else f for i, f in enumerate(fns)]
         trace, grads = reference_run(cfg, world=build_world(fns, cfg.resources, mode, cfg.seed))
         ensemble = make_ensemble(trace.functions, cfg.m)
-        assert type(ensemble) is (CostEnsemble if population == "family" else LoopEnsemble)
+        assert type(ensemble) is (Population if population == "family" else LoopEnsemble)
         assert ensemble.gradients(trace.xbar_snap).tobytes() == grads.tobytes()
 
 
@@ -778,5 +778,5 @@ class TestDeviceSum:
         assert got.totals_inst[got.snap_steps].tobytes() == snap_totals.tobytes()
         # the reference steps and records with the reduces the running sums replaced
         monkeypatch.setattr(engine, "_device_sum", reference_device_sum)
-        monkeypatch.setattr(CostEnsemble, "values", reference_values)
+        monkeypatch.setattr(Population, "values", reference_values)
         assert_same_trace(got, reference_run(cfg, world=world())[0])

@@ -11,7 +11,7 @@ from aimdalloc import (
     solve_projected_gradient,
     solve_separable,
 )
-from aimdalloc.costs import CostEnsemble, LoopEnsemble, make_ensemble
+from aimdalloc.costs import LoopEnsemble, Population, make_ensemble
 from aimdalloc.engine import resolve_functions
 
 from _stand_ins import (
@@ -174,7 +174,7 @@ class TestReplayedBisection:
 
     def test_skips_most_demand_evaluations(self, bundled_config, monkeypatch):
         exact = count_calls(monkeypatch, oracle, "_demand")
-        newton = count_calls(monkeypatch, CostEnsemble, "newton_demand")
+        newton = count_calls(monkeypatch, Population, "newton_demand")
         fns = resolve_functions(bundled_config)
         opt = solve_separable(
             fns, [p.capacity for p in bundled_config.resources], tol=bundled_config.solver_tol
@@ -194,8 +194,8 @@ class TestReplayedBisection:
         warm = solve_separable(fns, caps)
         warm_count = len(exact)
         exact.clear()
-        newton = CostEnsemble.newton_demand
-        monkeypatch.setattr(CostEnsemble, "newton_demand", lambda self, mu, j, cap, t=None: newton(self, mu, j, cap))
+        newton = Population.newton_demand
+        monkeypatch.setattr(Population, "newton_demand", lambda self, mu, j, cap, t=None: newton(self, mu, j, cap))
         assert_same_bits(warm, solve_separable(fns, caps))
         assert warm_count <= len(exact)
 
@@ -226,7 +226,7 @@ class TestReplayedBisection:
             value = cap if garbage == "cap" else garbage
             return np.full(len(self), value), np.full(len(self), value)
 
-        monkeypatch.setattr(CostEnsemble, "newton_demand", wrong)
+        monkeypatch.setattr(Population, "newton_demand", wrong)
         fns = resolve_functions(bundled_config)
         caps = [p.capacity for p in bundled_config.resources]
         tol = bundled_config.solver_tol
@@ -378,6 +378,16 @@ class TestKktResidual:
     ], ids=["no-active-device", "negative-mean", "nan-gradient"])
     def test_certificate_edge_cases(self, fns, x, want):
         assert kkt_residual(fns, np.array(x), [1.0]) == want
+
+    def test_activity_boundary(self):
+        # a device holding exactly ACTIVE_THRESHOLD of capacity is inactive; one a float above it is active
+        cap, grads = 3.0, np.array([[5.0], [2.0]])
+        edge = oracle.ACTIVE_THRESHOLD * cap
+        for held, mean, spread in ((edge, 2.0, 0.0), (np.nextafter(edge, cap), 3.5, 3.0 / 3.5)):
+            x = np.array([[held], [cap - held]])
+            residual, mu = oracle._certificate(x, grads, [cap])
+            assert mu.tolist() == [mean]
+            assert residual == max(abs(float(x.sum()) - cap) / cap, spread)
 
     def test_nan_gradient_reads_inf(self):
         # a feasible split whose first device's derivative is NaN: the spread term is NaN
