@@ -8,9 +8,6 @@ converge.
 """
 
 from .aimd import (
-    AVERAGE_FLOOR,
-    LAMBDA_MARGIN,
-    ClampStats,
     DegenerateAverageError,
     ResourceParams,
     additive_increase,
@@ -19,7 +16,7 @@ from .aimd import (
     scaling_factor,
     update_average,
 )
-from .config import Config, ConfigError, config_hash, parse_config, serialize_config
+from .config import Config, ConfigError, parse_config, serialize_config
 from .costs import (
     AssumptionReport,
     CostFunction,
@@ -29,49 +26,28 @@ from .costs import (
     sample_cost_functions,
     verify_assumption1,
 )
-from .engine import (
-    SimulationError,
-    Trace,
-    WorldState,
-    build_world,
-    resolve_functions,
-    run,
-    snapshot_steps,
-    step_world,
-)
+from .engine import SimulationError, Trace, WorldState, build_world, run, step_world
 from .metrics import MetricsReport, MetricsSummary, collect_metrics
 from .oracle import (
     BracketError,
     OptimalAllocation,
     UnsupportedFunctionError,
     kkt_residual,
-    project_capacity_simplex,
     solve_projected_gradient,
     solve_separable,
 )
-from .report import (
-    ComparisonReport,
-    ExportManifest,
-    compare_modes,
-    convergence_step,
-    export_comparison,
-    export_trace,
-)
+from .report import ComparisonReport, compare_modes, export_comparison, export_trace
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AVERAGE_FLOOR",
-    "LAMBDA_MARGIN",
     "AssumptionReport",
     "BracketError",
-    "ClampStats",
     "ComparisonReport",
     "Config",
     "ConfigError",
     "CostFunction",
     "DegenerateAverageError",
-    "ExportManifest",
     "MetricsReport",
     "MetricsSummary",
     "OptimalAllocation",
@@ -84,8 +60,6 @@ __all__ = [
     "build_world",
     "collect_metrics",
     "compare_modes",
-    "config_hash",
-    "convergence_step",
     "estimate_gamma",
     "evaluate_cost",
     "export_comparison",
@@ -95,13 +69,10 @@ __all__ = [
     "md_stochastic",
     "parse_config",
     "partial_derivative",
-    "project_capacity_simplex",
-    "resolve_functions",
     "run",
     "sample_cost_functions",
     "scaling_factor",
     "serialize_config",
-    "snapshot_steps",
     "solve_projected_gradient",
     "solve_separable",
     "step_world",

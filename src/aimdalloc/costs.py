@@ -396,9 +396,6 @@ def estimate_gamma(
     diagnostic over concrete functions on a bounded box; the run
     configuration owns the value actually used.
     """
-    functions = as_population(functions)
-    if not functions:
-        raise ValueError("need at least one cost function")
     if grid < 2:
         raise ValueError("grid must be >= 2 points per axis")
     if not 0.0 < safety <= 1.0:
@@ -414,9 +411,9 @@ def estimate_gamma(
     # per (function, axis) minimum over the lattice in point order, then the
     # first function holding each axis' minimum: the same pick, signed zeros
     # included, as a scan over functions, then points
-    per_function = np.full((len(functions), m), np.inf)
+    per_function = np.full((len(ens), m), np.inf)
     for point in mesh:
-        g = ens.gradients(np.tile(point, (len(functions), 1)))
+        g = ens.gradients(np.tile(point, (len(ens), 1)))
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = point / g
         # vanished partials are skipped; NaN ratios never compare below
@@ -476,7 +473,7 @@ class LoopEnsemble:
 
 
 def make_ensemble(functions, m: int):
-    """Population evaluator for ``functions`` on m resources.
+    """Population evaluator for ``functions`` on m resources; the one check that the list is not empty.
 
     Built-in family members on the family's resource count get a copy of
     their ``Population`` sharing its ``fields`` and ``_tables`` but not its

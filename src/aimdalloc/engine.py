@@ -164,12 +164,10 @@ def build_world(functions, params, mode: str, seed: int) -> WorldState:
         raise ValueError(f"world mode must be one of {aimd.RUN_MODES}, got {mode!r}")
     functions = as_population(functions)
     params = tuple(params)
-    if not functions:
-        raise ValueError("need at least one device")
     if not params:
         raise ValueError("need at least one resource")
-    n, m = len(functions), len(params)
-    ensemble = make_ensemble(functions, m)
+    ensemble = make_ensemble(functions, len(params))
+    n, m = len(ensemble), len(params)
     zeros = np.zeros((n, m))
     return WorldState(
         mode=mode,
@@ -226,7 +224,7 @@ def _device_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.add(np.add.accumulate(a, -2)[..., -1, :], 0.0, out)
 
 
-def step_world(w: WorldState, x_bar_out=None, grads_out=None) -> None:
+def step_world(w: WorldState) -> None:
     """Advance ``w`` by one synchronous round, in place.
 
     All event columns back off together (deterministically or stochastically
@@ -234,12 +232,9 @@ def step_world(w: WorldState, x_bar_out=None, grads_out=None) -> None:
     before this update); all other columns grow additively. Stochastic draws
     fill one event column after another, in ascending column order. A
     degenerate average under an event aborts the run, naming the step and
-    the first event column at fault. The new averages and gradients go to
-    ``x_bar_out`` and ``grads_out`` when given, else over the old ones; the
-    world holds them afterwards.
+    the first event column at fault.
     """
-    _advance(w, [(w.x_bar if x_bar_out is None else x_bar_out, w.grads if grads_out is None else grads_out,
-                  np.empty(w.m), np.empty(w.m, dtype=bool), 0)])
+    _advance(w, [(w.x_bar, w.grads, np.empty(w.m), np.empty(w.m, dtype=bool), 0)])
 
 
 def _advance(w: WorldState, rows, snaps=None) -> None:

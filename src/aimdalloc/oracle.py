@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import Population, _check_domain, as_population, make_ensemble
+from .costs import Population, _check_domain, make_ensemble
 
 
 #: devices holding at most this fraction of a capacity count as inactive
@@ -78,17 +78,15 @@ def kkt_residual(functions, x, capacities) -> float:
     than ``ACTIVE_THRESHOLD`` of capacity, divided by their mean derivative:
     0 with no such device or no spread, inf around a mean at or below 0);
     the result is the max over resources. Zero at the exact optimum; inf
-    when a term is NaN. Negative or NaN allocations raise ``ValueError``.
+    when a term is NaN. Negative or NaN allocations, and capacities that are
+    not positive and finite, raise ``ValueError``.
     """
     x = _check_domain(x)
-    capacities = np.asarray(capacities, dtype=float)
-    if x.shape != (len(functions), len(capacities)):
-        raise ValueError(
-            f"allocation shape {x.shape} does not match "
-            f"({len(functions)}, {len(capacities)})"
-        )
-    grads = make_ensemble(functions, len(capacities)).gradients(x)
-    return _certificate(x, grads, capacities)[0]
+    capacities = _check_capacities(capacities)
+    ensemble = make_ensemble(functions, len(capacities))
+    if x.shape != (len(ensemble), len(capacities)):
+        raise ValueError(f"allocation shape {x.shape} does not match ({len(ensemble)}, {len(capacities)})")
+    return _certificate(x, ensemble.gradients(x), capacities)[0]
 
 
 def _demand(ensemble, j, mu, cap, iters):
@@ -143,22 +141,19 @@ def solve_separable(functions, capacities, tol: float = 1e-8) -> OptimalAllocati
     ``iterations`` (the count of bisection steps) are bit for bit those of
     plain bisection.
     """
-    functions = as_population(functions)
-    if not functions:
-        raise ValueError("need at least one cost function")
-    if not isinstance(functions, Population) and not all(getattr(f, "separable", False) for f in functions):
+    capacities = _check_capacities(capacities)
+    ensemble = make_ensemble(functions, len(capacities))
+    if not isinstance(ensemble, Population) and not all(getattr(f, "separable", False) for f in ensemble.functions):
         raise UnsupportedFunctionError(
             "solve_separable needs additively separable costs; use solve_projected_gradient instead"
         )
-    capacities = _check_capacities(capacities)
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
-    n, m = len(functions), len(capacities)
+    n, m = len(ensemble), len(capacities)
     inner_iters = int(np.ceil(np.log2(max(n, 2) / tol))) + 5
     x_star = np.zeros((n, m))
     mu = np.zeros(m)
     outer_total = 0
-    ensemble = make_ensemble(functions, m)
 
     for j, cap in enumerate(capacities):
         # the functions' own partials; partial_column's Horner form rounds differently
@@ -263,11 +258,9 @@ def solve_projected_gradient(
     returns the last iterate flagged ``converged=False``. ``mu`` is the last
     certificate's mean derivative over active devices.
     """
-    functions = as_population(functions)
-    if not functions:
-        raise ValueError("need at least one cost function")
     capacities = _check_capacities(capacities)
-    n, m = len(functions), len(capacities)
+    ensemble = make_ensemble(functions, len(capacities))
+    n, m = len(ensemble), len(capacities)
 
     if x0 is None:
         x = np.tile(capacities / n, (n, 1))
@@ -277,8 +270,6 @@ def solve_projected_gradient(
             raise ValueError(f"x0 shape {x.shape} does not match ({n}, {m})")
         for j in range(m):
             x[:, j] = project_capacity_simplex(x[:, j], capacities[j])
-
-    ensemble = make_ensemble(functions, m)
 
     def total_cost(mat):
         # sequential sum, as the scalar API would accumulate it

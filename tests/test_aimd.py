@@ -7,9 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from aimdalloc import (
-    AVERAGE_FLOOR,
-    LAMBDA_MARGIN,
-    ClampStats,
     DegenerateAverageError,
     ResourceParams,
     additive_increase,
@@ -18,6 +15,7 @@ from aimdalloc import (
     scaling_factor,
     update_average,
 )
+from aimdalloc.aimd import AVERAGE_FLOOR, LAMBDA_MARGIN, ClampStats
 
 from _stand_ins import reference_scaling_factor
 

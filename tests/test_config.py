@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from aimdalloc import ConfigError, ResourceParams, config_hash, parse_config, serialize_config
+from aimdalloc import ConfigError, ResourceParams, parse_config, serialize_config
 from aimdalloc.cli import main
-from aimdalloc.config import config_from_dict
+from aimdalloc.config import config_from_dict, config_hash
 from aimdalloc.costs import sample_cost_functions
 
 from conftest import BUNDLED_CONFIG

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from aimdalloc import (
     CostFunction,
+    ResourceParams,
+    build_world,
     collect_metrics,
     estimate_gamma,
     evaluate_cost,
@@ -19,6 +21,7 @@ from aimdalloc import (
     run,
     sample_cost_functions,
     solve_projected_gradient,
+    solve_separable,
     verify_assumption1,
 )
 
@@ -375,6 +378,18 @@ class TestEnsembleConsistency:
         for m in (3, 2):
             with pytest.raises(ValueError, match="need at least one cost function"):
                 make_ensemble([], m)
+
+    @pytest.mark.parametrize("call", [
+        lambda: solve_separable([], [1.0]),
+        lambda: solve_projected_gradient([], [1.0]),
+        lambda: estimate_gamma([], [(0.1, 1.0)], 4),
+        lambda: build_world([], [ResourceParams(capacity=1.0, alpha=0.1, beta=0.5, gamma_norm=0.1)],
+                            "deterministic", 0),
+    ], ids=["solve_separable", "solve_projected_gradient", "estimate_gamma", "build_world"])
+    def test_empty_list_has_one_message(self, call):
+        # make_ensemble is the one check of an empty cost list
+        with pytest.raises(ValueError, match="^need at least one cost function$"):
+            call()
 
     @pytest.mark.parametrize("explicit", [False, True], ids=["sampled", "config-functions"])
     def test_callers_share_tables_not_power_buffers(self, bundled_config, explicit):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,16 @@ class TestCollectMetrics:
         assert report.summary.distance_median == 0.0
         assert report.summary.distance_max == 0.0
         assert report.summary.final_cost_ratio == pytest.approx(1.0, rel=1e-12)
+
+    def test_zero_optimum_cost_reads_nan(self, small_run):
+        # every cost is 0 at the origin: the ratio is undefined, not inf, and warns nothing
+        _, trace, _ = small_run
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = collect_metrics(trace, np.zeros((trace.n, trace.m)))
+        assert np.isnan(report.cost_ratio).all()
+        assert report.cost_ratio.shape == trace.cost_sum_avg.shape
+        assert np.isnan(report.summary.final_cost_ratio)
 
     def test_single_device_has_zero_spread(self):
         cfg = tiny_config(n=1, steps=30)

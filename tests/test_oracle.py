@@ -6,13 +6,13 @@ from aimdalloc import (
     UnsupportedFunctionError,
     evaluate_cost,
     kkt_residual,
-    project_capacity_simplex,
     sample_cost_functions,
     solve_projected_gradient,
     solve_separable,
 )
 from aimdalloc.costs import LoopEnsemble, Population, make_ensemble
 from aimdalloc.engine import resolve_functions
+from aimdalloc.oracle import project_capacity_simplex
 
 from _stand_ins import (
     BlowUp,
@@ -216,6 +216,17 @@ class TestReplayedBisection:
         assert_same_bits(solve_separable(fns, caps), want)
         assert len(exact) <= 15
 
+    def test_single_device_demand_count(self, monkeypatch):
+        # at n = 1 about half the Newton levels land at or above mu_hi, where no record is
+        # made (a record there too gives the same bits with 512 exact demands)
+        populations = [sample_cost_functions(seed, 1) for seed in range(40)]
+        caps = [1.0, 0.7, 2.0]
+        want = [plain_bisection_solve(fns, caps) for fns in populations]
+        exact = count_calls(monkeypatch, oracle, "_demand")
+        for fns, ref in zip(populations, want):
+            assert_same_bits(solve_separable(fns, caps), ref)
+        assert len(exact) == 395
+
     @pytest.mark.parametrize(
         "garbage", [0.0, "cap", np.nan, np.inf], ids=["zeros", "cap", "nan", "inf"]
     )
@@ -367,6 +378,13 @@ class TestKktResidual:
     def test_negative_allocation_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             kkt_residual([WeightedSquare(1.0)] * 2, np.array([[-0.5], [3.5]]), [3.0])
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
+    def test_capacity_must_be_positive_and_finite(self, bad):
+        # the solvers' own check: a bad capacity reads neither as a finite residual nor as inf
+        fns = sample_cost_functions(0, 3)
+        with pytest.raises(ValueError, match="capacities must be positive and finite"):
+            kkt_residual(fns, np.ones((3, 3)), [2.0, 2.0, bad])
 
     @pytest.mark.parametrize("fns, x, want", [
         # no active device: the spread term is 0 and the feasibility gap is 1

@@ -21,7 +21,6 @@ from aimdalloc import (
     build_world,
     collect_metrics,
     compare_modes,
-    convergence_step,
     export_comparison,
     export_trace,
     parse_config,
@@ -30,6 +29,7 @@ from aimdalloc import (
     solve_separable,
 )
 from aimdalloc.costs import FIELD_RANGES, Population
+from aimdalloc.report import convergence_step
 
 from conftest import REPO_ROOT
 from _stand_ins import Echo, WeightedSquare, reference_export_csv
