@@ -27,8 +27,8 @@ FIELD_RANGES = {"case_id": (1, 3), "a": (1, 25), "b": (1, 20), "c": (1, 15), "d"
 def _gradient_coefficients(case_id, a, b, c, d) -> np.ndarray:
     """(4, ..., 3) coefficients of x, x^3, x^5 and x^7 in each resource's partial.
 
-    The arguments are scalars or arrays that broadcast; their shape is the
-    middle axes of the result. The cases' costs, in closed form:
+    The arguments are scalars or arrays of one shape, which is the middle
+    axes of the result. The cases' costs, in closed form:
 
     1. a (x0^2 + x0^4 / 2) + b (2 x1^4 + x1^6 / 2) + c (x2^2 + x2^4 / 4) + d x2^8 / 8
     2. a x0^2 + b (x1^2 + x1^4 / 2) + 3 c x2^4 / 2
@@ -37,7 +37,6 @@ def _gradient_coefficients(case_id, a, b, c, d) -> np.ndarray:
     Each coefficient is an integer weight times 0.5, 1, 2, 3, 6 or 8, exact in
     floating point, so a scalar and an array call give the same bits.
     """
-    a, b, c, d = np.broadcast_arrays(*(np.asarray(w, dtype=float) for w in (a, b, c, d)))
     z = np.zeros_like(a)
     by_case = np.array((
         ((2.0 * a, z, 2.0 * c), (2.0 * a, 8.0 * b, c), (z, 3.0 * b, z), (z, z, d)),
@@ -128,12 +127,6 @@ class CostFunction:
         return cls(**fields)
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 #: each field's inclusive low and high, as two rows in ``FIELD_RANGES`` order
 _LOW, _HIGH = np.array(list(FIELD_RANGES.values())).T
 
@@ -152,8 +145,7 @@ class Population(Sequence):
     its one-row population.
     """
 
-    def __init__(self, fields):
-        fields = np.asarray(fields)
+    def __init__(self, fields: np.ndarray):
         if fields.dtype.kind not in "iu" or fields.ndim != 2 or fields.shape[1] != len(FIELD_RANGES):
             raise ValueError(f"a population is an (n, 5) integer matrix, got {fields.dtype} {fields.shape}")
         if (outside := (fields < _LOW) | (fields > _HIGH)).any():
@@ -298,7 +290,7 @@ def sample_cost_functions(rng, n: int) -> Population:
     always yields the same functions. ``rng`` may be a seed or a
     ``numpy.random.Generator``.
     """
-    return Population(_as_rng(rng).integers(_LOW, _HIGH + 1, size=(n, len(FIELD_RANGES))))
+    return Population(np.random.default_rng(rng).integers(_LOW, _HIGH + 1, size=(n, len(FIELD_RANGES))))
 
 
 def _check_domain(x) -> np.ndarray:
@@ -306,6 +298,23 @@ def _check_domain(x) -> np.ndarray:
     if not np.all(x >= 0):
         raise ValueError("allocation has a negative or NaN component")
     return x
+
+
+def _check_shape(x, n: int, m: int, what: str = "allocation") -> np.ndarray:
+    """``x`` as a float array; ValueError unless it is an (n, m) matrix, one row per device."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n, m):
+        raise ValueError(f"{what} shape {x.shape} does not match ({n}, {m})")
+    return x
+
+
+def _check_box(box, zero_ok: bool) -> list[tuple[float, float]]:
+    """``box`` as float (lo, hi) pairs; ValueError unless 0 < lo < hi on every axis (0 <= lo if ``zero_ok``)."""
+    box = [(float(lo), float(hi)) for lo, hi in box]
+    for ax, (lo, hi) in enumerate(box):
+        if not ((lo >= 0 if zero_ok else lo > 0) and lo < hi):  # a NaN end fails too
+            raise ValueError(f"box axis {ax} must satisfy 0 {'<=' if zero_ok else '<'} lo < hi, got ({lo}, {hi})")
+    return box
 
 
 def evaluate_cost(f, x) -> float:
@@ -346,11 +355,8 @@ def verify_assumption1(f, box: Sequence[tuple[float, float]], samples: int, rng=
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    box = [(float(lo), float(hi)) for lo, hi in box]
-    for ax, (lo, hi) in enumerate(box):
-        if lo < 0 or hi <= lo:
-            raise ValueError(f"box axis {ax} must satisfy 0 <= lo < hi, got ({lo}, {hi})")
-    rng = _as_rng(rng)
+    box = _check_box(box, zero_ok=True)
+    rng = np.random.default_rng(rng)  # a Generator passes through
     m = len(box)
     lows = np.array([lo for lo, _ in box])
     highs = np.array([hi for _, hi in box])
@@ -400,10 +406,7 @@ def estimate_gamma(
         raise ValueError("grid must be >= 2 points per axis")
     if not 0.0 < safety <= 1.0:
         raise ValueError("safety factor must be in (0, 1]")
-    box = [(float(lo), float(hi)) for lo, hi in box]
-    for ax, (lo, hi) in enumerate(box):
-        if lo <= 0 or hi <= lo:
-            raise ValueError(f"box axis {ax} must satisfy 0 < lo < hi, got ({lo}, {hi})")
+    box = _check_box(box, zero_ok=False)
     m = len(box)
     axes = [np.linspace(lo, hi, grid) for lo, hi in box]
     mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
@@ -446,12 +449,10 @@ class LoopEnsemble:
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """Per-device cost at the (..., n, m) allocation ``x``, shape (..., n)."""
-        x = np.asarray(x, dtype=float)
         return self._row_loop(lambda f, xi: float(f.value(xi)), x).reshape(x.shape[:-1])
 
     def gradients(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(..., n, m) partials at ``x``, written to ``out`` when given; row i of each matrix is device i's gradient."""
-        x = np.asarray(x, dtype=float)
         grads = self._row_loop(lambda f, xi: f.gradient(xi), x).reshape(*x.shape[:-1], -1)
         if out is None:
             return grads
@@ -475,10 +476,10 @@ class LoopEnsemble:
 def make_ensemble(functions, m: int):
     """Population evaluator for ``functions`` on m resources; the one check that the list is not empty.
 
-    Built-in family members on the family's resource count get a copy of
-    their ``Population`` sharing its ``fields`` and ``_tables`` but not its
-    power buffer, which would outlive the caller on a population held longer
-    (a config's). Anything else gets the per-function ``LoopEnsemble``, whose
+    Built-in family members on the family's resource count get a copy of their
+    ``Population`` sharing its ``fields`` and ``_tables``; the copy makes its power
+    buffer at its first evaluation, so none outlives the caller on a population held
+    longer (a config's). Anything else gets the per-function ``LoopEnsemble``, whose
     rows raise ``ValueError`` for family members on another count.
     """
     functions = as_population(functions)
@@ -487,9 +488,7 @@ def make_ensemble(functions, m: int):
     if m != RESOURCE_COUNT or not isinstance(functions, Population):
         return LoopEnsemble(functions, m)
     functions._tables  # built on the caller's population, so every copy shares them
-    ensemble = copy.copy(functions)
-    ensemble._flat, ensemble._work = np.empty(0), {}
-    return ensemble
+    return copy.copy(functions)
 
 
 #: perfbench's traced runs wrap ``costs.CostEnsemble``; the alias goes with ROADMAP item 8

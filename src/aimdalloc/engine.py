@@ -44,7 +44,7 @@ from . import aimd
 from .aimd import AVERAGE_FLOOR, ClampStats, DegenerateAverageError
 from .config import Config, config_hash
 from .control import capacity_event_bits
-from .costs import Population, as_population, make_ensemble, sample_cost_functions
+from .costs import Population, _check_shape, as_population, make_ensemble, sample_cost_functions
 
 
 #: most bytes a trace plus the devices' arrays may take (less under a tight RLIMIT_AS); more is refused before sampling
@@ -389,8 +389,7 @@ def run(config: Config, mode: str | None = None, world: WorldState | None = None
         )
     else:
         w = world
-        if (w.n, w.m) != (n, m):
-            raise ValueError(f"world shape ({w.n}, {w.m}) does not match config ({n}, {m})")
+        _check_shape(w.x, n, m, "world")
         if mode is not None and mode != w.mode:
             raise ValueError(f"world was built for mode {w.mode!r}, not {mode!r}")
         if w.k != 0:

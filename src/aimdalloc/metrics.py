@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import _check_domain, make_ensemble
+from .costs import _check_domain, _check_shape, make_ensemble
 from .engine import Trace
 
 
@@ -49,13 +49,9 @@ def collect_metrics(trace: Trace, optimum: np.ndarray) -> MetricsReport:
     against; the cost-ratio series divides the running sum-of-costs at the
     averages by the total cost at the optimum.
     """
-    optimum = np.asarray(optimum, dtype=float)
-    if optimum.shape != (trace.n, trace.m):
-        raise ValueError(
-            f"optimum shape {optimum.shape} does not match trace ({trace.n}, {trace.m})"
-        )
+    optimum = _check_domain(_check_shape(optimum, trace.n, trace.m, "optimum"))
     # each device's value, summed left to right as the scalar API would
-    per_device = make_ensemble(trace.functions, trace.m).values(_check_domain(optimum))
+    per_device = make_ensemble(trace.functions, trace.m).values(optimum)
     optimum_cost = float(sum(per_device.tolist()))
     cost_ratio = (
         trace.cost_sum_avg / optimum_cost if optimum_cost > 0 else np.full_like(trace.cost_sum_avg, np.nan)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import Population, _check_domain, make_ensemble
+from .costs import Population, _check_domain, _check_shape, make_ensemble
 
 
 #: devices holding at most this fraction of a capacity count as inactive
@@ -84,8 +84,7 @@ def kkt_residual(functions, x, capacities) -> float:
     x = _check_domain(x)
     capacities = _check_capacities(capacities)
     ensemble = make_ensemble(functions, len(capacities))
-    if x.shape != (len(ensemble), len(capacities)):
-        raise ValueError(f"allocation shape {x.shape} does not match ({len(ensemble)}, {len(capacities)})")
+    _check_shape(x, len(ensemble), len(capacities))
     return _certificate(x, ensemble.gradients(x), capacities)[0]
 
 
@@ -201,7 +200,6 @@ def solve_separable(functions, capacities, tol: float = 1e-8) -> OptimalAllocati
                 gap_at(level)
 
         mu_lo = 0.0
-        xs = None
         for _ in range(200):
             outer_total += 1
             mid = 0.5 * (mu_lo + mu_hi)
@@ -232,9 +230,8 @@ def solve_separable(functions, capacities, tol: float = 1e-8) -> OptimalAllocati
     )
 
 
-def project_capacity_simplex(v, capacity: float) -> np.ndarray:
+def project_capacity_simplex(v: np.ndarray, capacity: float) -> np.ndarray:
     """Euclidean projection onto {x >= 0, sum(x) = capacity} (sort-based)."""
-    v = np.asarray(v, dtype=float)
     u = np.sort(v)[::-1]
     css = np.cumsum(u)
     ks = np.arange(1, v.size + 1)
@@ -265,9 +262,7 @@ def solve_projected_gradient(
     if x0 is None:
         x = np.tile(capacities / n, (n, 1))
     else:
-        x = np.asarray(x0, dtype=float).copy()
-        if x.shape != (n, m):
-            raise ValueError(f"x0 shape {x.shape} does not match ({n}, {m})")
+        x = _check_shape(x0, n, m, "x0").copy()
         for j in range(m):
             x[:, j] = project_capacity_simplex(x[:, j], capacities[j])
 

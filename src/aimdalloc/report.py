@@ -134,7 +134,6 @@ def export_trace(trace: Trace, report: MetricsReport, out_dir: str | Path) -> Ex
             fh.write(b"step,device,resource,x,x_bar,grad_at_xbar\n")
             _write_rows(fh, trace, 0, bounds[1])
             _write_full_rate(trace, report, out, rows)
-            fh.flush()
             while workers:
                 pid, tmp = workers[0]
                 status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -374,13 +373,19 @@ def _write_full_rate(trace: Trace, report: MetricsReport, out: Path, rows: dict[
         "mode": trace.mode,
         "seed": trace.seed,
         "cost_functions": trace.functions if isinstance(trace.functions, Population)
-        else [f.to_dict() if hasattr(f, "to_dict") else {"repr": repr(f)} for f in trace.functions],
+        else [f.to_dict() if hasattr(f, "to_dict") else {"repr": _repr(f)} for f in trace.functions],
         "clamp_low": trace.clamp_low,
         "clamp_high": trace.clamp_high,
         "summary": asdict(report.summary),
     }
     write_json(out / "summary.json", summary)
     rows["summary.json"] = 1
+
+
+def _repr(f) -> str:
+    """``repr(f)``, or the qualified class name where that would be ``object``'s, which holds an address."""
+    kind = type(f)
+    return repr(f) if kind.__repr__ is not object.__repr__ else f"{kind.__module__}.{kind.__qualname__}"
 
 
 def convergence_step(spread: np.ndarray, thresholds: np.ndarray) -> int:

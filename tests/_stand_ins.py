@@ -13,7 +13,6 @@ from aimdalloc.costs import (
     AssumptionReport,
     AssumptionViolation,
     LoopEnsemble,
-    _as_rng,
     make_ensemble,
     sample_cost_functions,
 )
@@ -638,7 +637,7 @@ def reference_verify_assumption1(f, box, samples, rng=0):
     ``rng`` stops earlier than in the batched check.
     """
     box = [(float(lo), float(hi)) for lo, hi in box]
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     m = len(box)
     lows = np.array([lo for lo, _ in box])
     highs = np.array([hi for _, hi in box])

@@ -83,7 +83,10 @@ class TestRunCommand:
         assert code == 0
         for name in ("trace.csv", "events.csv", "metrics.csv", "summary.json"):
             assert (tmp_path / "out" / name).exists()
-        assert "final cost ratio" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("run (deterministic) finished: 60 steps, event bits [")
+        assert lines[1].startswith("final cost ratio ")
+        assert lines[2] == f"wrote events.csv, metrics.csv, summary.json, trace.csv to {tmp_path / 'out'}"
 
     def test_mode_flag_resolves_both(self, tmp_path):
         cfg = write_doc(tmp_path, small_doc(mode="both"))
@@ -94,7 +97,7 @@ class TestRunCommand:
         cfg = write_doc(tmp_path, small_doc(mode="both"))
         code = main(["run", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "config error" in capsys.readouterr().err
+        assert "config error: invalid config: mode: 'both' needs the compare command or --mode" in capsys.readouterr().err
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         doc = small_doc()
@@ -113,10 +116,14 @@ class TestRunCommand:
 
 
 class TestCompareCommand:
-    def test_comparison_outputs(self, tmp_path):
+    def test_comparison_outputs(self, tmp_path, capsys):
         cfg = write_doc(tmp_path, small_doc(mode="both"))
         out = tmp_path / "cmp"
         assert main(["compare", str(cfg), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("compare deterministic vs stochastic: convergence steps ")
+        assert lines[1].startswith("final average-allocation gap: median ")
+        assert lines[2] == f"wrote comparison to {out}"
         assert (out / "comparison.json").exists()
         assert (out / "deterministic" / "summary.json").exists()
         assert (out / "stochastic" / "summary.json").exists()
@@ -127,10 +134,13 @@ class TestCompareCommand:
 
 
 class TestSolveCommand:
-    def test_writes_optimum(self, tmp_path):
+    def test_writes_optimum(self, tmp_path, capsys):
         cfg = write_doc(tmp_path, small_doc())
         out = tmp_path / "solve"
         assert main(["solve", str(cfg), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("solved: mu = [") and " kkt residual " in lines[0]
+        assert lines[1] == f"wrote optimum.json to {out}"
         doc = json.loads((out / "optimum.json").read_text())
         assert len(doc["x_star"]) == 4
         assert len(doc["mu"]) == 3
@@ -157,10 +167,14 @@ class TestSolveCommand:
 
 
 class TestSweepCommand:
-    def test_aggregates_seeds(self, tmp_path):
+    def test_aggregates_seeds(self, tmp_path, capsys):
         cfg = write_doc(tmp_path, small_doc())
         out = tmp_path / "sweep"
         assert main(["sweep", str(cfg), "--seeds", "1..3", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:3]] == ["seed 1", "seed 2", "seed 3"]
+        assert all(" cost ratio " in line for line in lines[:3])
+        assert lines[3] == f"wrote sweep.json to {out}"
         doc = json.loads((out / "sweep.json").read_text())
         assert doc["seeds"] == [1, 2, 3]
         assert (out / "seed_2" / "summary.json").exists()

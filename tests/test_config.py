@@ -166,7 +166,15 @@ class TestValidation:
         ({"cost_spec": ["sample"]}, "cost_spec: expected an object"),
         ({"cost_spec": {"kind": "explicit", "functions": {}}}, "cost_spec.functions: expected a list"),
         ({"cost_spec": {"kind": "given"}}, "cost_spec.kind: must be 'sample' or 'explicit'"),
-    ], ids=["no-resources", "resource-entry", "cost-spec", "functions", "kind"])
+        # each problem once: a malformed section is not read further, and a bad field is not used
+        ({"resources": "abc"}, "resources: expected a non-empty list"),
+        ({"cost_spec": {"kind": "explicit"}}, "cost_spec.functions: expected a list"),
+        ({"cost_spec": {"kind": "sample", "n": 2}}, "cost_spec.n: unknown field"),
+        ({"cost_spec": {"kind": "explicit", "functions": [{"case_id": 1, "a": 1, "b": 1, "c": 1, "d": 1}] * 2,
+                        "seed": 1}}, "cost_spec.seed: unknown field"),
+        ({"m": 4}, "m: must be 3 (built-in cost family) (got 4)"),
+    ], ids=["no-resources", "resource-entry", "cost-spec", "functions", "kind", "resources-string",
+            "functions-missing", "sample-extra-key", "explicit-extra-key", "bad-m"])
     def test_malformed_sections(self, overrides, message):
         with pytest.raises(ConfigError) as exc:
             config_from_dict(minimal_doc(**overrides))
@@ -198,6 +206,16 @@ class TestValidation:
         assert fields[0] == "surprise: unknown field"
         assert fields[1].startswith("resources[1].beta must be in [0, 1)")
         assert fields[2].startswith("cost_spec.functions[0]: case_id")
+        assert str(exc.value) == "invalid config: " + "; ".join(fields)
+
+    def test_length_problems_reported_with_the_rest(self):
+        entry = {"case_id": 1, "a": 1, "b": 1, "c": 1, "d": 1}
+        doc = minimal_doc(surprise=1, resources=minimal_doc()["resources"][:2],
+                          cost_spec={"kind": "explicit", "functions": [entry] * 3})
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(doc)
+        assert exc.value.fields == ["surprise: unknown field", "resources: length 2 does not match m=3",
+                                    "cost_spec.functions: length 3 does not match n=2"]
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"

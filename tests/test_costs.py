@@ -173,6 +173,11 @@ class TestPopulation:
         assert serialize_config(cfg)["cost_spec"]["functions"] == [f.to_dict() for f in members]
         assert cfg.functions.to_dicts() == [f.to_dict() for f in members]
 
+    def test_any_iterable_is_converted(self):
+        members, hand = [CostFunction(1, 2, 3, 4, 5), CostFunction(3, 25, 20, 15, 10)], [WeightedSquare(1.0)]
+        assert costs.as_population(iter(members)) == tuple(members)
+        assert costs.as_population(iter(hand)) == tuple(hand)
+
     def test_mixed_list_gets_the_row_loop(self):
         pop = sample_cost_functions(4, 3)
         assert isinstance(make_ensemble([*pop, WeightedSquare(1.0)], 3), LoopEnsemble)
@@ -242,6 +247,8 @@ class TestPartialDerivatives:
         f = CostFunction(1, 1, 1, 1, 1)
         with pytest.raises(IndexError):
             partial_derivative(f, (1.0, 1.0, 1.0), 3)
+        with pytest.raises(IndexError, match=r"^resource index -1 out of range \[0, 3\)$"):
+            partial_derivative(f, (1.0, 1.0, 1.0), -1)
 
     def test_matches_central_differences(self):
         rng = np.random.default_rng(42)
@@ -400,6 +407,7 @@ class TestEnsembleConsistency:
         b.values(np.ones((len(pop), 3)))
         assert a.fields is pop.fields and b.fields is pop.fields
         assert a._tables is pop._tables and b._tables is pop._tables
+        assert not pop._tables[0].flags.writeable  # shared by every copy, so no caller may write it
         assert a._flat.size and b._flat.size and not np.shares_memory(a._flat, b._flat)
         assert pop._flat.size == 0
         cfg = dataclasses.replace(bundled_config, steps=20, functions=pop if explicit else None)
@@ -624,6 +632,19 @@ class TestAssumptionCheck:
         assert report.first_violation.axis == 0
         assert report.first_violation.point == tuple(first_point)
 
+    def test_box_may_touch_zero(self):
+        assert verify_assumption1(WeightedSquare(1.0), [(0.0, 1.0)], samples=5).passed
+
+    @pytest.mark.parametrize("box, samples, message", [
+        ([(-0.1, 1.0)], 5, r"^box axis 0 must satisfy 0 <= lo < hi, got \(-0.1, 1.0\)$"),
+        ([(0.1, 1.0), (1.0, 1.0)], 5, r"^box axis 1 must satisfy 0 <= lo < hi"),
+        ([(np.nan, 1.0)], 5, r"^box axis 0 must satisfy 0 <= lo < hi"),
+        ([(0.1, 1.0)], 0, r"^samples must be >= 1$"),
+    ], ids=["negative-lo", "empty-axis", "nan-lo", "no-samples"])
+    def test_bad_input_rejected(self, box, samples, message):
+        with pytest.raises(ValueError, match=message):
+            verify_assumption1(WeightedSquare(1.0), box, samples=samples)
+
 
 class TestGammaEstimate:
     def test_pure_square_gives_half(self):
@@ -665,6 +686,17 @@ class TestGammaEstimate:
     def test_vanished_partials_rejected(self):
         with pytest.raises(ValueError, match="all partials vanished"):
             estimate_gamma([Constant()], [(0.1, 1.0)] * 2, grid=4)
+
+    @pytest.mark.parametrize("box, grid, safety, message", [
+        ([(0.0, 1.0)], 4, 1.0, r"^box axis 0 must satisfy 0 < lo < hi, got \(0.0, 1.0\)$"),
+        ([(0.1, 1.0), (2.0, 1.0)], 4, 1.0, r"^box axis 1 must satisfy 0 < lo < hi"),
+        ([(0.1, 1.0)], 1, 1.0, r"^grid must be >= 2 points per axis$"),
+        ([(0.1, 1.0)], 4, 0.0, r"^safety factor must be in \(0, 1\]$"),
+        ([(0.1, 1.0)], 4, 1.5, r"^safety factor must be in \(0, 1\]$"),
+    ], ids=["zero-lo", "reversed-axis", "one-point-grid", "zero-safety", "safety-above-one"])
+    def test_bad_input_rejected(self, box, grid, safety, message):
+        with pytest.raises(ValueError, match=message):
+            estimate_gamma([WeightedSquare(1.0)], box, grid=grid, safety=safety)
 
 
 BOX3 = [(0.01, 3.0), (0.05, 2.0), (0.1, 2.5)]

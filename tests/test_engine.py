@@ -65,6 +65,13 @@ class TestInitWorld:
         )
         assert w.x.shape == (1, 1)
 
+    def test_iterable_inputs_are_read_once(self):
+        # a list of family members becomes the world's one population, shared by its ensemble
+        members, resources = list(sample_cost_functions(2, 3)), tiny_config().resources
+        w = build_world(members, (p for p in resources), "deterministic", seed=0)
+        assert isinstance(w.functions, Population) and w.functions == tuple(members)
+        assert w.ensemble.fields is w.functions.fields and w.capacity.tolist() == [p.capacity for p in resources]
+
     def test_minimal_config_world(self):
         w = config_world(tiny_config(n=1))
         assert w.x.shape == (1, 3)
@@ -90,6 +97,10 @@ class TestInitWorld:
         resource = ResourceParams(capacity=1.0, alpha=0.3, beta=0.5, gamma_norm=0.1)
         with pytest.raises(ValueError, match=rf"got shape \({m},\)"):
             build_world(sample_cost_functions(3, 4), [resource] * m, "deterministic", seed=0)
+
+    def test_no_resources_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one resource$"):
+            build_world([WeightedSquare(1.0)], [], "deterministic", seed=0)
 
 
 class TestStepWorld:
@@ -559,7 +570,7 @@ class TestRun:
     def test_world_guards(self):
         cfg = tiny_config(n=2, steps=5)
         w = hand_world()  # 2 devices, 1 resource: shape mismatch vs m=3
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^world shape \(2, 1\) does not match \(2, 3\)$"):
             run(cfg, world=w)
         w3 = config_world(cfg)
         with pytest.raises(ValueError):

@@ -26,7 +26,7 @@ def small_run(bundled_config):
 class TestCollectMetrics:
     def test_shape_mismatch_rejected(self, small_run):
         _, trace, _ = small_run
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^optimum shape \(3, 3\) does not match \(60, 3\)$"):
             collect_metrics(trace, np.zeros((3, 3)))
 
     def test_fixed_point_trace_scores_perfectly(self, small_run):

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,16 @@ class TestSeparableSolver:
     def test_vanishing_derivatives_rejected(self):
         with pytest.raises(oracle.BracketError, match="all derivatives vanish up to capacity"):
             solve_separable([Constant(), Constant()], [1.0])
+
+    def test_nan_derivative_cannot_bracket(self):
+        # a NaN partial at capacity never over-supplies, however far the upper end is doubled
+        with pytest.raises(oracle.BracketError, match="^resource 0: could not bracket capacity$"):
+            solve_separable([BlowUp(1.0, [0.5], np.nan)], [1.0])
+
+    def test_demand_jumping_over_capacity_cannot_converge(self):
+        # past 0.25 each partial is inf: the total demand is at most 0.5 at a finite level and 2.0 at inf
+        with pytest.raises(oracle.BracketError, match="^resource 0: dual bisection did not reach tolerance 1e-08$"):
+            solve_separable([BlowUp(1.0, [0.25], np.inf)] * 2, [1.0])
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     @pytest.mark.parametrize("solver", [solve_separable, solve_projected_gradient])
@@ -326,6 +338,36 @@ class TestProjectedGradient:
         out = solve_projected_gradient(fns, [1.0], x0=np.array([[1.0], [0.0]]), max_iters=0)
         assert out.mu.tolist() == [2.0]
 
+    def test_infeasible_start_is_projected(self):
+        fns = [WeightedSquare(1.0), WeightedSquare(1.0)]
+        out = solve_projected_gradient(fns, [1.0], x0=np.array([[3.0], [-1.0]]), max_iters=0)
+        assert out.x_star.tolist() == [[1.0], [0.0]]
+
+    def test_start_shape_mismatch(self):
+        fns = [WeightedSquare(1.0), WeightedSquare(1.0)]
+        with pytest.raises(ValueError, match=r"^x0 shape \(3, 1\) does not match \(2, 1\)$"):
+            solve_projected_gradient(fns, [1.0], x0=np.zeros((3, 1)))
+
+    def test_step_grows_after_an_accepted_step(self, bundled_config):
+        # 170 steps here; a step that only ever shrinks takes 448
+        caps = [p.capacity for p in bundled_config.resources]
+        out = solve_projected_gradient(resolve_functions(bundled_config), caps, tol=1e-7)
+        assert out.converged and out.iterations <= 250
+
+    def test_line_search_ends_on_a_nan_cost(self):
+        # no step satisfies the bound against a NaN cost: the search gives up at a tiny step
+        class NanCost(WeightedSquare):
+            def value(self, x):
+                return np.nan
+
+        done = []
+        fns = [NanCost(1.0), WeightedSquare(2.0)]
+        worker = threading.Thread(target=lambda: done.append(solve_projected_gradient(fns, [1.0], max_iters=2)),
+                                  daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert done and done[0].iterations == 2 and not done[0].converged
+
     def test_non_convergence_flagged(self):
         fns = sample_cost_functions(29, 5)
         out = solve_projected_gradient(fns, [3.0, 2.0, 2.0], tol=1e-12, max_iters=2)
@@ -360,7 +402,7 @@ class TestKktResidual:
         assert kkt_residual(fns, x, [3.0]) >= 1.0
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^allocation shape \(2, 1\) does not match \(1, 1\)$"):
             kkt_residual([WeightedSquare(1.0)], np.zeros((2, 1)), [1.0])
 
     @pytest.mark.parametrize("where", ["entry", "column"])

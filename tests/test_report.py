@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -67,6 +68,14 @@ class TestExport:
         text = (tmp_path / "trace.csv").read_text().splitlines()
         assert text[0] == "step,device,resource,x,x_bar,grad_at_xbar"
         assert len(text) == 3
+
+    def test_hand_built_cost_records_are_stable(self, tmp_path):
+        # WeightedSquare keeps object's repr, whose address differs between two live worlds
+        runs = [one_device_export() for _ in range(2)]
+        for out, (trace, report) in zip(("a", "b"), runs):
+            export_trace(trace, report, tmp_path / out)
+            doc = json.loads((tmp_path / out / "summary.json").read_text())
+            assert doc["cost_functions"] == [{"repr": "_stand_ins.WeightedSquare"}]
 
     def test_reexport_is_byte_identical(self, exported, tmp_path):
         cfg, trace, report, manifest = exported
@@ -527,7 +536,7 @@ class TestSplitExport:
                 waiter.join(timeout=10)
         assert not waiter.is_alive()
 
-    def test_failed_worker_raises_after_reaping(self, exported, tmp_path, monkeypatch, forks):
+    def test_failed_worker_raises_after_reaping(self, exported, tmp_path, monkeypatch, forks, capfd):
         _, trace, report, _ = exported
         split_rows(monkeypatch, 3)
         write_rows = aimdalloc.report._write_rows
@@ -540,6 +549,7 @@ class TestSplitExport:
         monkeypatch.setattr(aimdalloc.report, "_write_rows", failing_in_workers)
         with pytest.raises(RuntimeError, match="2 trace.csv worker.* exit status 1"):
             export_trace(trace, report, tmp_path)
+        assert capfd.readouterr().err.count("OSError: worker cannot write") == 2  # each worker's traceback
         assert len(forks) == 2
         assert_reaped(forks)
         assert sorted(os.listdir(tmp_path)) == sorted([*CSV_FILES, "summary.json"])
@@ -547,16 +557,32 @@ class TestSplitExport:
     def test_parent_error_kills_and_reaps_workers(self, exported, tmp_path, monkeypatch, forks):
         _, trace, report, _ = exported
         split_rows(monkeypatch, 3)
+        write_rows, temporary_file, files = aimdalloc.report._write_rows, tempfile.TemporaryFile, []
+
+        def stuck_in_workers(fh, trace, lo, hi):
+            if lo > 0:
+                time.sleep(60)
+            write_rows(fh, trace, lo, hi)
 
         def failing(*args):
             raise OSError("parent cannot write")
 
+        monkeypatch.setattr(aimdalloc.report, "_write_rows", stuck_in_workers)
         monkeypatch.setattr(aimdalloc.report, "_write_full_rate", failing)
+        monkeypatch.setattr(tempfile, "TemporaryFile", lambda **kw: files.append(temporary_file(**kw)) or files[-1])
+        start = time.perf_counter()
         with pytest.raises(OSError, match="parent cannot write"):
             export_trace(trace, report, tmp_path)
-        assert len(forks) == 2
+        assert time.perf_counter() - start < 30  # the stuck workers were killed, not waited for
+        assert len(forks) == 2 and len(files) == 2 and all(f.closed for f in files)
         assert_reaped(forks)
         assert os.listdir(tmp_path) == ["trace.csv"]
+
+    def test_cpus_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for count, want in ((5, 5), (None, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+            assert aimdalloc.report._cpus() == want
 
 
 def indented(doc):
@@ -692,7 +718,8 @@ class TestCompareModes:
         assert (tmp_path / "stochastic" / "metrics.csv").exists()
         doc = json.loads((tmp_path / "comparison.json").read_text())
         assert doc["modes"] == ["deterministic", "stochastic"]
-        assert "deterministic/trace.csv" in manifest.rows
+        # the manifest names every file written
+        assert sorted(manifest.rows) == sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.*"))
         assert set(doc["event_bits_at_convergence"]) == {"deterministic", "stochastic"}
 
 
