@@ -36,7 +36,7 @@ from .oracle import (
     solve_projected_gradient,
     solve_separable,
 )
-from .report import ComparisonReport, compare_modes, export_comparison, export_trace
+from .report import ComparisonReport, compare_modes, export_trace
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "compare_modes",
     "estimate_gamma",
     "evaluate_cost",
-    "export_comparison",
     "export_trace",
     "kkt_residual",
     "md_deterministic",

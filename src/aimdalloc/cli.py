@@ -11,7 +11,11 @@ and their trace over engine.check_footprint's budget, refused before sampling, a
 an output directory blocked by a file, refused before simulating), 3
 run/solver failure (including a non-finite total, derivative spread or cost,
 and an oracle KKT residual above the config's kkt_tol, both checked before
-anything is exported, and running out of memory), 1 unexpected error.
+anything is exported, per mode for compare, and running out of memory), 1
+unexpected error. compare takes each mode through its export before the next
+starts: the KKT residual is checked after the first run, before anything is
+exported, and a failure in the second mode leaves the first mode's directory
+complete and writes no comparison.json.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .config import Config, ConfigError, config_hash, parse_config
 from .engine import SimulationError
 from .metrics import _median, collect_metrics
 from .oracle import BracketError
-from .report import certified_optimum, compare_modes, export_comparison, export_trace, write_json
+from .report import certified_optimum, compare_modes, export_trace, write_json
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -109,14 +113,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(cfg, "compare", RUN_MODES)
-    cr = compare_modes(cfg)
-    manifest = export_comparison(cr, out)
+    cr = compare_modes(cfg, _out_dir(cfg, "compare", RUN_MODES))
     diff = cr.final_diff
     print(f"compare {cr.modes[0]} vs {cr.modes[1]}: "
           f"convergence steps {cr.convergence_steps[0]} vs {cr.convergence_steps[1]}")
     print(f"final average-allocation gap: median {_median(diff):.3e}, max {diff.max():.3e}")
-    print(f"wrote comparison to {manifest.directory}")
+    print(f"wrote comparison to {cr.manifest.directory}")
     return EXIT_OK
 
 

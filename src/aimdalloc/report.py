@@ -18,7 +18,7 @@ import os
 import shutil
 import tempfile
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -410,12 +410,13 @@ class ComparisonReport:
     """
 
     modes: tuple[str, str]
-    traces: tuple[Trace, Trace]
+    traces: tuple[Trace, Trace]   # each cut to its final snapshot when compare_modes exported
     reports: tuple[MetricsReport, MetricsReport]
     optimum: OptimalAllocation
     final_diff: np.ndarray        # (n, m)  |x_bar_A - x_bar_B| at the final step
     spread_threshold: np.ndarray  # (m,)
     convergence_steps: tuple[int, int]
+    manifest: ExportManifest | None = None  # every file written, when compare_modes exported
 
     @property
     def event_bits_final(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -430,56 +431,60 @@ class ComparisonReport:
         return tuple(out)
 
 
-def compare_modes(config: Config) -> ComparisonReport:
+def compare_modes(config: Config, out_dir: str | Path | None = None) -> ComparisonReport:
     """Run both update modes on the same instance and measure their gap.
 
     The config must say ``mode: both`` (else ConfigError); the pair is
-    ``RUN_MODES``, measured against one ``certified_optimum``. The
-    convergence-step estimate uses a common per-resource threshold:
-    ``SPREAD_FRACTION`` of the larger of the two runs' peak spreads, judged
-    sustainedly.
+    ``RUN_MODES``, measured against one ``certified_optimum``, certified right
+    after the first run. The convergence-step estimate uses a common
+    per-resource threshold: ``SPREAD_FRACTION`` of the larger of the two runs'
+    peak spreads, judged sustainedly.
+
+    With ``out_dir``, each mode is run, measured and exported to ``out_dir /
+    mode`` before the next starts, and its trace is then cut to its final
+    snapshot, so one trace's snapshot stacks are held at a time, as
+    ``engine.check_footprint`` budgets; comparison.json follows the second
+    export. A KKT failure raises before anything is exported; a failure in the
+    second mode leaves the first mode's directory complete and writes no
+    comparison.json. Without ``out_dir`` nothing is written and both full
+    traces are kept: two traces, which ``check_footprint`` does not count.
     """
     if config.mode != "both":
         raise ConfigError(["mode: compare needs mode 'both'"])
-    traces = tuple(engine.run(config, mode=mode) for mode in RUN_MODES)
-    optimum = certified_optimum(config, traces[0].functions)
+    out = None if out_dir is None else Path(out_dir)
+    traces, reports, optimum, rows = [], [], None, {}
+    for mode in RUN_MODES:
+        trace = engine.run(config, mode=mode)
+        optimum = optimum or certified_optimum(config, trace.functions)
+        reports.append(collect_metrics(trace, optimum.x_star))
+        if out is not None:
+            manifest = export_trace(trace, reports[-1], out / mode)
+            rows.update((f"{mode}/{name}", count) for name, count in manifest.rows.items())
+            last = {k: getattr(trace, k)[-1:].copy() for k in ("snap_steps", "x_snap", "xbar_snap")}
+            trace = replace(trace, **last)  # the full snapshot stacks are freed before the next run
+        traces.append(trace)
     thresholds = SPREAD_FRACTION * np.maximum(*(t.spread.max(axis=0) for t in traces))
-    return ComparisonReport(
+    cr = ComparisonReport(
         modes=RUN_MODES,
-        traces=traces,
-        reports=tuple(collect_metrics(t, optimum.x_star) for t in traces),
+        traces=tuple(traces),
+        reports=tuple(reports),
         optimum=optimum,
         final_diff=np.abs(traces[0].xbar_snap[-1] - traces[1].xbar_snap[-1]),
         spread_threshold=thresholds,
         convergence_steps=tuple(convergence_step(t.spread, thresholds) for t in traces),
     )
-
-
-def export_comparison(cr: ComparisonReport, out_dir: str | Path) -> ExportManifest:
-    """Write both runs' exports into per-mode subdirectories plus comparison.json."""
-    out = Path(out_dir)  # made with its per-mode subdirectories
-    rows: dict[str, int] = {}
-    for mode, trace, report in zip(cr.modes, cr.traces, cr.reports, strict=True):
-        sub = out / mode
-        manifest = export_trace(trace, report, sub)
-        for name, count in manifest.rows.items():
-            rows[f"{mode}/{name}"] = count
-    doc = {
-        "modes": list(cr.modes),
-        "spread_threshold": [float(v) for v in cr.spread_threshold],
-        "convergence_steps": list(cr.convergence_steps),
-        "event_bits": {
-            mode: list(r.summary.event_bits) for mode, r in zip(cr.modes, cr.reports)
-        },
-        "event_bits_at_convergence": {
-            mode: list(bits)
-            for mode, bits in zip(cr.modes, cr.event_bits_at_convergence)
-        },
-        "final_avg_diff_median": _median(cr.final_diff),
-        "final_avg_diff_max": float(cr.final_diff.max()),
-        "optimum_mu": [float(v) for v in cr.optimum.mu],
-        "optimum_kkt_residual": cr.optimum.kkt_residual,
-    }
-    write_json(out / "comparison.json", doc)
-    rows["comparison.json"] = 1
-    return ExportManifest(directory=out, rows=rows)
+    if out is not None:
+        doc = {
+            "modes": list(cr.modes),
+            "spread_threshold": [float(v) for v in cr.spread_threshold],
+            "convergence_steps": list(cr.convergence_steps),
+            "event_bits": dict(zip(cr.modes, map(list, cr.event_bits_final))),
+            "event_bits_at_convergence": dict(zip(cr.modes, map(list, cr.event_bits_at_convergence))),
+            "final_avg_diff_median": _median(cr.final_diff),
+            "final_avg_diff_max": float(cr.final_diff.max()),
+            "optimum_mu": [float(v) for v in optimum.mu],
+            "optimum_kkt_residual": optimum.kkt_residual,
+        }
+        write_json(out / "comparison.json", doc)
+        cr.manifest = ExportManifest(directory=out, rows={**rows, "comparison.json": 1})
+    return cr

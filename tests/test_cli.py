@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from aimdalloc import engine, parse_config
+from aimdalloc import SimulationError, engine, parse_config
 from aimdalloc.cli import _build_parser, main
 
 from conftest import REPO_ROOT
@@ -131,6 +131,36 @@ class TestCompareCommand:
     def test_single_mode_config_rejected(self, tmp_path):
         cfg = write_doc(tmp_path, small_doc(mode="deterministic"))
         assert main(["compare", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
+    def test_each_trace_is_freed_before_the_next_run(self, tmp_path, live_snapshots):
+        cfg = quickstart_copy(tmp_path, steps=50)
+        assert main(["compare", str(cfg), "--out", str(tmp_path / "cmp")]) == 0
+        assert live_snapshots == [[], [False]]
+
+    def test_second_mode_failure_keeps_the_first_export(self, tmp_path, monkeypatch, capsys):
+        cfg, ok, out = quickstart_copy(tmp_path, steps=50), tmp_path / "ok", tmp_path / "cmp"
+        assert main(["compare", str(cfg), "--out", str(ok)]) == 0
+        run = engine.run
+
+        def failing(config, mode):
+            if mode == "stochastic":
+                raise SimulationError("step 1: injected")
+            return run(config, mode=mode)
+
+        monkeypatch.setattr(engine, "run", failing)
+        assert main(["compare", str(cfg), "--out", str(out)]) == 3
+        assert "run error: step 1: injected" in capsys.readouterr().err
+        assert os.listdir(out) == ["deterministic"]  # no comparison.json
+        assert sorted(os.listdir(out / "deterministic")) == sorted(os.listdir(ok / "deterministic"))
+        for name in ("trace.csv", "events.csv", "metrics.csv"):  # summary.json names its own out_dir
+            assert (out / "deterministic" / name).read_bytes() == (ok / "deterministic" / name).read_bytes()
+        assert json.loads((out / "deterministic" / "summary.json").read_text())["mode"] == "deterministic"
+
+    def test_uncertified_optimum_exports_nothing(self, tmp_path):
+        # the quickstart optimum certifies at about 4e-9, far above 1e-12
+        cfg, out = quickstart_copy(tmp_path, steps=50, kkt_tol=1e-12), tmp_path / "cmp"
+        assert main(["compare", str(cfg), "--out", str(out)]) == 3
+        assert not out.exists()
 
 
 class TestSolveCommand:

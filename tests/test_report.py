@@ -22,7 +22,6 @@ from aimdalloc import (
     build_world,
     collect_metrics,
     compare_modes,
-    export_comparison,
     export_trace,
     parse_config,
     run,
@@ -712,8 +711,7 @@ class TestCompareModes:
 
     def test_export_comparison_layout(self, bundled_config, tmp_path):
         cfg = dataclasses.replace(bundled_config, steps=200)
-        cr = compare_modes(cfg)
-        manifest = export_comparison(cr, tmp_path)
+        manifest = compare_modes(cfg, tmp_path).manifest
         assert (tmp_path / "deterministic" / "trace.csv").exists()
         assert (tmp_path / "stochastic" / "metrics.csv").exists()
         doc = json.loads((tmp_path / "comparison.json").read_text())
@@ -721,6 +719,24 @@ class TestCompareModes:
         # the manifest names every file written
         assert sorted(manifest.rows) == sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.*"))
         assert set(doc["event_bits_at_convergence"]) == {"deterministic", "stochastic"}
+
+    def test_exporting_frees_each_trace_before_the_next_run(self, bundled_config, tmp_path, live_snapshots):
+        cfg = dataclasses.replace(bundled_config, steps=200)
+        cr = compare_modes(cfg, tmp_path)
+        assert live_snapshots == [[], [False]]
+        assert [trace.x_snap.shape[0] for trace in cr.traces] == [1, 1]  # cut to the final snapshot
+        full = compare_modes(cfg)  # the cut traces measure what the full ones do
+        assert cr.convergence_steps == full.convergence_steps
+        assert cr.event_bits_at_convergence == full.event_bits_at_convergence
+        np.testing.assert_array_equal(cr.spread_threshold, full.spread_threshold)
+        np.testing.assert_array_equal(cr.final_diff, full.final_diff)
+
+    def test_without_out_dir_both_full_traces_are_kept(self, bundled_config, live_snapshots):
+        cr = compare_modes(dataclasses.replace(bundled_config, steps=200))
+        assert live_snapshots == [[], [True]]
+        assert [trace.x_snap.shape[0] for trace in cr.traces] == [len(trace.snap_steps) for trace in cr.traces]
+        assert len(cr.traces[0].snap_steps) > 1
+        assert cr.manifest is None
 
 
 class TestReferenceComparison:
